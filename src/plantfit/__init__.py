@@ -56,10 +56,10 @@ from .uc import (
     UcInstance,
     Violation,
     enumerate_uc_oracle,
-    marginal_value,
     marginal_values,
     schedule_profit,
     solve_uc,
+    solve_uc_batch,
     validate_schedule,
 )
 
@@ -100,13 +100,13 @@ __all__ = [
     "landscape_slice",
     "load_series",
     "make_grid",
-    "marginal_value",
     "marginal_values",
     "normalize_costs",
     "params_to_vector",
     "rms",
     "schedule_profit",
     "solve_uc",
+    "solve_uc_batch",
     "sse",
     "synthesize",
     "validate_parameters",

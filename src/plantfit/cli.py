@@ -166,10 +166,7 @@ def _bounds_from_plant(plant: dict, capacity: float) -> SearchBounds:
 
 def _solver_options(cfg: dict) -> SolverOptions:
     section = cfg.get("solver", {})
-    return SolverOptions(
-        power_levels=int(section.get("power_levels", 21)),
-        tolerance=float(section.get("tolerance", 1e-9)),
-    )
+    return SolverOptions(power_levels=int(section.get("power_levels", 21)))
 
 
 def _de_config(cfg: dict, seed: int) -> DeConfig:

@@ -35,6 +35,11 @@ def _own_readonly(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _require_finite(name: str, values) -> None:
+    if not np.all(np.isfinite(values)):
+        raise DataError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class PlantParameters:
     """Physical and cost description of one thermal unit."""
@@ -133,6 +138,8 @@ class PlantDynamics:
         object.__setattr__(self, "sel", _own_readonly(self.sel))
         if len(self.mel) != len(self.sel):
             raise DataError("mel and sel length mismatch")
+        for name in ("mel", "sel", "ramp_up", "ramp_dn"):
+            _require_finite(name, getattr(self, name))
         if not (self.ramp_up > 0 and self.ramp_dn > 0):
             raise DataError("ramp rates must be positive")
         if np.any(self.sel < 0) or np.any(self.sel > self.mel):
@@ -162,6 +169,7 @@ class MarketSeries:
             object.__setattr__(self, name, _own_readonly(getattr(self, name)))
             if len(getattr(self, name)) != len(grid):
                 raise DataError(f"price series {name} length differs from grid")
+            _require_finite(f"price series {name}", getattr(self, name))
         if not self.dt > 0:
             raise DataError("dt must be positive")
         if len(grid) > 1:
@@ -190,6 +198,7 @@ class ObservedProduction:
         object.__setattr__(self, "power", _own_readonly(self.power))
         if len(self.power) != len(grid):
             raise DataError("observed power length differs from grid")
+        _require_finite("observed power", self.power)
         if np.any(self.power < 0):
             raise DataError("observed power must be non-negative")
 

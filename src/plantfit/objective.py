@@ -2,8 +2,9 @@
 
 An evaluation solves the inner unit-commitment problem for one candidate
 parameter set and scores the resulting schedule against observed output.
-Evaluations are pure functions of their inputs, so many candidates can be
-scored concurrently against one shared read-only context.
+Evaluations are pure functions of their inputs: a batch of candidates is
+solved in one DP sweep against one shared read-only context, and scores do
+not depend on how the batch is split.
 """
 from __future__ import annotations
 
@@ -22,8 +23,16 @@ from .domain import (
     PlantDynamics,
     PlantParameters,
     params_to_vector,
+    vector_to_params,
 )
-from .uc import SolverOptions, UcGraph, UcInstance, solve_uc
+from .uc import (
+    CANDIDATE_ERRORS,
+    SolverOptions,
+    UcGraph,
+    UcInstance,
+    solve_uc,
+    solve_uc_batch,
+)
 
 
 def _power_of(series) -> np.ndarray:
@@ -148,7 +157,7 @@ def evaluate_candidate(params: PlantParameters, context: FitContext,
     )
 
 
-# -- parallel candidate scoring ------------------------------------------
+# -- batched candidate scoring --------------------------------------------
 
 _WORKER: tuple | None = None
 
@@ -159,27 +168,36 @@ def _pool_init(context: FitContext, opts: SolverOptions):
     _WORKER = (context, opts)
 
 
-def _pool_score(vec) -> float:
+def _pool_score(vecs) -> list[float]:
     context, opts = _WORKER
-    return _score_vector(np.asarray(vec), context, opts)
+    return _score_block(vecs, context, opts)
 
 
-def _score_vector(vec: np.ndarray, context: FitContext, opts: SolverOptions) -> float:
-    from .domain import vector_to_params
-
+def _score_block(vecs, context: FitContext, opts: SolverOptions) -> list[float]:
+    """Scores of a block of parameter vectors, solved in one DP sweep."""
+    instances = [context.instance(vector_to_params(v, context.epsilon)) for v in vecs]
     try:
-        rec = evaluate_candidate(vector_to_params(vec, context.epsilon), context, opts)
-        return rec.sse if math.isfinite(rec.sse) else math.inf
-    except Exception:
-        return math.inf  # infeasible corners score worst instead of aborting
+        results = solve_uc_batch(instances, opts, graph=context.graph(opts))
+    except CANDIDATE_ERRORS:
+        return [math.inf] * len(instances)  # the shared problem fails every candidate
+    scores = []
+    for result in results:
+        if isinstance(result, CANDIDATE_ERRORS):
+            scores.append(math.inf)  # infeasible corners score worst instead of aborting
+            continue
+        err = sse(result, context.observed)
+        scores.append(err if math.isfinite(err) else math.inf)
+    return scores
 
 
 class CandidateEvaluator:
-    """Maps parameter vectors to outer-objective scores, optionally in parallel.
+    """Maps parameter vectors to outer-objective scores, a batch at a time.
 
-    Scoring failures are reported as +inf rather than raised. Results come
-    back in submission order, so a fixed seed gives identical runs whatever
-    the worker count.
+    Each batch is solved in one DP sweep; with ``jobs`` > 1 it is cut into
+    that many contiguous blocks, one per worker process. Expected failures
+    (an infeasible candidate) score +inf; any other error propagates.
+    Results come back in submission order and do not depend on the worker
+    count, so a fixed seed gives identical runs.
     """
 
     def __init__(self, context: FitContext, opts: SolverOptions, jobs: int | None = None):
@@ -204,14 +222,15 @@ class CandidateEvaluator:
         return False
 
     def one(self, vec) -> float:
-        return _score_vector(np.asarray(vec), self.context, self.opts)
+        return self.scores([vec])[0]
 
     def scores(self, vecs) -> list[float]:
-        vecs = list(vecs)
-        if self._pool is None:
-            return [self.one(v) for v in vecs]
-        chunk = max(1, len(vecs) // (4 * self.jobs))
-        return list(self._pool.map(_pool_score, vecs, chunksize=chunk))
+        vecs = np.array(vecs, dtype=float)
+        if self._pool is None or len(vecs) == 0:
+            return _score_block(vecs, self.context, self.opts)
+        size = -(-len(vecs) // self.jobs)
+        blocks = [vecs[i:i + size] for i in range(0, len(vecs), size)]
+        return [s for block in self._pool.map(_pool_score, blocks) for s in block]
 
 
 def landscape_slice(

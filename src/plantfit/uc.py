@@ -15,6 +15,22 @@ Transit levels below SEL sit on the full-rate ladders k*ramp*dt and may
 only be crossed monotonically: a start climbs from zero to the stable
 band without pausing or turning back, a stop descends from the stable
 band to zero. Dwelling strictly between zero and SEL is infeasible.
+
+One DP sweep solves a batch of parameter sets on the same problem: each
+period advances a (candidates, states) stack at once, and ``solve_uc`` is
+the batch of one. The state graph does not depend on the parameters.
+Periods with equal (levels, modes) share one state layout, and one arc
+matrix is stored per distinct pair of adjacent layouts, keyed by the
+(levels, modes) of both periods; flat dynamics need a single matrix. Each
+candidate's start-up cost is subtracted once per batch, as sigma times the
+outer product of the from-layout's off state and the to-layout's committed
+states.
+
+Ties in profit go to the path with fewer committed periods, then less
+energy, then the lowest state index, at every step and at the end. Each
+period the from-states are put in that order once, by (committed count,
+energy, index) ascending, so a single argmax over the profits returns the
+tie-break winner as its first maximum.
 """
 from __future__ import annotations
 
@@ -41,16 +57,13 @@ _OFF, _RUN, _UP, _DOWN = 0, 1, 2, 3
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Discretization and optimality settings for the inner solver."""
+    """Discretization settings for the inner solver."""
 
     power_levels: int = 21   # stable levels per period spanning [sel, mel]
-    tolerance: float = 1e-9  # relative profit slack accepted vs the grid optimum
 
     def __post_init__(self):
         if self.power_levels < 2:
             raise ParameterError("power_levels must be at least 2")
-        if self.tolerance < 0:
-            raise ParameterError("tolerance must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,6 +78,7 @@ class UcInstance:
 
 
 def _check_instance(instance: UcInstance) -> None:
+    """Checks on the problem an instance poses, whatever its parameters."""
     T = instance.market.horizon
     if T == 0:
         raise SolverError("empty horizon")
@@ -77,26 +91,10 @@ def _check_instance(instance: UcInstance) -> None:
             raise SolverError("initial power exceeds the first-period export limit")
     elif instance.initial_power != 0.0:
         raise SolverError("initial power must be zero while not committed")
-    if instance.params.eta <= 0:
-        raise ParameterError("eta must be positive")
-
-
-def marginal_value(params: PlantParameters, market: MarketSeries, t: int) -> float:
-    """Clean-spark-spread margin of one MWh produced in period t [pounds/MWh]."""
-    if params.eta <= 0:
-        raise ParameterError("eta must be positive")
-    if not 0 <= t < market.horizon:
-        raise ParameterError(f"period index {t} outside horizon")
-    return float(
-        market.w[t]
-        - params.nu
-        - market.f[t] / params.eta
-        - market.e[t] * params.epsilon / params.eta
-    )
 
 
 def marginal_values(params: PlantParameters, market: MarketSeries) -> np.ndarray:
-    """Vectorized marginal_value over the whole horizon."""
+    """Clean-spark-spread margin of one MWh produced in each period [pounds/MWh]."""
     if params.eta <= 0:
         raise ParameterError("eta must be positive")
     return market.w - params.nu - market.f / params.eta - market.e * params.epsilon / params.eta
@@ -159,6 +157,9 @@ class UcGraph:
 
     Building the graph is independent of the candidate cost parameters, so
     one graph serves every parameter set evaluated against the same context.
+    ``levels``, ``modes`` and ``committed`` hold one array per period; periods
+    with equal layouts share it. For the sweep, layouts are padded with
+    unreachable states to a common count, ``states``.
     """
 
     def __init__(self, dynamics: PlantDynamics, dt: float, opts: SolverOptions,
@@ -169,30 +170,52 @@ class UcGraph:
         dn_step = dynamics.ramp_dn * dt
         self.up_step = up_step
         self.dn_step = dn_step
-        T = len(dynamics.mel)
-        per = [
-            _period_levels(dynamics.mel[t], dynamics.sel[t], up_step, dn_step,
-                           opts.power_levels, hold_level)
-            for t in range(T)
-        ]
-        self.levels = [p[0] for p in per]
-        self.modes = [p[1] for p in per]
-        self.committed = [(m != _OFF) for m in self.modes]
-        self.committed_f = [c.astype(float) for c in self.committed]
-        # arc_base holds 0 on feasible arcs, -inf elsewhere; start_f marks
-        # arcs that switch the plant on (start-up cost applies at the to-period)
-        self.arc_base = []
-        self.start_f = []
-        for t in range(T - 1):
-            mask = _transition_mask(self.levels[t], self.modes[t],
-                                    self.levels[t + 1], self.modes[t + 1],
-                                    up_step, dn_step)
-            self.arc_base.append(np.where(mask, 0.0, -np.inf))
-            start = (self.modes[t] == _OFF)[:, None] & self.committed[t + 1][None, :]
-            self.start_f.append(start.astype(float))
+        # a period's (levels, modes) depend on nothing but its (mel, sel)
+        layouts: list[tuple[np.ndarray, np.ndarray]] = []
+        layout_of: dict = {}  # (mel, sel) -> layout index
+        layout_at = []        # layout index of each period
+        for limits in zip(dynamics.mel.tolist(), dynamics.sel.tolist()):
+            if limits not in layout_of:
+                layout_of[limits] = len(layouts)
+                layouts.append(_period_levels(*limits, up_step, dn_step,
+                                              opts.power_levels, hold_level))
+            layout_at.append(layout_of[limits])
+
+        n = max((len(levels) for levels, _ in layouts), default=1)
+        level = np.zeros((len(layouts), n))
+        self._layout_on = np.zeros((len(layouts), n), dtype=bool)
+        self._layout_off = np.zeros((len(layouts), n), dtype=bool)
+        committed = []
+        for k, (levels, modes) in enumerate(layouts):
+            level[k, :len(levels)] = levels
+            self._layout_on[k, :len(levels)] = modes != _OFF
+            self._layout_off[k, :len(levels)] = modes == _OFF
+            committed.append(modes != _OFF)
+        self.levels = [layouts[k][0] for k in layout_at]
+        self.modes = [layouts[k][1] for k in layout_at]
+        self.committed = [committed[k] for k in layout_at]
+        self.states = n
+        self._level = level[layout_at]            # (T, states), zero on padding
+        self._on = self._layout_on[layout_at]     # (T, states)
+
+        # one matrix per distinct (from-layout, to-layout) pair: 0 on feasible
+        # arcs, -inf elsewhere; _arc_of[t] serves the arcs from t to t + 1
+        self._pairs: list[tuple[int, int]] = []
+        pair_of: dict = {}
+        self._arc_of = []
+        for pair in zip(layout_at, layout_at[1:]):
+            if pair not in pair_of:
+                pair_of[pair] = len(self._pairs)
+                self._pairs.append(pair)
+            self._arc_of.append(pair_of[pair])
+        self._arc_base = np.full((len(self._pairs), n, n), -np.inf)
+        for u, (a, b) in enumerate(self._pairs):
+            (levels_a, modes_a), (levels_b, modes_b) = layouts[a], layouts[b]
+            mask = _transition_mask(levels_a, modes_a, levels_b, modes_b, up_step, dn_step)
+            self._arc_base[u, :len(levels_a), :len(levels_b)][mask] = 0.0
 
     def source_arcs(self, initial_committed: bool, initial_power: float):
-        """Feasible first-period states and their start flags."""
+        """Feasible first-period states and their start flags, padded to ``states``."""
         levels0, modes0 = self.levels[0], self.modes[0]
         delta = levels0 - initial_power
         ramp_ok = (delta <= self.up_step + _TOL) & (delta >= -(self.dn_step + _TOL))
@@ -207,25 +230,20 @@ class UcGraph:
                 | ((modes0 == _DOWN) & (delta < -_TOL))
             )
             starts = np.zeros(len(levels0), dtype=bool)
-        return feas, starts
+        pad = self.states - len(levels0)
+        return np.pad(feas, (0, pad)), np.pad(starts, (0, pad))
 
 
-def _lex_best(cand, aux1, aux2):
-    """Column-wise argmax of (cand, aux1, aux2) triples in lexicographic order.
+# Errors that fail one candidate alone: a parameter out of its range or an
+# infeasible horizon. Anything else is a bug and propagates.
+CANDIDATE_ERRORS = (SolverError, ParameterError, DataError)
 
-    Returns (best values of each tier, parent row index per column). Ties on
-    earlier tiers are broken by later tiers, then by lowest row index.
-    """
-    best1 = cand.max(axis=0)
-    m1 = cand == best1[None, :]
-    a1 = np.where(m1, aux1, -np.inf)
-    best2 = a1.max(axis=0)
-    m2 = m1 & (a1 == best2[None, :])
-    a2 = np.where(m2, aux2, -np.inf)
-    best3 = a2.max(axis=0)
-    m3 = m2 & (a2 == best3[None, :])
-    parent = m3.argmax(axis=0)
-    return best1, best2, best3, parent
+# Bytes of DP state one block of candidates may hold: per candidate, a
+# back-pointer per (period, state), a few series over the horizon, its arc
+# matrices and one period's candidate matrices. Bounds a batch's memory.
+_BLOCK_BYTES = 2 * 2**20
+# Bytes of period rewards computed ahead of the sweep.
+_REWARD_BYTES = 2**18
 
 
 def solve_uc(instance: UcInstance, opts: SolverOptions | None = None,
@@ -234,61 +252,140 @@ def solve_uc(instance: UcInstance, opts: SolverOptions | None = None,
 
     Ties in profit prefer fewer committed periods, then lower total energy,
     so the result is deterministic. Pass a precompiled ``graph`` to reuse
-    the state graph across many parameter sets on the same context.
+    the state graph across many parameter sets on the same context. This is
+    the one-candidate call of :func:`solve_uc_batch`.
     """
-    opts = opts or SolverOptions()
-    _check_instance(instance)
-    if graph is None:
-        graph = UcGraph(instance.dynamics, instance.market.dt, opts,
-                        hold_level=instance.initial_power if instance.initial_committed else None)
-    T = instance.market.horizon
-    dt = instance.market.dt
-    p = instance.params
-    mv = marginal_values(p, instance.market)
+    (result,) = solve_uc_batch([instance], opts, graph)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
-    # arrival rewards per state: energy margin minus fixed cost while committed
-    feas0, starts0 = graph.source_arcs(instance.initial_committed, instance.initial_power)
+
+def solve_uc_batch(instances, opts: SolverOptions | None = None,
+                   graph: UcGraph | None = None) -> list:
+    """Optimal schedules for many parameter sets on one problem, in one sweep.
+
+    The instances must share dynamics, market and initial state; only their
+    parameters differ. Returns, in order, each instance's schedule, or the
+    error from ``CANDIDATE_ERRORS`` that it alone raised. An error of the
+    shared problem (say, no feasible first-period state) raises. Each
+    schedule is bit-identical to the one the instance gets when solved alone.
+    """
+    instances = list(instances)
+    if not instances:
+        return []
+    opts = opts or SolverOptions()
+    first = instances[0]
+    _check_instance(first)
+    for inst in instances[1:]:
+        if (inst.dynamics is not first.dynamics or inst.market is not first.market
+                or inst.initial_committed != first.initial_committed
+                or inst.initial_power != first.initial_power):
+            raise SolverError("batched instances must share dynamics, market and initial state")
+    if graph is None:
+        graph = UcGraph(first.dynamics, first.market.dt, opts,
+                        hold_level=first.initial_power if first.initial_committed else None)
+    feas0, starts0 = graph.source_arcs(first.initial_committed, first.initial_power)
+    n = graph.states
+    per_candidate = first.market.horizon * (n + 32) + (len(graph._pairs) + 3) * n * n * 8
+    block = max(1, _BLOCK_BYTES // per_candidate)
+    results = []
+    for lo in range(0, len(instances), block):
+        results.extend(_sweep(graph, instances[lo:lo + block], feas0, starts0))
+    return results
+
+
+def _sweep(graph: UcGraph, instances: list, feas0: np.ndarray,
+           starts0: np.ndarray) -> list:
+    """One DP pass over the periods for a block of candidates at once.
+
+    The DP keeps per (candidate, state) the best profit and, for the
+    tie-break, the committed-period count and energy of the path reaching it.
+    """
+    out: list = [None] * len(instances)
+    live, margins = [], []
+    for i, inst in enumerate(instances):
+        try:
+            margins.append(marginal_values(inst.params, inst.market))
+            live.append(i)
+        except ParameterError as exc:
+            out[i] = exc
+    if not live:
+        return out
+    # after the parameters, so a lone solve reports a bad eta first
     if not feas0.any():
         raise SolverError("no feasible first-period state from the initial condition")
+    instances = [instances[i] for i in live]
+    P = len(instances)
+    T = len(margins[0])
+    n = graph.states
+    dt = instances[0].market.dt
+    sigma = np.array([inst.params.sigma for inst in instances])
+    phi_dt = np.array([[inst.params.phi * dt] for inst in instances])
+    mv_dt = np.stack(margins, axis=1)  # (T, P)
+    mv_dt *= dt
+    level, on = graph._level, graph._on
+    level_dt = level * dt
+    # each candidate's arcs: the start-up cost on every off -> committed arc,
+    # rows of all candidates stacked so one fancy index gathers them
+    arcs = [
+        (graph._arc_base[u] - sigma[:, None, None]
+         * np.outer(graph._layout_off[a], graph._layout_on[b])).reshape(P * n, n)
+        for u, (a, b) in enumerate(graph._pairs)
+    ]
+    rows = np.arange(P)[:, None] * n  # first row of each candidate
+    cells = rows * n + np.arange(n)   # (candidate, to-state) cell of row 0
 
-    com0 = graph.committed_f[0]
-    reward0 = graph.levels[0] * (mv[0] * dt) - com0 * (p.phi * dt)
-    profit = np.where(feas0, reward0 - starts0 * p.sigma, -np.inf)
-    ncom = np.where(feas0, -com0, -np.inf)   # maximize -committed count
-    nenergy = np.where(feas0, -graph.levels[0] * dt, -np.inf)  # then -energy
-    parents = []
+    profit = level[0] * mv_dt[0][:, None] - on[0] * phi_dt
+    profit = np.where(feas0, profit - starts0 * sigma[:, None], -np.inf)
+    count = np.repeat(on[0][None] * 1.0, P, axis=0)
+    energy = np.repeat(level_dt[0][None], P, axis=0)
+    parents = np.empty((T - 1, P, n), dtype=np.min_scalar_type(n - 1))
+    chunk = max(1, _REWARD_BYTES // (P * n * 8))
+    for lo in range(1, T, chunk):
+        hi = min(T, lo + chunk)
+        rewards = level[lo:hi, None] * mv_dt[lo:hi, :, None] - on[lo:hi, None] * phi_dt
+        for t, reward in enumerate(rewards, lo):
+            # rows in tie-break order, so the first maximum is the parent
+            order = np.lexsort((energy, count)) + rows
+            cand = arcs[graph._arc_of[t - 1]][order]
+            cand += profit.take(order)[:, :, None]
+            k = cand.argmax(axis=1)
+            best = cand.take(k * n + cells)
+            src = order.take(k + rows)
+            np.subtract(src, rows, out=parents[t - 1], casting="unsafe")
+            profit = best + reward
+            count = count.take(src) + on[t]
+            energy = energy.take(src) + level_dt[t]
 
-    for t in range(1, T):
-        arc = graph.arc_base[t - 1]
-        if p.sigma != 0.0:
-            arc = arc - graph.start_f[t - 1] * p.sigma
-        cand = profit[:, None] + arc
-        best1, best2, best3, parent = _lex_best(cand, ncom[:, None], nenergy[:, None])
-        com_t = graph.committed_f[t]
-        reward_t = graph.levels[t] * (mv[t] * dt) - com_t * (p.phi * dt)
-        profit = best1 + reward_t
-        ncom = best2 - com_t
-        nenergy = best3 - graph.levels[t] * dt
-        parents.append(parent)
-
-    # terminal selection with the same tie-breaking
-    order = np.lexsort((np.arange(len(profit)), -nenergy, -ncom, -profit))
-    last = int(order[0])
-    if not np.isfinite(profit[last]):
-        raise SolverError("no feasible schedule exists for this instance")
-
-    idx = np.empty(T, dtype=int)
-    idx[T - 1] = last
+    last = np.lexsort((energy, count, -profit))[:, 0]
+    picks = np.arange(P)
+    path = np.empty((T, P), dtype=parents.dtype)
+    path[-1] = last
     for t in range(T - 1, 0, -1):
-        idx[t - 1] = parents[t - 1][idx[t]]
+        path[t - 1] = parents[t - 1, picks, path[t]]
+    periods = np.arange(T)[:, None]
+    power = level[periods, path]
+    committed = on[periods, path].astype(np.int8)
+    dp_profit = profit[picks, last]
+    for p, (i, inst) in enumerate(zip(live, instances)):
+        try:
+            out[i] = _checked_schedule(inst, power[:, p], committed[:, p], dp_profit[p])
+        except CANDIDATE_ERRORS as exc:
+            out[i] = exc
+    return out
 
-    power = np.array([graph.levels[t][idx[t]] for t in range(T)])
-    committed = np.array([graph.committed[t][idx[t]] for t in range(T)], dtype=np.int8)
+
+def _checked_schedule(instance: UcInstance, power: np.ndarray, committed: np.ndarray,
+                      dp_profit: float) -> Schedule:
+    """The schedule of one DP path, its profit re-derived from the raw series."""
+    if not np.isfinite(dp_profit):
+        raise SolverError("no feasible schedule exists for this instance")
     prev = np.concatenate(([1 if instance.initial_committed else 0], committed[:-1]))
     started = ((committed == 1) & (prev == 0)).astype(np.int8)
     schedule = Schedule(power=power, committed=committed, started=started, profit=0.0)
     exact = schedule_profit(schedule, instance)
-    if abs(exact - profit[last]) > 1e-6 * (1.0 + abs(exact)):
+    if abs(exact - dp_profit) > 1e-6 * (1.0 + abs(exact)):
         raise SolverError("internal profit accounting mismatch")
     return Schedule(power=power, committed=committed, started=started, profit=exact)
 

@@ -7,6 +7,7 @@ from plantfit import (
     MarketSeries,
     PlantDynamics,
     PlantParameters,
+    SolverError,
     SolverOptions,
     UcInstance,
     make_grid,
@@ -220,3 +221,68 @@ def noisy_recovery_context():
                           noise=5.0, seed=99)
     return FitContext.from_observed(dynamics, market, observed, epsilon=EPSILON,
                                     initial_committed=False, initial_power=0.0)
+
+
+def loop_solve(instance, opts):
+    """Reference DP: one candidate, one Python loop over the periods.
+
+    This is the solver's original per-candidate form. It builds a separate
+    arc matrix for every period and breaks ties in profit with three masked
+    passes (fewer committed periods, then less energy, then lowest state
+    index). The batched sweep must reproduce its schedules bit for bit.
+    """
+    from plantfit.uc import UcGraph, _transition_mask, marginal_values
+
+    hold = instance.initial_power if instance.initial_committed else None
+    graph = UcGraph(instance.dynamics, instance.market.dt, opts, hold_level=hold)
+    T = instance.market.horizon
+    dt = instance.market.dt
+    p = instance.params
+    mv = marginal_values(p, instance.market)
+    levels = graph.levels
+    com = [c.astype(float) for c in graph.committed]
+    n0 = len(levels[0])
+    feas0, starts0 = (a[:n0] for a in graph.source_arcs(instance.initial_committed,
+                                                        instance.initial_power))
+    if not feas0.any():
+        raise SolverError("no feasible first-period state from the initial condition")
+
+    def lex_best(cand, aux1, aux2):
+        best1 = cand.max(axis=0)
+        m1 = cand == best1[None, :]
+        a1 = np.where(m1, aux1, -np.inf)
+        best2 = a1.max(axis=0)
+        m2 = m1 & (a1 == best2[None, :])
+        a2 = np.where(m2, aux2, -np.inf)
+        best3 = a2.max(axis=0)
+        m3 = m2 & (a2 == best3[None, :])
+        return best1, best2, best3, m3.argmax(axis=0)
+
+    reward0 = levels[0] * (mv[0] * dt) - com[0] * (p.phi * dt)
+    profit = np.where(feas0, reward0 - starts0 * p.sigma, -np.inf)
+    ncom = np.where(feas0, -com[0], -np.inf)
+    nenergy = np.where(feas0, -levels[0] * dt, -np.inf)
+    parents = []
+    for t in range(1, T):
+        mask = _transition_mask(levels[t - 1], graph.modes[t - 1], levels[t],
+                                graph.modes[t], graph.up_step, graph.dn_step)
+        start = (graph.modes[t - 1] == 0)[:, None] & graph.committed[t][None, :]
+        arc = np.where(mask, 0.0, -np.inf) - start.astype(float) * p.sigma
+        best1, best2, best3, parent = lex_best(profit[:, None] + arc,
+                                               ncom[:, None], nenergy[:, None])
+        reward = levels[t] * (mv[t] * dt) - com[t] * (p.phi * dt)
+        profit = best1 + reward
+        ncom = best2 - com[t]
+        nenergy = best3 - levels[t] * dt
+        parents.append(parent)
+
+    last = int(np.lexsort((np.arange(len(profit)), -nenergy, -ncom, -profit))[0])
+    if not np.isfinite(profit[last]):
+        raise SolverError("no feasible schedule exists for this instance")
+    idx = [last]
+    for t in range(T - 1, 0, -1):
+        idx.append(int(parents[t - 1][idx[-1]]))
+    idx.reverse()
+    power = np.array([levels[t][i] for t, i in enumerate(idx)])
+    committed = np.array([graph.committed[t][i] for t, i in enumerate(idx)], dtype=np.int8)
+    return power, committed

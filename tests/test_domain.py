@@ -149,6 +149,33 @@ class TestSeriesInvariants:
         with pytest.raises(DataError):
             ObservedProduction(grid=grid, power=np.array([1.0, -2.0]))
 
+    @pytest.mark.parametrize("field", ["w", "f", "e"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_market_prices_must_be_finite(self, field, bad):
+        grid = make_grid("2018-01-01T00:00:00Z", 3, 1.0)
+        series = {"w": np.full(3, 50.0), "f": np.full(3, 20.0), "e": np.full(3, 10.0)}
+        series[field][1] = bad
+        with pytest.raises(DataError, match=f"price series {field} must be finite"):
+            MarketSeries(grid=grid, dt=1.0, **series)
+
+    @pytest.mark.parametrize("field", ["mel", "sel", "ramp_up", "ramp_dn"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_dynamics_must_be_finite(self, field, bad):
+        values = {"mel": np.full(2, 100.0), "sel": np.full(2, 40.0),
+                  "ramp_up": 60.0, "ramp_dn": 60.0}
+        if field in ("mel", "sel"):
+            values[field][0] = bad
+        else:
+            values[field] = bad
+        with pytest.raises(DataError, match=f"{field} must be finite"):
+            PlantDynamics(**values)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_observed_power_must_be_finite(self, bad):
+        grid = make_grid("2018-01-01T00:00:00Z", 2, 0.5)
+        with pytest.raises(DataError, match="observed power must be finite"):
+            ObservedProduction(grid=grid, power=np.array([1.0, bad]))
+
     def test_arrays_are_read_only(self):
         dyn = PlantDynamics(mel=np.array([100.0]), sel=np.array([0.0]),
                             ramp_up=60.0, ramp_dn=60.0)

@@ -1,22 +1,33 @@
 """Outer-objective evaluation and landscape slicing."""
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import plantfit.uc
 from plantfit import (
+    CompassConfig,
     DataError,
+    DeConfig,
     FitContext,
     ObservedProduction,
     ParameterError,
     PlantParameters,
+    SearchBounds,
     SolverOptions,
     evaluate_candidate,
+    fit,
     landscape_slice,
     make_grid,
+    params_to_vector,
     rms,
     solve_uc,
     sse,
     synthesize,
+    vector_to_params,
 )
+from plantfit.objective import CandidateEvaluator
 from conftest import EPSILON, flat_dynamics, toy_market
 
 
@@ -192,3 +203,76 @@ class TestFitContext:
         with pytest.raises(DataError):
             FitContext.from_observed(flat_dynamics(4), market,
                                      observed_of(np.zeros(3), dt=0.5), epsilon=0.1)
+
+
+@pytest.fixture(scope="module")
+def batch_context():
+    return small_context()
+
+
+class TestCandidateEvaluator:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                              st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                    min_size=1, max_size=12))
+    def test_batched_scores_equal_single_evaluations(self, batch_context, unit_points):
+        true, ctx = batch_context
+        bounds = SearchBounds.for_plant(ctx.dynamics.capacity)
+        vecs = [bounds.lower + np.array(u) * (bounds.upper - bounds.lower)
+                for u in unit_points]
+        vecs.append(params_to_vector(true))
+        with CandidateEvaluator(ctx, SolverOptions()) as ev:
+            scores = ev.scores(vecs)
+        for vec, score in zip(vecs, scores):
+            record = evaluate_candidate(vector_to_params(vec, ctx.epsilon), ctx,
+                                        SolverOptions())
+            assert score == record.sse
+
+    def test_split_across_workers_matches_serial(self):
+        true, ctx = small_context(T=24)
+        rng = np.random.default_rng(8)
+        bounds = SearchBounds.for_plant(ctx.dynamics.capacity)
+        vecs = list(bounds.lower + rng.random((7, 4)) * (bounds.upper - bounds.lower))
+        with CandidateEvaluator(ctx, SolverOptions()) as ev:
+            serial = ev.scores(vecs)
+        with CandidateEvaluator(ctx, SolverOptions(), jobs=3) as ev:
+            parallel = ev.scores(vecs)
+            assert ev.scores([]) == []
+        assert serial == parallel
+
+
+def _break_solver(monkeypatch) -> list:
+    """Make the inner solver raise TypeError; returns the list of its calls."""
+    calls = []
+
+    def broken(params, market):
+        calls.append(params)
+        raise TypeError("injected bug")
+
+    monkeypatch.setattr(plantfit.uc, "marginal_values", broken)
+    return calls
+
+
+class TestProgrammingErrorsPropagate:
+    def test_fit_raises_at_the_first_evaluation(self, monkeypatch):
+        true, ctx = small_context(T=24)
+        calls = _break_solver(monkeypatch)
+        with pytest.raises(TypeError, match="injected bug"):
+            fit(ctx, de_cfg=DeConfig(population=8, generations=3, seed=1),
+                compass_cfg=CompassConfig(max_iterations=2))
+        assert len(calls) == 1  # not scored +inf for the whole search
+
+    def test_landscape_raises(self, monkeypatch):
+        true, ctx = small_context(T=24)
+        _break_solver(monkeypatch)
+        with pytest.raises(TypeError, match="injected bug"):
+            landscape_slice(("eta", np.linspace(0.3, 0.6, 3)),
+                            ("sigma", np.linspace(0.0, 1000.0, 3)),
+                            true, ctx, SolverOptions())
+
+    def test_infeasible_candidate_still_scores_inf(self):
+        true, ctx = small_context(T=24)
+        with CandidateEvaluator(ctx, SolverOptions()) as ev:
+            good, bad = ev.scores([params_to_vector(true),
+                                   params_to_vector(dataclasses.replace(true, eta=0.0))])
+        assert good == 0.0 and bad == float("inf")

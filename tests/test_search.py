@@ -183,6 +183,7 @@ class TestFit:
         assert serial.best == parallel.best
         assert serial.sse == parallel.sse
         assert serial.evaluations == parallel.evaluations
+        assert serial.trace == parallel.trace  # every vector and score, in order
 
     def test_normalized_report_consistent(self):
         true, ctx = small_context(T=24)

@@ -3,6 +3,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plantfit import (
     MarketSeries,
@@ -12,15 +13,22 @@ from plantfit import (
     Schedule,
     SolverError,
     SolverOptions,
+    UcGraph,
     UcInstance,
     enumerate_uc_oracle,
-    marginal_value,
     marginal_values,
     schedule_profit,
     solve_uc,
+    solve_uc_batch,
     validate_schedule,
 )
-from conftest import flat_dynamics, random_small_instance, toy_market, worked_example
+from conftest import (
+    flat_dynamics,
+    loop_solve,
+    random_small_instance,
+    toy_market,
+    worked_example,
+)
 
 
 def params(eta=0.5, sigma=0.0, phi=0.0, nu=0.0, epsilon=0.0):
@@ -30,33 +38,30 @@ def params(eta=0.5, sigma=0.0, phi=0.0, nu=0.0, epsilon=0.0):
 class TestMarginalValue:
     def test_direct_arithmetic(self):
         market = toy_market([50.0], fuel=20.0, carbon=0.0)
-        assert marginal_value(params(eta=0.5), market, 0) == pytest.approx(10.0)
+        assert marginal_values(params(eta=0.5), market)[0] == pytest.approx(10.0)
 
     def test_unit_efficiency_passthrough(self):
         market = toy_market([77.5], fuel=0.0, carbon=0.0)
-        assert marginal_value(params(eta=1.0), market, 0) == pytest.approx(77.5)
+        assert marginal_values(params(eta=1.0), market)[0] == pytest.approx(77.5)
 
     def test_all_terms(self):
         market = toy_market([50.0], fuel=20.0, carbon=25.0)
         p = params(eta=0.5, nu=2.0, epsilon=0.2)
-        assert marginal_value(p, market, 0) == pytest.approx(-2.0)
+        assert marginal_values(p, market)[0] == pytest.approx(-2.0)
 
     def test_vectorized_matches_scalar(self):
         market = toy_market([50.0, 60.0, 30.0], fuel=18.0, carbon=12.0)
         p = params(eta=0.42, nu=1.5, epsilon=0.3)
         vec = marginal_values(p, market)
         for t in range(3):
-            assert vec[t] == pytest.approx(marginal_value(p, market, t))
+            scalar = (float(market.w[t]) - p.nu - float(market.f[t]) / p.eta
+                      - float(market.e[t]) * p.epsilon / p.eta)
+            assert vec[t] == pytest.approx(scalar)
 
     def test_eta_must_be_positive(self):
         market = toy_market([50.0])
         with pytest.raises(ParameterError):
-            marginal_value(params(eta=0.0), market, 0)
-
-    def test_period_in_range(self):
-        market = toy_market([50.0])
-        with pytest.raises(ParameterError):
-            marginal_value(params(), market, 5)
+            marginal_values(params(eta=0.0), market)
 
 
 class TestSolveUc:
@@ -86,6 +91,19 @@ class TestSolveUc:
                           initial_committed=True, initial_power=100.0)
         schedule = solve_uc(inst, SolverOptions(power_levels=7))
         assert schedule.power.tolist() == dyn.mel.tolist()
+
+    def test_profit_ties_prefer_less_energy(self):
+        # zero margin, no fixed or start-up cost: every schedule earns 0; the
+        # held level 90 sits after MEL in state order, so this is not index order
+        market = toy_market([40.0, 40.0], fuel=20.0)
+        dyn = PlantDynamics(mel=np.full(2, 100.0), sel=np.full(2, 30.0),
+                            ramp_up=150.0, ramp_dn=20.0)
+        inst = UcInstance(params=params(eta=0.5), dynamics=dyn, market=market,
+                          initial_committed=True, initial_power=90.0)
+        opts = SolverOptions(power_levels=3)
+        schedule = solve_uc(inst, opts)
+        assert schedule.power.tolist() == [90.0, 90.0]
+        assert schedule.power.tobytes() == loop_solve(inst, opts)[0].tobytes()
 
     def test_profit_matches_schedule_profit_exactly(self):
         inst, opts = worked_example()
@@ -326,3 +344,110 @@ class TestProperties:
         b = solve_uc(inst, opts)
         assert a.power.tolist() == b.power.tolist()
         assert a.profit == b.profit
+
+
+@st.composite
+def shared_problems(draw):
+    """Several parameter sets on one small problem, for the batched sweep.
+
+    Covers MEL dips (several state layouts with different state counts),
+    SEL of zero, a committed start at an off-grid power (the hold level),
+    sigma of zero, and break-even prices where every schedule ties.
+    """
+    T = draw(st.integers(2, 14))
+    dt = draw(st.sampled_from([0.5, 1.0]))
+    mel_val = draw(st.floats(50.0, 150.0))
+    mel = np.full(T, mel_val)
+    if draw(st.booleans()):
+        a = draw(st.integers(0, T - 1))
+        b = draw(st.integers(a + 1, T))
+        mel[a:b] *= draw(st.floats(0.5, 0.9))
+    sel = np.full(T, draw(st.sampled_from([0.0, 0.3, 0.6])) * mel.min())
+    r_up = draw(st.floats(0.2, 3.0)) * mel_val / dt
+    r_dn = draw(st.floats(0.2, 3.0)) * mel_val / dt
+    if sel.max() > 0:  # keep transit ladders to a few rungs
+        r_up = max(r_up, sel.max() / (3 * dt) * 1.05)
+        r_dn = max(r_dn, sel.max() / (3 * dt) * 1.05)
+    dynamics = PlantDynamics(mel=mel, sel=sel, ramp_up=r_up, ramp_dn=r_dn)
+    break_even = draw(st.booleans())
+    if break_even:  # margin exactly zero at eta 0.5, nu 0, epsilon 0, bar a few periods
+        steps = st.sampled_from([0.0, 0.0, 5.0, -5.0])
+        w = 40.0 + np.array(draw(st.lists(steps, min_size=T, max_size=T)))
+        f, e = np.full(T, 20.0), np.zeros(T)
+    else:
+        prices = st.lists(st.floats(10.0, 90.0), min_size=T, max_size=T)
+        w = np.full(T, 50.0) if draw(st.booleans()) else np.array(draw(prices))
+        f = np.full(T, draw(st.floats(10.0, 30.0)))
+        e = np.array(draw(prices)) / 3.0
+    market = MarketSeries(grid=toy_market(np.zeros(T), dt=dt).grid, w=w, f=f, e=e, dt=dt)
+    committed = draw(st.booleans())
+    p0 = draw(st.floats(0.0, 1.0)) * mel[0] if committed else 0.0
+    costs = st.sampled_from([0.0]) | st.floats(0.0, 40.0 * mel_val)
+    instances = []
+    for _ in range(draw(st.integers(1, 6))):
+        if break_even:
+            p = params(eta=0.5, sigma=draw(costs), phi=draw(costs) / 100.0)
+        else:
+            p = params(eta=draw(st.floats(0.25, 0.65)), sigma=draw(costs),
+                       phi=draw(costs) / 100.0, nu=draw(st.floats(0.0, 10.0)),
+                       epsilon=draw(st.floats(0.0, 0.5)))
+        instances.append(UcInstance(params=p, dynamics=dynamics, market=market,
+                                    initial_committed=committed, initial_power=p0))
+    return instances, SolverOptions(power_levels=draw(st.integers(2, 6)))
+
+
+class TestBatchedSweep:
+    @settings(max_examples=200, deadline=None)
+    @given(shared_problems())
+    def test_batch_matches_single_solves_and_loop_reference(self, problem):
+        instances, opts = problem
+        first = instances[0]
+        graph = UcGraph(first.dynamics, first.market.dt, opts,
+                        hold_level=first.initial_power if first.initial_committed else None)
+        try:
+            batch = solve_uc_batch(instances, opts, graph=graph)
+        except SolverError:  # the shared problem has no feasible start
+            for inst in instances:
+                with pytest.raises(SolverError):
+                    loop_solve(inst, opts)
+            return
+        assert len(batch) == len(instances)
+        for inst, got in zip(instances, batch):
+            try:
+                power, committed = loop_solve(inst, opts)
+            except SolverError as exc:
+                assert isinstance(got, SolverError) and str(got) == str(exc)
+                continue
+            alone = solve_uc(inst, opts)
+            for schedule in (got, alone):
+                assert schedule.power.tobytes() == power.tobytes()
+                assert schedule.committed.tobytes() == committed.tobytes()
+            assert got.started.tobytes() == alone.started.tobytes()
+            assert got.profit == alone.profit
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        import plantfit.uc as uc
+
+        rng = np.random.default_rng(17)
+        inst, opts = random_small_instance(rng)
+        instances = [dataclasses.replace(inst, params=dataclasses.replace(
+            inst.params, sigma=float(s), phi=float(s) / 50.0))
+            for s in rng.uniform(0.0, 4000.0, 9)]
+        whole = solve_uc_batch(instances, opts)
+        monkeypatch.setattr(uc, "_BLOCK_BYTES", 1)  # one candidate per block
+        for a, b in zip(whole, solve_uc_batch(instances, opts)):
+            assert a.power.tobytes() == b.power.tobytes()
+            assert a.profit == b.profit
+
+    def test_bad_candidate_fails_alone(self):
+        inst, opts = worked_example()
+        bad = dataclasses.replace(inst, params=params(eta=0.0))
+        good, failed = solve_uc_batch([inst, bad], opts)
+        assert good.profit == solve_uc(inst, opts).profit
+        assert isinstance(failed, ParameterError)
+
+    def test_instances_must_share_the_problem(self):
+        inst, opts = worked_example()
+        other = dataclasses.replace(inst, initial_committed=True, initial_power=100.0)
+        with pytest.raises(SolverError, match="share"):
+            solve_uc_batch([inst, other], opts)
