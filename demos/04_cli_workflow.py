@@ -8,6 +8,7 @@ interface through validate, fit, simulate, and landscape. Outputs land in
 demo_workspace/out.
 """
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -73,24 +74,31 @@ print(f"dataset written to {root}")
 config = str(root / "config.json")
 out = str(root / "out")
 
+
+def run(argv):
+    code = main(argv)
+    if code:
+        sys.exit(code)
+
+
 print("\n$ plantfit validate --config config.json")
-main(["validate", "--config", config])
+run(["validate", "--config", config])
 
 print("\n$ plantfit fit --config config.json --out out --jobs 2")
-main(["fit", "--config", config, "--out", out, "--jobs", "2"])
+run(["fit", "--config", config, "--out", out, "--jobs", "2"])
 result = json.loads((root / "out" / "fit_result.json").read_text())
 print(f"  fitted eta {result['parameters']['eta']:.3f} "
       f"(generator used {true.eta}), rms {result['rms_mw']:.3f} MW")
 
 print("\n$ plantfit simulate --config config.json --out out "
       "--eta 0.49 --sigma 9000 --phi 700 --nu 1.2")
-main(["simulate", "--config", config, "--out", out,
+run(["simulate", "--config", config, "--out", out,
       "--eta", "0.49", "--sigma", "9000", "--phi", "700", "--nu", "1.2"])
 
 print("\n$ plantfit landscape --config config.json --out out --eta 0.49 "
       "--sigma 9000 --phi 700 --nu 1.2 --axes eta,sigma "
       "--grid1 0.3:0.6:7 --grid2 0:30000:5")
-main(["landscape", "--config", config, "--out", out,
+run(["landscape", "--config", config, "--out", out,
       "--eta", "0.49", "--sigma", "9000", "--phi", "700", "--nu", "1.2",
       "--axes", "eta,sigma", "--grid1", "0.3:0.6:7", "--grid2", "0:30000:5"])
 

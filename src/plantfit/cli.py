@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +27,8 @@ from .domain import (
     normalize_costs,
     validate_parameters,
 )
-from .ingest import ColumnSpec, align, format_timestamp, load_series
-from .objective import FitContext, evaluate_candidate, landscape_slice, sse as sse_of
+from .ingest import AlignedDataset, ColumnSpec, align, format_timestamp, load_series
+from .objective import FitContext, landscape_slice, sse as sse_of
 from .search import CompassConfig, DeConfig, fit
 from .uc import SolverOptions, solve_uc, validate_schedule
 
@@ -46,47 +47,6 @@ DYNAMICS_COLUMNS = {
 
 class ConfigError(ValueError):
     """The run configuration is unusable."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage problems exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
-        raise SystemExit_.from_usage(message)
-
-
-class SystemExit_(Exception):
-    """Internal signal carrying an exit code and message."""
-
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-    @classmethod
-    def from_usage(cls, message: str) -> "SystemExit_":
-        return cls(1, message)
-
-
-def _infer_resolution(path: Path, timestamp_col: str) -> str:
-    """Native resolution from the spacing of the first rows of a file."""
-    import csv
-
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        stamps = []
-        from .ingest import parse_timestamp
-
-        for row in reader:
-            stamps.append(parse_timestamp(row[timestamp_col]))
-            if len(stamps) >= 2:
-                break
-    if len(stamps) < 2:
-        return "daily"  # a single row can only be step-repeated
-    gap_h = (stamps[1] - stamps[0]).astype("timedelta64[s]").astype(float) / 3600.0
-    if gap_h <= 0.5 + 1e-9:
-        return "half-hourly"
-    if gap_h <= 1.0 + 1e-9:
-        return "hourly"
-    return "daily"
 
 
 def _load_config(path: str) -> dict:
@@ -108,36 +68,20 @@ def _require(cfg: dict, key: str) -> object:
     return cfg[key]
 
 
-def _load_price_series(cfg: dict, role: str, base: Path):
-    column = PRICE_COLUMNS[role]
-    own = cfg.get(f"{role}_prices")
-    path = base / own if own else base / str(_require(cfg, "prices"))
-    if not path.exists():
-        raise DataError(f"price file not found: {path}")
-    resolution = _infer_resolution(path, "timestamp_utc")
-    return load_series(path, ColumnSpec("timestamp_utc", column), resolution)
-
-
 def _load_dataset(cfg: dict, dt: float, base: Path):
+    def read(key: str, kind: str, column: str):
+        path = base / str(_require(cfg, key))
+        if not path.exists():
+            raise DataError(f"{kind} file not found: {path}")
+        return load_series(path, ColumnSpec("timestamp_utc", column))
+
     series = {}
-    for role in PRICE_COLUMNS:
-        series[role] = _load_price_series(cfg, role, base)
-
-    production_path = base / str(_require(cfg, "production"))
-    if not production_path.exists():
-        raise DataError(f"production file not found: {production_path}")
-    series["production"] = load_series(
-        production_path, ColumnSpec("timestamp_utc", "mw"),
-        _infer_resolution(production_path, "timestamp_utc"),
-    )
-
-    dynamics_path = base / str(_require(cfg, "dynamics"))
-    if not dynamics_path.exists():
-        raise DataError(f"dynamics file not found: {dynamics_path}")
-    dyn_res = _infer_resolution(dynamics_path, "timestamp_utc")
+    for role, column in PRICE_COLUMNS.items():
+        own = f"{role}_prices"
+        series[role] = read(own if cfg.get(own) else "prices", "price", column)
+    series["production"] = read("production", "production", "mw")
     for role, column in DYNAMICS_COLUMNS.items():
-        series[role] = load_series(dynamics_path, ColumnSpec("timestamp_utc", column), dyn_res)
-
+        series[role] = read("dynamics", "dynamics", column)
     return align(series, dt, str(_require(cfg, "start")), str(_require(cfg, "end")))
 
 
@@ -189,15 +133,13 @@ def _compass_config(cfg: dict) -> CompassConfig:
     )
 
 
-def _write_atomic(out_dir: Path, name: str, text: str) -> Path:
+def _write_atomic(out_dir: Path, name: str, text: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-        target = out_dir / name
-        os.replace(tmp, target)
-        return target
+        os.replace(tmp, out_dir / name)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -230,120 +172,119 @@ def _params_json(params: PlantParameters, capacity: float) -> dict:
 
 
 def _cli_params(args, plant: dict, capacity: float) -> PlantParameters:
-    epsilon = float(plant["epsilon_tco2_per_mwh_fuel"])
-    if args.sigma is not None:
-        sigma = args.sigma
-    elif args.sigma_per_cap is not None:
-        sigma = args.sigma_per_cap * capacity
-    else:
-        sigma = 0.0
-    if args.phi is not None:
-        phi = args.phi
-    elif args.phi_per_cap is not None:
-        phi = args.phi_per_cap * capacity
-    else:
-        phi = 0.0
-    return PlantParameters(eta=args.eta, sigma=sigma, phi=phi,
-                           nu=args.nu, epsilon=epsilon)
+    """The fixed parameters simulate and landscape take from their flags, checked."""
+    def cost(absolute, per_cap):
+        if absolute is not None:
+            return absolute
+        return per_cap * capacity if per_cap is not None else 0.0
+
+    params = PlantParameters(eta=args.eta, sigma=cost(args.sigma, args.sigma_per_cap),
+                             phi=cost(args.phi, args.phi_per_cap), nu=args.nu,
+                             epsilon=float(plant["epsilon_tco2_per_mwh_fuel"]))
+    return validate_parameters(params, None)
 
 
-def cmd_fit(args) -> int:
+@dataclass(frozen=True, eq=False)
+class Run:
+    """What every command reads before it does its own work."""
+
+    cfg: dict
+    dataset: AlignedDataset
+    plant: dict
+    opts: SolverOptions
+    context: FitContext
+    out_dir: Path
+    params: PlantParameters | None  # the fixed parameters of simulate and landscape
+
+
+def _prepare(args) -> Run:
+    """Read the config, aligned dataset and plant; build the fit context."""
     cfg = _load_config(args.config)
     base = Path(args.config).parent
     dt = args.dt if args.dt is not None else float(cfg.get("dt", 0.5))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    out_dir = Path(args.out if args.out is not None else cfg.get("out", "out"))
-
     dataset = _load_dataset(cfg, dt, base)
     plant = _load_plant(cfg, base)
-    capacity = dataset.dynamics.capacity
+    params = None
+    if hasattr(args, "eta"):  # only simulate and landscape take parameter flags
+        params = _cli_params(args, plant, dataset.dynamics.capacity)
     context = FitContext.from_observed(
         dataset.dynamics, dataset.market, dataset.observed,
         epsilon=float(plant["epsilon_tco2_per_mwh_fuel"]),
     )
-    opts = _solver_options(cfg)
-    bounds = _bounds_from_plant(plant, capacity)
+    out_dir = Path(args.out if args.out is not None else cfg.get("out", "out"))
+    return Run(cfg, dataset, plant, _solver_options(cfg), context, out_dir, params)
+
+
+def cmd_fit(args) -> int:
+    run = _prepare(args)
+    seed = args.seed if args.seed is not None else int(run.cfg.get("seed", 0))
+    capacity = run.dataset.dynamics.capacity
     result = fit(
-        context,
-        bounds=bounds,
-        de_cfg=_de_config(cfg, seed),
-        compass_cfg=_compass_config(cfg),
-        opts=opts,
+        run.context,
+        bounds=_bounds_from_plant(run.plant, capacity),
+        de_cfg=_de_config(run.cfg, seed),
+        compass_cfg=_compass_config(run.cfg),
+        opts=run.opts,
         jobs=args.jobs,
     )
 
     payload = {
-        "plant_id": plant.get("plant_id", ""),
+        "plant_id": run.plant.get("plant_id", ""),
         "seed": seed,
         "sse_mw2": result.sse,
         "rms_mw": result.rms,
         "evaluations": result.evaluations,
     }
     payload.update(_params_json(result.best, capacity))
-    _write_atomic(out_dir, "fit_result.json",
+    _write_atomic(run.out_dir, "fit_result.json",
                   json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
     trace_rows = (
         (i, p.eta, p.sigma, p.phi, p.nu, err)
         for i, (p, err) in enumerate(result.trace)
     )
-    _write_atomic(out_dir, "trace.csv",
+    _write_atomic(run.out_dir, "trace.csv",
                   _csv_text(["evaluation", "eta", "sigma", "phi", "nu", "sse"], trace_rows))
 
-    fitted = solve_uc(context.instance(result.best), opts, graph=context.graph(opts))
     schedule_rows = (
         (format_timestamp(ts), obs, pw)
-        for ts, obs, pw in zip(dataset.market.grid, dataset.observed.power, fitted.power)
+        for ts, obs, pw in zip(run.dataset.market.grid, run.dataset.observed.power,
+                               result.schedule.power)
     )
-    _write_atomic(out_dir, "schedule.csv",
+    _write_atomic(run.out_dir, "schedule.csv",
                   _csv_text(["timestamp_utc", "observed_mw", "fitted_mw"], schedule_rows))
 
-    print(f"fit: rms {result.rms:.3f} MW over {dataset.market.horizon} periods "
-          f"({result.evaluations} evaluations) -> {out_dir}")
+    print(f"fit: rms {result.rms:.3f} MW over {run.dataset.market.horizon} periods "
+          f"({result.evaluations} evaluations) -> {run.out_dir}")
     return 0
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    base = Path(args.config).parent
-    dt = args.dt if args.dt is not None else float(cfg.get("dt", 0.5))
-    out_dir = Path(args.out if args.out is not None else cfg.get("out", "out"))
-
-    dataset = _load_dataset(cfg, dt, base)
-    plant = _load_plant(cfg, base)
-    capacity = dataset.dynamics.capacity
-    params = _cli_params(args, plant, capacity)
-    validate_parameters(params, None)
-
-    context = FitContext.from_observed(
-        dataset.dynamics, dataset.market, dataset.observed,
-        epsilon=params.epsilon,
-    )
-    opts = _solver_options(cfg)
-    instance = context.instance(params)
-    schedule = solve_uc(instance, opts)
+    run = _prepare(args)
+    instance = run.context.instance(run.params)
+    schedule = solve_uc(instance, run.opts)
     violations = validate_schedule(schedule, instance)
     if violations:
         raise SolverError(f"simulated schedule is infeasible: {violations[0]}")
 
     rows = (
         (format_timestamp(ts), pw, int(c), int(st))
-        for ts, pw, c, st in zip(dataset.market.grid, schedule.power,
+        for ts, pw, c, st in zip(run.dataset.market.grid, schedule.power,
                                  schedule.committed, schedule.started)
     )
-    _write_atomic(out_dir, "schedule.csv",
+    _write_atomic(run.out_dir, "schedule.csv",
                   _csv_text(["timestamp_utc", "mw", "committed", "started"], rows))
 
     payload = {
-        "plant_id": plant.get("plant_id", ""),
+        "plant_id": run.plant.get("plant_id", ""),
         "profit_gbp": schedule.profit,
-        "sse_vs_observed_mw2": sse_of(schedule, dataset.observed),
+        "sse_vs_observed_mw2": sse_of(schedule, run.dataset.observed),
     }
-    payload.update(_params_json(params, capacity))
-    _write_atomic(out_dir, "simulate_result.json",
+    payload.update(_params_json(run.params, run.dataset.dynamics.capacity))
+    _write_atomic(run.out_dir, "simulate_result.json",
                   json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(f"simulate: profit {schedule.profit:.2f} GBP over "
-          f"{dataset.market.horizon} periods -> {out_dir}")
+          f"{run.dataset.market.horizon} periods -> {run.out_dir}")
     return 0
 
 
@@ -356,51 +297,35 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def cmd_landscape(args) -> int:
-    cfg = _load_config(args.config)
-    base = Path(args.config).parent
-    dt = args.dt if args.dt is not None else float(cfg.get("dt", 0.5))
-    out_dir = Path(args.out if args.out is not None else cfg.get("out", "out"))
-
     names = [n.strip() for n in args.axes.split(",")]
     if len(names) != 2:
         raise ConfigError("--axes takes two comma-separated parameter names")
     if names[0] == names[1]:
         raise ConfigError("axes must differ")
 
-    dataset = _load_dataset(cfg, dt, base)
-    plant = _load_plant(cfg, base)
-    capacity = dataset.dynamics.capacity
-    fixed = _cli_params(args, plant, capacity)
-
-    context = FitContext.from_observed(
-        dataset.dynamics, dataset.market, dataset.observed,
-        epsilon=fixed.epsilon,
-    )
+    run = _prepare(args)
     grid1 = _parse_grid(args.grid1)
     grid2 = _parse_grid(args.grid2)
     slc = landscape_slice(
-        (names[0], grid1), (names[1], grid2), fixed, context,
-        opts=_solver_options(cfg), jobs=args.jobs,
+        (names[0], grid1), (names[1], grid2), run.params, run.context,
+        opts=run.opts, jobs=args.jobs,
     )
     rows = (
         (v1, v2, slc.errors[i, j])
         for i, v1 in enumerate(slc.axis1_values)
         for j, v2 in enumerate(slc.axis2_values)
     )
-    _write_atomic(out_dir, "landscape.csv",
+    _write_atomic(run.out_dir, "landscape.csv",
                   _csv_text([slc.axis1_name, slc.axis2_name, "rms_mw"], rows))
-    print(f"landscape: {len(grid1)}x{len(grid2)} grid -> {out_dir / 'landscape.csv'}")
+    print(f"landscape: {len(grid1)}x{len(grid2)} grid -> {run.out_dir / 'landscape.csv'}")
     return 0
 
 
 def cmd_validate(args) -> int:
-    cfg = _load_config(args.config)
-    base = Path(args.config).parent
-    dt = args.dt if args.dt is not None else float(cfg.get("dt", 0.5))
-    dataset = _load_dataset(cfg, dt, base)
-    plant = _load_plant(cfg, base)
+    run = _prepare(args)
+    dataset = run.dataset
     grid = dataset.market.grid
-    print(f"plant:     {plant.get('plant_id', '(unnamed)')}")
+    print(f"plant:     {run.plant.get('plant_id', '(unnamed)')}")
     print(f"horizon:   {format_timestamp(grid[0])} .. {format_timestamp(grid[-1])} "
           f"({dataset.market.horizon} periods, dt {dataset.dt} h)")
     print(f"capacity:  {dataset.dynamics.capacity:.1f} MW (max MEL)")
@@ -412,8 +337,8 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="plantfit",
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="plantfit",
                      description="Reverse-engineer thermal plant parameters from observed production.")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -460,12 +385,10 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit_ as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (ConfigError, ParameterError) as exc:

@@ -244,6 +244,7 @@ class FitResult:
     evaluations: int           # inner UC solves spent
     trace: tuple               # (PlantParameters, sse) per evaluation, in order
     normalized_report: NormalizedCosts
+    schedule: Schedule         # inner optimum at best, the one scored as sse
 
 
 def validate_parameters(p: PlantParameters, bounds: SearchBounds) -> PlantParameters:

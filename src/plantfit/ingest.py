@@ -33,6 +33,7 @@ from .domain import (
 )
 from .uc import SolverOptions, UcInstance, solve_uc
 
+# finest first: a file takes the first resolution its smallest row spacing fits
 RESOLUTION_HOURS = {"half-hourly": 0.5, "hourly": 1.0, "daily": 24.0}
 
 # longest price gap bridged by forward-fill, in hours
@@ -104,11 +105,13 @@ class RawSeries:
         return len(self.timestamps)
 
 
-def load_series(path, schema: ColumnSpec, resolution: str) -> RawSeries:
-    """Read one series from a CSV file, rejecting malformed rows by line."""
+def load_series(path, schema: ColumnSpec) -> RawSeries:
+    """Read one series from a CSV file, rejecting malformed rows by line.
+
+    The native resolution is the finest one that the smallest spacing
+    between rows fits; a single row reads as daily.
+    """
     path = Path(path)
-    if resolution not in RESOLUTION_HOURS:
-        raise DataError(f"unknown resolution: {resolution!r}")
     timestamps: list[np.datetime64] = []
     values: list[float] = []
     with open(path, newline="", encoding="utf-8") as handle:
@@ -139,7 +142,12 @@ def load_series(path, schema: ColumnSpec, resolution: str) -> RawSeries:
             values.append(value)
     if not timestamps:
         raise DataError(f"{path}: no data rows")
-    return RawSeries(np.array(timestamps), np.array(values), resolution)
+    stamps = np.array(timestamps)
+    gaps_s = np.diff(stamps).astype("timedelta64[s]").astype(float)
+    gap_h = gaps_s.min() / 3600.0 if len(gaps_s) else math.inf
+    resolution = next((name for name, hours in RESOLUTION_HOURS.items()
+                       if gap_h <= hours + 1e-9), "daily")
+    return RawSeries(stamps, np.array(values), resolution)
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,6 +22,7 @@ from .domain import (
     ParameterError,
     PlantDynamics,
     PlantParameters,
+    Schedule,
     params_to_vector,
     vector_to_params,
 )
@@ -58,14 +59,14 @@ def rms(predicted, observed) -> float:
     return math.sqrt(sse(predicted, observed) / len(a))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitnessRecord:
     """One outer-objective evaluation."""
 
     params: PlantParameters
-    sse: float        # MW^2 * periods
-    rms: float        # MW
-    uc_profit: float  # pounds, inner optimum at these parameters
+    sse: float          # MW^2 * periods
+    rms: float          # MW
+    schedule: Schedule  # inner optimum at these parameters
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +154,7 @@ def evaluate_candidate(params: PlantParameters, context: FitContext,
         params=params,
         sse=err,
         rms=math.sqrt(err / context.market.horizon),
-        uc_profit=schedule.profit,
+        schedule=schedule,
     )
 
 
@@ -176,12 +177,8 @@ def _pool_score(vecs) -> list[float]:
 def _score_block(vecs, context: FitContext, opts: SolverOptions) -> list[float]:
     """Scores of a block of parameter vectors, solved in one DP sweep."""
     instances = [context.instance(vector_to_params(v, context.epsilon)) for v in vecs]
-    try:
-        results = solve_uc_batch(instances, opts, graph=context.graph(opts))
-    except CANDIDATE_ERRORS:
-        return [math.inf] * len(instances)  # the shared problem fails every candidate
     scores = []
-    for result in results:
+    for result in solve_uc_batch(instances, opts, graph=context.graph(opts)):
         if isinstance(result, CANDIDATE_ERRORS):
             scores.append(math.inf)  # infeasible corners score worst instead of aborting
             continue
@@ -195,7 +192,8 @@ class CandidateEvaluator:
 
     Each batch is solved in one DP sweep; with ``jobs`` > 1 it is cut into
     that many contiguous blocks, one per worker process. Expected failures
-    (an infeasible candidate) score +inf; any other error propagates.
+    of one candidate (an infeasible parameter set) score +inf; an error of
+    the problem every candidate shares, or any other error, propagates.
     Results come back in submission order and do not depend on the worker
     count, so a fixed seed gives identical runs.
     """

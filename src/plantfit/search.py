@@ -208,7 +208,8 @@ def fit(
     """Full bilevel fit: DE exploration, compass refinement, one verification.
 
     Returns the best parameters with the outer objective re-evaluated at
-    them, the per-MW(cap) cost report, and the complete evaluation trace.
+    them, the schedule that re-evaluation solved, the per-MW(cap) cost
+    report, and the complete evaluation trace.
     """
     opts = opts or SolverOptions()
     de_cfg = de_cfg or DeConfig()
@@ -235,4 +236,5 @@ def fit(
         evaluations=len(trace),
         trace=trace,
         normalized_report=normalize_costs(best_params, capacity),
+        schedule=final.schedule,
     )

@@ -12,6 +12,7 @@ from plantfit import (
     make_grid,
     synthesize,
 )
+import plantfit.cli
 from plantfit.cli import main
 from plantfit.ingest import format_timestamp
 from conftest import EPSILON, flat_dynamics, toy_market
@@ -62,6 +63,17 @@ def build_fixture(root):
     return root
 
 
+def with_production(fixture_dir, root, edit):
+    """A config over the fixture's data with its production rows passed through ``edit``."""
+    rows = (fixture_dir / "production.csv").read_text().splitlines()
+    (root / "production.csv").write_text("\n".join(edit(rows)) + "\n")
+    config = json.loads((fixture_dir / "config.json").read_text())
+    for key in ("prices", "dynamics", "plant"):
+        config[key] = str(fixture_dir / config[key])
+    (root / "config.json").write_text(json.dumps(config))
+    return str(root / "config.json")
+
+
 @pytest.fixture(scope="module")
 def fixture_dir(tmp_path_factory):
     return build_fixture(tmp_path_factory.mktemp("dataset"))
@@ -83,20 +95,38 @@ class TestFit:
         assert len(rows) == result["evaluations"]
 
         schedule = load_series(out / "schedule.csv",
-                               ColumnSpec("timestamp_utc", "fitted_mw"), "half-hourly")
+                               ColumnSpec("timestamp_utc", "fitted_mw"))
         observed = load_series(out / "schedule.csv",
-                               ColumnSpec("timestamp_utc", "observed_mw"), "half-hourly")
+                               ColumnSpec("timestamp_utc", "observed_mw"))
         assert len(schedule) == T
         assert np.allclose(schedule.values, observed.values, atol=1e-9)
 
     def test_same_seed_byte_identical(self, fixture_dir, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["fit", "--config", str(fixture_dir / "config.json"),
-                     "--out", str(out1)]) == 0
+                     "--out", str(out1), "--jobs", "1"]) == 0
         assert main(["fit", "--config", str(fixture_dir / "config.json"),
-                     "--out", str(out2)]) == 0
-        assert (out1 / "fit_result.json").read_bytes() == (out2 / "fit_result.json").read_bytes()
-        assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
+                     "--out", str(out2), "--jobs", "2"]) == 0
+        for name in ("fit_result.json", "trace.csv", "schedule.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_schedule_written_without_another_solve(self, fixture_dir, tmp_path,
+                                                    monkeypatch):
+        calls = []
+        monkeypatch.setattr(plantfit.cli, "solve_uc", lambda *a, **k: calls.append(a))
+        assert main(["fit", "--config", str(fixture_dir / "config.json"),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert calls == []
+
+    def test_shared_problem_error_exits_3(self, fixture_dir, tmp_path, capsys):
+        # a first observed value above MEL is taken as an infeasible initial power
+        def too_high(rows):
+            rows[1] = rows[1].split(",")[0] + ",150.0"
+            return rows
+
+        config = with_production(fixture_dir, tmp_path, too_high)
+        assert main(["fit", "--config", config, "--out", str(tmp_path / "out")]) == 3
+        assert "initial power exceeds" in capsys.readouterr().err
 
     def test_missing_production_file(self, fixture_dir, tmp_path, capsys):
         config = json.loads((fixture_dir / "config.json").read_text())
@@ -120,7 +150,7 @@ class TestSimulate:
         assert result["parameters"]["eta"] == 0.58
         assert result["parameters"]["sigma_gbp"] == pytest.approx(62.0 * 100.0)
         series = load_series(out / "schedule.csv",
-                             ColumnSpec("timestamp_utc", "mw"), "half-hourly")
+                             ColumnSpec("timestamp_utc", "mw"))
         assert len(series) == T
 
     def test_unprofitable_prices_stay_off(self, fixture_dir, tmp_path):
@@ -132,7 +162,7 @@ class TestSimulate:
         result = json.loads((out / "simulate_result.json").read_text())
         assert result["profit_gbp"] == 0.0
         series = load_series(out / "schedule.csv",
-                             ColumnSpec("timestamp_utc", "mw"), "half-hourly")
+                             ColumnSpec("timestamp_utc", "mw"))
         assert np.all(series.values == 0.0)
 
 
@@ -157,6 +187,15 @@ class TestLandscape:
         assert code == 1
         assert "axes must differ" in capsys.readouterr().err
 
+    def test_fixed_parameters_validated(self, fixture_dir, tmp_path, capsys):
+        code = main(["landscape", "--config", str(fixture_dir / "config.json"),
+                     "--out", str(tmp_path / "out"), "--eta", "0.45",
+                     "--sigma", "-15000", "--axes", "eta,phi",
+                     "--grid1", "0.3:0.6:3", "--grid2", "0:100:3"])
+        assert code == 1
+        assert "sigma negative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestValidate:
     def test_summary_printed(self, fixture_dir, capsys):
@@ -170,3 +209,18 @@ class TestValidate:
         bad = tmp_path / "config.json"
         bad.write_text("{not json")
         assert main(["validate", "--config", str(bad)]) == 1
+
+    def test_missing_second_row_is_a_gap(self, fixture_dir, tmp_path, capsys):
+        config = with_production(fixture_dir, tmp_path, lambda rows: rows[:2] + rows[3:])
+        assert main(["validate", "--config", config]) == 2
+        assert "gap in observed production at 2018-01-01T00:30:00Z" in capsys.readouterr().err
+
+
+class TestUsage:
+    def test_missing_required_flag_exits_1(self, capsys):
+        assert main(["fit"]) == 1
+        assert "--config" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "plantfit" in capsys.readouterr().out

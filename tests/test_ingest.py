@@ -50,7 +50,7 @@ class TestLoadSeries:
             "2018-01-01T00:30:00Z,11.0",
             "2018-01-01T01:00:00Z,9.25",
         ])
-        series = load_series(path, SPEC, "half-hourly")
+        series = load_series(path, SPEC)
         assert len(series) == 3
         assert series.values.tolist() == [10.5, 11.0, 9.25]
 
@@ -61,7 +61,7 @@ class TestLoadSeries:
             "2018-01-01T00:00:00Z,2",
         ])
         with pytest.raises(DataError, match="duplicate timestamp 2018-01-01T00:00:00Z"):
-            load_series(path, SPEC, "half-hourly")
+            load_series(path, SPEC)
 
     def test_decreasing_timestamp_rejected(self, tmp_path):
         path = write(tmp_path / "s.csv", [
@@ -70,7 +70,7 @@ class TestLoadSeries:
             "2018-01-01T00:00:00Z,2",
         ])
         with pytest.raises(DataError, match="decreasing"):
-            load_series(path, SPEC, "hourly")
+            load_series(path, SPEC)
 
     def test_nan_value_names_line(self, tmp_path):
         path = write(tmp_path / "s.csv", [
@@ -79,17 +79,25 @@ class TestLoadSeries:
             "2018-01-01T00:30:00Z,NaN",
         ])
         with pytest.raises(DataError, match=r"s\.csv:3"):
-            load_series(path, SPEC, "half-hourly")
+            load_series(path, SPEC)
 
     def test_missing_column(self, tmp_path):
         path = write(tmp_path / "s.csv", ["timestamp_utc,mw", "2018-01-01T00:00:00Z,1"])
         with pytest.raises(DataError, match="missing column"):
-            load_series(path, SPEC, "half-hourly")
+            load_series(path, SPEC)
 
-    def test_unknown_resolution(self, tmp_path):
-        path = write(tmp_path / "s.csv", ["timestamp_utc,value", "2018-01-01T00:00:00Z,1"])
-        with pytest.raises(DataError, match="resolution"):
-            load_series(path, SPEC, "weekly")
+    @pytest.mark.parametrize("hours, resolution", [
+        ([0, 0.5, 1], "half-hourly"),
+        ([0, 1, 2], "hourly"),
+        ([0, 1, 1.5, 2], "half-hourly"),  # the smallest spacing, not the first
+        ([0, 24, 48], "daily"),
+        ([0], "daily"),  # a single row can only be step-repeated
+    ])
+    def test_resolution_from_smallest_spacing(self, tmp_path, hours, resolution):
+        t0 = parse_timestamp("2018-01-01T00:00:00Z")
+        path = write(tmp_path / "s.csv", ["timestamp_utc,value"] + [
+            f"{format_timestamp(t0 + np.timedelta64(int(h * 3600), 's'))},1" for h in hours])
+        assert load_series(path, SPEC).resolution == resolution
 
     def test_round_trip(self, tmp_path):
         rows = [
@@ -99,12 +107,12 @@ class TestLoadSeries:
         ]
         path = write(tmp_path / "s.csv", ["timestamp_utc,value"]
                      + [f"{t},{v}" for t, v in rows])
-        series = load_series(path, SPEC, "half-hourly")
+        series = load_series(path, SPEC)
         path2 = write(tmp_path / "s2.csv", ["timestamp_utc,value"] + [
             f"{format_timestamp(t)},{v}"
             for t, v in zip(series.timestamps, series.values)
         ])
-        series2 = load_series(path2, SPEC, "half-hourly")
+        series2 = load_series(path2, SPEC)
         assert np.array_equal(series.timestamps, series2.timestamps)
         assert np.array_equal(series.values, series2.values)
 

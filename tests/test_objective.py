@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import plantfit.objective
 import plantfit.uc
 from plantfit import (
     CompassConfig,
@@ -15,6 +16,7 @@ from plantfit import (
     ParameterError,
     PlantParameters,
     SearchBounds,
+    SolverError,
     SolverOptions,
     evaluate_candidate,
     fit,
@@ -112,13 +114,15 @@ class TestEvaluateCandidate:
         p = PlantParameters(eta=0.5, sigma=300.0, phi=20.0, nu=0.5, epsilon=EPSILON)
         a = evaluate_candidate(p, ctx, SolverOptions())
         b = evaluate_candidate(p, ctx, SolverOptions())
-        assert (a.sse, a.rms, a.uc_profit) == (b.sse, b.rms, b.uc_profit)
+        assert (a.sse, a.rms, a.schedule.profit) == (b.sse, b.rms, b.schedule.profit)
+        assert a.schedule.power.tobytes() == b.schedule.power.tobytes()
 
     def test_profit_matches_solver(self):
         true, ctx = small_context()
         record = evaluate_candidate(true, ctx, SolverOptions())
         schedule = solve_uc(ctx.instance(true), SolverOptions())
-        assert record.uc_profit == schedule.profit
+        assert record.schedule.profit == schedule.profit
+        assert record.schedule.power.tobytes() == schedule.power.tobytes()
 
 
 class TestLandscapeSlice:
@@ -269,6 +273,25 @@ class TestProgrammingErrorsPropagate:
             landscape_slice(("eta", np.linspace(0.3, 0.6, 3)),
                             ("sigma", np.linspace(0.0, 1000.0, 3)),
                             true, ctx, SolverOptions())
+
+    def test_shared_problem_error_ends_the_search(self, monkeypatch):
+        true, ctx = small_context()
+        power = ctx.observed.power.copy()
+        power[0] = ctx.dynamics.mel[0] + 10.0  # taken as the initial power
+        observed = ObservedProduction(grid=ctx.market.grid, power=power)
+        ctx = FitContext.from_observed(ctx.dynamics, ctx.market, observed, epsilon=EPSILON)
+        calls = []
+        batch = plantfit.objective.solve_uc_batch
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(plantfit.objective, "solve_uc_batch", counted)
+        with pytest.raises(SolverError, match="initial power exceeds"):
+            fit(ctx, de_cfg=DeConfig(population=8, generations=20, seed=1),
+                compass_cfg=CompassConfig(max_iterations=2))
+        assert len(calls) == 1  # not scored +inf batch after batch
 
     def test_infeasible_candidate_still_scores_inf(self):
         true, ctx = small_context(T=24)

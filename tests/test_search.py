@@ -14,7 +14,7 @@ from plantfit import (
     evaluate_candidate,
     fit,
 )
-from plantfit import SolverOptions
+from plantfit import SolverOptions, solve_uc
 from conftest import EPSILON
 from test_objective import small_context
 
@@ -153,6 +153,15 @@ class TestFit:
         again = evaluate_candidate(result.best, ctx, SolverOptions())
         assert again.sse == result.sse
         assert result.rms == pytest.approx(np.sqrt(result.sse / ctx.market.horizon))
+
+    def test_schedule_is_the_lone_solve_at_best(self):
+        true, ctx = small_context(T=24)
+        result = fit(ctx, de_cfg=DeConfig(population=8, generations=10, seed=1),
+                     compass_cfg=CompassConfig(max_iterations=10))
+        alone = solve_uc(ctx.instance(result.best), SolverOptions())
+        for name in ("power", "committed", "started"):
+            assert getattr(result.schedule, name).tobytes() == getattr(alone, name).tobytes()
+        assert result.schedule.profit == alone.profit
 
     def test_trace_accounts_every_evaluation(self):
         true, ctx = small_context(T=24)
