@@ -1,9 +1,11 @@
 """Command-line entry point: fit, simulate, landscape, and validate.
 
 A run is described by a JSON config file naming the input CSVs, the plant
-config, and the horizon; command-line flags override the output directory,
-seed, worker count, and settlement step. Results are plot-ready CSV/JSON,
-written atomically (temp file, then rename). Exit codes: 0 success,
+config, and the horizon; command-line flags override the settlement step
+and, where a command reads them, the output directory, worker count and
+seed. Unknown flags, and unknown keys in the solver, de and compass
+sections or the plant's bounds, are rejected. Results are plot-ready
+CSV/JSON, written atomically (temp file, then rename). Exit codes: 0 success,
 1 usage or configuration error, 2 data error, 3 solver or search error.
 """
 from __future__ import annotations
@@ -19,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .domain import (
+    PARAM_NAMES,
     DataError,
     ParameterError,
     PlantParameters,
@@ -95,42 +98,56 @@ def _load_plant(cfg: dict, base: Path) -> dict:
     return plant
 
 
+def _known_keys(section, known, where: str) -> dict:
+    """``section``, after checking that it is an object naming only ``known`` keys."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+    return section
+
+
+# an absolute range per parameter, or sigma and phi per MW of capacity
+_BOUND_KEYS = PARAM_NAMES + ("sigma_per_cap", "phi_per_cap")
+
+
 def _bounds_from_plant(plant: dict, capacity: float) -> SearchBounds:
-    overrides = plant.get("bounds", {})
+    overrides = _known_keys(plant.get("bounds", {}), _BOUND_KEYS, "plant bounds")
     kwargs = {}
-    for name in ("eta", "sigma", "phi", "nu"):
-        if name in overrides:
-            lo, hi = overrides[name]
-            kwargs[name] = (float(lo), float(hi))
-        elif f"{name}_per_cap" in overrides:
-            lo, hi = overrides[f"{name}_per_cap"]
-            kwargs[name] = (float(lo) * capacity, float(hi) * capacity)
+    try:
+        for name in PARAM_NAMES:
+            if name in overrides:
+                lo, hi = overrides[name]
+                kwargs[name] = (float(lo), float(hi))
+            elif f"{name}_per_cap" in overrides:
+                lo, hi = overrides[f"{name}_per_cap"]
+                kwargs[name] = (float(lo) * capacity, float(hi) * capacity)
+    except (TypeError, ValueError):
+        raise ConfigError(f"plant bounds for {name} must be a [low, high] pair") from None
     return SearchBounds.for_plant(capacity, **kwargs)
 
 
-def _solver_options(cfg: dict) -> SolverOptions:
-    section = cfg.get("solver", {})
-    return SolverOptions(power_levels=int(section.get("power_levels", 21)))
+# the keys each config section may set, with their types; the defaults are
+# those of SolverOptions, DeConfig and CompassConfig
+_SECTION_KEYS = {
+    "solver": {"power_levels": int},
+    "de": {"population": int, "weight": float, "crossover": float,
+           "generations": int, "target": float},
+    "compass": {"contraction": float, "max_iterations": int},
+}
 
 
-def _de_config(cfg: dict, seed: int) -> DeConfig:
-    section = cfg.get("de", {})
-    return DeConfig(
-        population=int(section.get("population", 32)),
-        weight=float(section.get("weight", 0.8)),
-        crossover=float(section.get("crossover", 0.9)),
-        generations=int(section.get("generations", 150)),
-        seed=seed,
-        target=float(section.get("target", 0.0)),
-    )
-
-
-def _compass_config(cfg: dict) -> CompassConfig:
-    section = cfg.get("compass", {})
-    return CompassConfig(
-        contraction=float(section.get("contraction", 0.5)),
-        max_iterations=int(section.get("max_iterations", 150)),
-    )
+def _section(cfg: dict, name: str) -> dict:
+    """The settings one config section overrides, each converted to its type."""
+    known = _SECTION_KEYS[name]
+    settings = {}
+    for key, value in _known_keys(cfg.get(name, {}), known, f"config section {name!r}").items():
+        try:
+            settings[key] = known[key](value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{name}.{key} must be a number, got {value!r}") from None
+    return settings
 
 
 def _write_atomic(out_dir: Path, name: str, text: str) -> None:
@@ -211,8 +228,10 @@ def _prepare(args) -> Run:
         dataset.dynamics, dataset.market, dataset.observed,
         epsilon=float(plant["epsilon_tco2_per_mwh_fuel"]),
     )
-    out_dir = Path(args.out if args.out is not None else cfg.get("out", "out"))
-    return Run(cfg, dataset, plant, _solver_options(cfg), context, out_dir, params)
+    out = getattr(args, "out", None)  # validate writes nothing
+    out_dir = Path(out if out is not None else cfg.get("out", "out"))
+    return Run(cfg, dataset, plant, SolverOptions(**_section(cfg, "solver")), context,
+               out_dir, params)
 
 
 def cmd_fit(args) -> int:
@@ -222,8 +241,8 @@ def cmd_fit(args) -> int:
     result = fit(
         run.context,
         bounds=_bounds_from_plant(run.plant, capacity),
-        de_cfg=_de_config(run.cfg, seed),
-        compass_cfg=_compass_config(run.cfg),
+        de_cfg=DeConfig(seed=seed, **_section(run.cfg, "de")),
+        compass_cfg=CompassConfig(**_section(run.cfg, "compass")),
         opts=run.opts,
         jobs=args.jobs,
     )
@@ -342,13 +361,17 @@ def _build_parser() -> argparse.ArgumentParser:
                      description="Reverse-engineer thermal plant parameters from observed production.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", required=True, help="run config JSON")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="random seed")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="max concurrent fitness evaluations")
-        p.add_argument("--dt", type=float, default=None, help="settlement step, hours")
+    # each command takes only the common flags it reads
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="run config JSON")
+    common.add_argument("--dt", type=float, default=None, help="settlement step, hours")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output directory")
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=None,
+                      help="max concurrent fitness evaluations")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None, help="random seed")
 
     def param_flags(p):
         p.add_argument("--eta", type=float, required=True, help="thermal efficiency")
@@ -360,25 +383,24 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="fixed cost, GBP/h per MW of capacity")
         p.add_argument("--nu", type=float, default=0.0, help="variable cost, GBP/MWh")
 
-    p_fit = sub.add_parser("fit", help="fit plant parameters to observed production")
-    common(p_fit)
+    p_fit = sub.add_parser("fit", parents=[common, out, jobs, seed],
+                           help="fit plant parameters to observed production")
     p_fit.set_defaults(func=cmd_fit)
 
-    p_sim = sub.add_parser("simulate", help="solve the schedule for given parameters")
-    common(p_sim)
+    p_sim = sub.add_parser("simulate", parents=[common, out],
+                           help="solve the schedule for given parameters")
     param_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_land = sub.add_parser("landscape", help="rms error over a 2-D parameter grid")
-    common(p_land)
+    p_land = sub.add_parser("landscape", parents=[common, out, jobs],
+                            help="rms error over a 2-D parameter grid")
     param_flags(p_land)
     p_land.add_argument("--axes", required=True, help="two parameter names, e.g. eta,sigma")
     p_land.add_argument("--grid1", required=True, help="first axis grid as lo:hi:count")
     p_land.add_argument("--grid2", required=True, help="second axis grid as lo:hi:count")
     p_land.set_defaults(func=cmd_landscape)
 
-    p_val = sub.add_parser("validate", help="run ingestion checks only")
-    common(p_val)
+    p_val = sub.add_parser("validate", parents=[common], help="run ingestion checks only")
     p_val.set_defaults(func=cmd_validate)
 
     return parser

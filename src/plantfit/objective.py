@@ -115,6 +115,8 @@ class FitContext:
             raise DataError("observed and market series length mismatch")
         if len(dynamics.mel) != market.horizon:
             raise DataError("dynamics and market series length mismatch")
+        if not (math.isfinite(epsilon) and epsilon >= 0):
+            raise ParameterError("epsilon must be finite and non-negative")
         if initial_committed is None:
             initial_committed = bool(observed.power[0] > 0)
         if initial_power is None:
@@ -124,9 +126,8 @@ class FitContext:
 
     def graph(self, opts: SolverOptions) -> UcGraph:
         if opts not in self._graphs:
-            hold = self.initial_power if self.initial_committed else None
             self._graphs[opts] = UcGraph(self.dynamics, self.market.dt, opts,
-                                         hold_level=hold)
+                                         self.initial_committed, self.initial_power)
         return self._graphs[opts]
 
     def instance(self, params: PlantParameters) -> UcInstance:

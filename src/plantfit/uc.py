@@ -20,8 +20,9 @@ One DP sweep solves a batch of parameter sets on the same problem: each
 period advances a (candidates, states) stack at once, and ``solve_uc`` is
 the batch of one. The state graph does not depend on the parameters.
 Periods with equal (levels, modes) share one state layout, and one arc
-matrix is stored per distinct pair of adjacent layouts, keyed by the
-(levels, modes) of both periods; flat dynamics need a single matrix. Each
+matrix is stored per distinct pair of adjacent layouts; flat dynamics need
+a single matrix. The initial condition is a source layout before the first
+period, so every period, the first included, takes the same step. Each
 candidate's start-up cost is subtracted once per batch, as sigma times the
 outer product of the from-layout's off state and the to-layout's committed
 states.
@@ -46,6 +47,7 @@ from .domain import (
     PlantParameters,
     Schedule,
     SolverError,
+    validate_parameters,
 )
 
 # MW slack used when comparing power levels and ramp limits
@@ -153,23 +155,33 @@ def _transition_mask(levels_a, modes_a, levels_b, modes_b, up_step, dn_step) -> 
 
 
 class UcGraph:
-    """Time-expanded state graph for one (dynamics, grid, options) triple.
+    """Time-expanded state graph for one problem: dynamics, grid, options and
+    the initial condition (the plant's state just before the first period).
 
     Building the graph is independent of the candidate cost parameters, so
-    one graph serves every parameter set evaluated against the same context.
+    one graph serves every parameter set evaluated against the same problem.
     ``levels``, ``modes`` and ``committed`` hold one array per period; periods
     with equal layouts share it. For the sweep, layouts are padded with
     unreachable states to a common count, ``states``.
+
+    The initial condition is one more layout, the source: ``(0, off)``, or
+    ``(p, up)``, ``(p, down)``, ``(p, stable)`` for a plant committed at
+    ``p``. Leaving it follows the transition and start-cost rules of every
+    other period. A committed start also adds ``p``, clamped into each
+    period's stable band, to the stable levels, so a path holding near it
+    exists. ``_arc_of[t]`` indexes the arc matrix into period t, from the
+    source when t = 0.
     """
 
     def __init__(self, dynamics: PlantDynamics, dt: float, opts: SolverOptions,
-                 hold_level: float | None = None):
+                 initial_committed: bool = False, initial_power: float = 0.0):
+        self.dynamics = dynamics
         self.dt = dt
         self.opts = opts
-        up_step = dynamics.ramp_up * dt
-        dn_step = dynamics.ramp_dn * dt
-        self.up_step = up_step
-        self.dn_step = dn_step
+        self.initial_committed = initial_committed
+        self.initial_power = initial_power
+        self.up_step = up_step = dynamics.ramp_up * dt
+        self.dn_step = dn_step = dynamics.ramp_dn * dt
         # a period's (levels, modes) depend on nothing but its (mel, sel)
         layouts: list[tuple[np.ndarray, np.ndarray]] = []
         layout_of: dict = {}  # (mel, sel) -> layout index
@@ -177,11 +189,15 @@ class UcGraph:
         for limits in zip(dynamics.mel.tolist(), dynamics.sel.tolist()):
             if limits not in layout_of:
                 layout_of[limits] = len(layouts)
-                layouts.append(_period_levels(*limits, up_step, dn_step,
-                                              opts.power_levels, hold_level))
+                layouts.append(_period_levels(*limits, up_step, dn_step, opts.power_levels,
+                                              initial_power if initial_committed else None))
             layout_at.append(layout_of[limits])
+        source = len(layouts)
+        source_modes = [_UP, _DOWN, _RUN] if initial_committed else [_OFF]
+        layouts.append((np.full(len(source_modes), float(initial_power)),
+                        np.array(source_modes, dtype=np.int8)))
 
-        n = max((len(levels) for levels, _ in layouts), default=1)
+        n = max(len(levels) for levels, _ in layouts)
         level = np.zeros((len(layouts), n))
         self._layout_on = np.zeros((len(layouts), n), dtype=bool)
         self._layout_off = np.zeros((len(layouts), n), dtype=bool)
@@ -198,12 +214,11 @@ class UcGraph:
         self._level = level[layout_at]            # (T, states), zero on padding
         self._on = self._layout_on[layout_at]     # (T, states)
 
-        # one matrix per distinct (from-layout, to-layout) pair: 0 on feasible
-        # arcs, -inf elsewhere; _arc_of[t] serves the arcs from t to t + 1
+        # one matrix per distinct (from, to) layout pair: 0 on feasible arcs, else -inf
         self._pairs: list[tuple[int, int]] = []
         pair_of: dict = {}
         self._arc_of = []
-        for pair in zip(layout_at, layout_at[1:]):
+        for pair in zip([source] + layout_at, layout_at):
             if pair not in pair_of:
                 pair_of[pair] = len(self._pairs)
                 self._pairs.append(pair)
@@ -213,25 +228,6 @@ class UcGraph:
             (levels_a, modes_a), (levels_b, modes_b) = layouts[a], layouts[b]
             mask = _transition_mask(levels_a, modes_a, levels_b, modes_b, up_step, dn_step)
             self._arc_base[u, :len(levels_a), :len(levels_b)][mask] = 0.0
-
-    def source_arcs(self, initial_committed: bool, initial_power: float):
-        """Feasible first-period states and their start flags, padded to ``states``."""
-        levels0, modes0 = self.levels[0], self.modes[0]
-        delta = levels0 - initial_power
-        ramp_ok = (delta <= self.up_step + _TOL) & (delta >= -(self.dn_step + _TOL))
-        if not initial_committed:
-            feas = ramp_ok & (modes0 != _DOWN)
-            starts = self.committed[0].copy()
-        else:
-            feas = ramp_ok & (
-                (modes0 == _RUN)
-                | (modes0 == _OFF)
-                | ((modes0 == _UP) & (delta > _TOL))
-                | ((modes0 == _DOWN) & (delta < -_TOL))
-            )
-            starts = np.zeros(len(levels0), dtype=bool)
-        pad = self.states - len(levels0)
-        return np.pad(feas, (0, pad)), np.pad(starts, (0, pad))
 
 
 # Errors that fail one candidate alone: a parameter out of its range or an
@@ -284,19 +280,21 @@ def solve_uc_batch(instances, opts: SolverOptions | None = None,
             raise SolverError("batched instances must share dynamics, market and initial state")
     if graph is None:
         graph = UcGraph(first.dynamics, first.market.dt, opts,
-                        hold_level=first.initial_power if first.initial_committed else None)
-    feas0, starts0 = graph.source_arcs(first.initial_committed, first.initial_power)
+                        first.initial_committed, first.initial_power)
+    elif (graph.dynamics is not first.dynamics or graph.dt != first.market.dt or graph.opts != opts
+          or (graph.initial_committed, graph.initial_power)
+          != (first.initial_committed, first.initial_power)):
+        raise SolverError("the graph was built for other dynamics, dt, initial state or options")
     n = graph.states
     per_candidate = first.market.horizon * (n + 32) + (len(graph._pairs) + 3) * n * n * 8
     block = max(1, _BLOCK_BYTES // per_candidate)
     results = []
     for lo in range(0, len(instances), block):
-        results.extend(_sweep(graph, instances[lo:lo + block], feas0, starts0))
+        results.extend(_sweep(graph, instances[lo:lo + block]))
     return results
 
 
-def _sweep(graph: UcGraph, instances: list, feas0: np.ndarray,
-           starts0: np.ndarray) -> list:
+def _sweep(graph: UcGraph, instances: list) -> list:
     """One DP pass over the periods for a block of candidates at once.
 
     The DP keeps per (candidate, state) the best profit and, for the
@@ -306,14 +304,15 @@ def _sweep(graph: UcGraph, instances: list, feas0: np.ndarray,
     live, margins = [], []
     for i, inst in enumerate(instances):
         try:
+            validate_parameters(inst.params, None)
             margins.append(marginal_values(inst.params, inst.market))
             live.append(i)
         except ParameterError as exc:
             out[i] = exc
     if not live:
         return out
-    # after the parameters, so a lone solve reports a bad eta first
-    if not feas0.any():
+    # after the parameters, so a lone solve reports a bad parameter first
+    if not np.isfinite(graph._arc_base[graph._arc_of[0]]).any():
         raise SolverError("no feasible first-period state from the initial condition")
     instances = [instances[i] for i in live]
     P = len(instances)
@@ -336,24 +335,23 @@ def _sweep(graph: UcGraph, instances: list, feas0: np.ndarray,
     rows = np.arange(P)[:, None] * n  # first row of each candidate
     cells = rows * n + np.arange(n)   # (candidate, to-state) cell of row 0
 
-    profit = level[0] * mv_dt[0][:, None] - on[0] * phi_dt
-    profit = np.where(feas0, profit - starts0 * sigma[:, None], -np.inf)
-    count = np.repeat(on[0][None] * 1.0, P, axis=0)
-    energy = np.repeat(level_dt[0][None], P, axis=0)
-    parents = np.empty((T - 1, P, n), dtype=np.min_scalar_type(n - 1))
+    profit = np.zeros((P, n))
+    count = np.zeros((P, n))
+    energy = np.zeros((P, n))
+    parents = np.empty((T, P, n), dtype=np.min_scalar_type(n - 1))
     chunk = max(1, _REWARD_BYTES // (P * n * 8))
-    for lo in range(1, T, chunk):
+    for lo in range(0, T, chunk):
         hi = min(T, lo + chunk)
         rewards = level[lo:hi, None] * mv_dt[lo:hi, :, None] - on[lo:hi, None] * phi_dt
         for t, reward in enumerate(rewards, lo):
             # rows in tie-break order, so the first maximum is the parent
             order = np.lexsort((energy, count)) + rows
-            cand = arcs[graph._arc_of[t - 1]][order]
+            cand = arcs[graph._arc_of[t]][order]
             cand += profit.take(order)[:, :, None]
             k = cand.argmax(axis=1)
             best = cand.take(k * n + cells)
             src = order.take(k + rows)
-            np.subtract(src, rows, out=parents[t - 1], casting="unsafe")
+            np.subtract(src, rows, out=parents[t], casting="unsafe")
             profit = best + reward
             count = count.take(src) + on[t]
             energy = energy.take(src) + level_dt[t]
@@ -363,7 +361,7 @@ def _sweep(graph: UcGraph, instances: list, feas0: np.ndarray,
     path = np.empty((T, P), dtype=parents.dtype)
     path[-1] = last
     for t in range(T - 1, 0, -1):
-        path[t - 1] = parents[t - 1, picks, path[t]]
+        path[t - 1] = parents[t, picks, path[t]]
     periods = np.arange(T)[:, None]
     power = level[periods, path]
     committed = on[periods, path].astype(np.int8)
@@ -523,8 +521,7 @@ def enumerate_uc_oracle(instance: UcInstance, opts: SolverOptions | None = None)
     p = instance.params
     dt = instance.market.dt
     mv = marginal_values(p, instance.market)
-    graph = UcGraph(dyn, dt, opts,
-                    hold_level=instance.initial_power if instance.initial_committed else None)
+    graph = UcGraph(dyn, dt, opts, instance.initial_committed, instance.initial_power)
     options = [_period_options(graph, t) for t in range(T)]
     up_step = dyn.ramp_up * dt
     dn_step = dyn.ramp_dn * dt

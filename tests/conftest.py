@@ -223,27 +223,49 @@ def noisy_recovery_context():
                                     initial_committed=False, initial_power=0.0)
 
 
+def _first_period_arcs(graph, initial_committed, initial_power):
+    """Feasible first-period states and their start flags, from the initial condition."""
+    OFF, RUN, UP, DOWN = 0, 1, 2, 3
+    TOL = 1e-9
+    levels0, modes0 = graph.levels[0], graph.modes[0]
+    delta = levels0 - initial_power
+    ramp_ok = (delta <= graph.up_step + TOL) & (delta >= -(graph.dn_step + TOL))
+    if not initial_committed:
+        feas = ramp_ok & (modes0 != DOWN)
+        starts = graph.committed[0].copy()
+    else:
+        feas = ramp_ok & (
+            (modes0 == RUN)
+            | (modes0 == OFF)
+            | ((modes0 == UP) & (delta > TOL))
+            | ((modes0 == DOWN) & (delta < -TOL))
+        )
+        starts = np.zeros(len(levels0), dtype=bool)
+    return feas, starts
+
+
 def loop_solve(instance, opts):
     """Reference DP: one candidate, one Python loop over the periods.
 
     This is the solver's original per-candidate form. It builds a separate
     arc matrix for every period and breaks ties in profit with three masked
     passes (fewer committed periods, then less energy, then lowest state
-    index). The batched sweep must reproduce its schedules bit for bit.
+    index). It states the rules for leaving the initial condition on its
+    own, not through the graph's source states. The batched sweep must
+    reproduce its schedules bit for bit.
     """
     from plantfit.uc import UcGraph, _transition_mask, marginal_values
 
-    hold = instance.initial_power if instance.initial_committed else None
-    graph = UcGraph(instance.dynamics, instance.market.dt, opts, hold_level=hold)
+    graph = UcGraph(instance.dynamics, instance.market.dt, opts,
+                    instance.initial_committed, instance.initial_power)
     T = instance.market.horizon
     dt = instance.market.dt
     p = instance.params
     mv = marginal_values(p, instance.market)
     levels = graph.levels
     com = [c.astype(float) for c in graph.committed]
-    n0 = len(levels[0])
-    feas0, starts0 = (a[:n0] for a in graph.source_arcs(instance.initial_committed,
-                                                        instance.initial_power))
+    feas0, starts0 = _first_period_arcs(graph, instance.initial_committed,
+                                        instance.initial_power)
     if not feas0.any():
         raise SolverError("no feasible first-period state from the initial condition")
 

@@ -89,8 +89,8 @@ def test_criterion_2_feasibility_and_cost_monotonicity():
     increases = 0
     for _ in range(1000):
         instance = random_dispatch_instance(rng, T=336)
-        hold = instance.initial_power if instance.initial_committed else None
-        graph = UcGraph(instance.dynamics, instance.market.dt, opts, hold_level=hold)
+        graph = UcGraph(instance.dynamics, instance.market.dt, opts,
+                        instance.initial_committed, instance.initial_power)
         base = solve_uc(instance, opts, graph=graph)
         if validate_schedule(base, instance):
             violations += 1

@@ -63,15 +63,21 @@ def build_fixture(root):
     return root
 
 
+def with_config(fixture_dir, root, **changes):
+    """The fixture's config, written to ``root`` with ``changes`` applied."""
+    config = json.loads((fixture_dir / "config.json").read_text())
+    for key in ("prices", "production", "dynamics", "plant"):
+        config[key] = str(fixture_dir / config[key])
+    config.update(changes)
+    (root / "config.json").write_text(json.dumps(config))
+    return str(root / "config.json")
+
+
 def with_production(fixture_dir, root, edit):
     """A config over the fixture's data with its production rows passed through ``edit``."""
     rows = (fixture_dir / "production.csv").read_text().splitlines()
     (root / "production.csv").write_text("\n".join(edit(rows)) + "\n")
-    config = json.loads((fixture_dir / "config.json").read_text())
-    for key in ("prices", "dynamics", "plant"):
-        config[key] = str(fixture_dir / config[key])
-    (root / "config.json").write_text(json.dumps(config))
-    return str(root / "config.json")
+    return with_config(fixture_dir, root, production=str(root / "production.csv"))
 
 
 @pytest.fixture(scope="module")
@@ -224,3 +230,45 @@ class TestUsage:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "plantfit" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--jobs", "4"],
+        ["simulate", "--seed", "3", "--eta", "0.45"],
+    ])
+    def test_flag_the_command_does_not_read_exits_1(self, fixture_dir, tmp_path, capsys, argv):
+        command, *rest = argv
+        code = main([command, "--config", str(fixture_dir / "config.json"), *rest])
+        assert code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("section,key", [
+        ("de", "generation"), ("compass", "iterations"), ("solver", "levels")])
+    def test_unknown_section_key_exits_1(self, fixture_dir, tmp_path, capsys, section, key):
+        config = with_config(fixture_dir, tmp_path, **{section: {key: 5}})
+        assert main(["fit", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        assert f"unknown key {key!r} in config section {section!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_value_of_the_wrong_type_exits_1(self, fixture_dir, tmp_path, capsys):
+        config = with_config(fixture_dir, tmp_path, de={"population": "many"})
+        assert main(["fit", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        assert "de.population must be a number, got 'many'" in capsys.readouterr().err
+
+    def test_bounds_absolute_or_per_mw_of_capacity(self):
+        bounds = plantfit.cli._bounds_from_plant(
+            {"bounds": {"eta": [0.3, 0.6], "sigma_per_cap": [0, 120], "phi": [0, 500]}}, 100.0)
+        assert bounds.range("eta") == (0.3, 0.6)
+        assert bounds.range("sigma") == (0.0, 12000.0)
+        assert bounds.range("phi") == (0.0, 500.0)
+
+    @pytest.mark.parametrize("key", ["eta_per_cap", "nu_per_cap", "sigma_per_mw"])
+    def test_unknown_bound_key_rejected(self, key):
+        with pytest.raises(plantfit.cli.ConfigError, match=key):
+            plantfit.cli._bounds_from_plant({"bounds": {key: [0, 1]}}, 100.0)
+
+    @pytest.mark.parametrize("value", [0.5, ["low", 1.0], [0.0, 1.0, 2.0]])
+    def test_bound_that_is_not_a_pair_rejected(self, value):
+        with pytest.raises(plantfit.cli.ConfigError, match="sigma"):
+            plantfit.cli._bounds_from_plant({"bounds": {"sigma_per_cap": value}}, 100.0)

@@ -1,5 +1,6 @@
 """Outer-objective evaluation and landscape slicing."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -208,6 +209,13 @@ class TestFitContext:
             FitContext.from_observed(flat_dynamics(4), market,
                                      observed_of(np.zeros(3), dt=0.5), epsilon=0.1)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, -0.1])
+    def test_invalid_epsilon_rejected(self, epsilon):
+        market = toy_market(np.full(4, 50.0), dt=0.5)
+        with pytest.raises(ParameterError, match="epsilon"):
+            FitContext.from_observed(flat_dynamics(4), market,
+                                     observed_of(np.zeros(4), dt=0.5), epsilon=epsilon)
+
 
 @pytest.fixture(scope="module")
 def batch_context():
@@ -299,3 +307,12 @@ class TestProgrammingErrorsPropagate:
             good, bad = ev.scores([params_to_vector(true),
                                    params_to_vector(dataclasses.replace(true, eta=0.0))])
         assert good == 0.0 and bad == float("inf")
+
+    @pytest.mark.parametrize("field,value", [
+        ("sigma", math.nan), ("phi", math.nan), ("nu", math.nan), ("sigma", -5e5), ("eta", 1.7)])
+    def test_invalid_candidate_scores_inf_alone(self, field, value):
+        true, ctx = small_context(T=24)
+        bad = dataclasses.replace(true, **{field: value})
+        with CandidateEvaluator(ctx, SolverOptions()) as ev:
+            scores = ev.scores([params_to_vector(p) for p in (true, bad, true)])
+        assert scores == [0.0, math.inf, 0.0]

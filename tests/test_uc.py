@@ -1,5 +1,6 @@
 """Inner unit-commitment solver: worked examples, properties, oracle checks."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -104,6 +105,18 @@ class TestSolveUc:
         schedule = solve_uc(inst, opts)
         assert schedule.power.tolist() == [90.0, 90.0]
         assert schedule.power.tobytes() == loop_solve(inst, opts)[0].tobytes()
+
+    def test_committed_start_below_sel_keeps_climbing(self):
+        # entering the horizon at 10 MW, below SEL 80, on the way up: the climb
+        # continues over the 30 MW rungs rather than paying for a restart
+        market = toy_market([90.0] * 4, fuel=20.0)
+        dyn = flat_dynamics(4, mel=100.0, sel=80.0, ramp_up=30.0, ramp_dn=30.0)
+        inst = UcInstance(params=params(eta=0.5, sigma=1e5), dynamics=dyn, market=market,
+                          initial_committed=True, initial_power=10.0)
+        opts = SolverOptions(power_levels=3)
+        schedule = solve_uc(inst, opts)
+        assert schedule.power.tolist() == [30.0, 60.0, 90.0, 100.0]
+        assert schedule.profit == pytest.approx(enumerate_uc_oracle(inst, opts).profit)
 
     def test_profit_matches_schedule_profit_exactly(self):
         inst, opts = worked_example()
@@ -347,14 +360,14 @@ class TestProperties:
 
 
 @st.composite
-def shared_problems(draw):
+def shared_problems(draw, max_T=14, max_candidates=6):
     """Several parameter sets on one small problem, for the batched sweep.
 
     Covers MEL dips (several state layouts with different state counts),
     SEL of zero, a committed start at an off-grid power (the hold level),
     sigma of zero, and break-even prices where every schedule ties.
     """
-    T = draw(st.integers(2, 14))
+    T = draw(st.integers(2, max_T))
     dt = draw(st.sampled_from([0.5, 1.0]))
     mel_val = draw(st.floats(50.0, 150.0))
     mel = np.full(T, mel_val)
@@ -384,7 +397,7 @@ def shared_problems(draw):
     p0 = draw(st.floats(0.0, 1.0)) * mel[0] if committed else 0.0
     costs = st.sampled_from([0.0]) | st.floats(0.0, 40.0 * mel_val)
     instances = []
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(1, max_candidates))):
         if break_even:
             p = params(eta=0.5, sigma=draw(costs), phi=draw(costs) / 100.0)
         else:
@@ -396,6 +409,25 @@ def shared_problems(draw):
     return instances, SolverOptions(power_levels=draw(st.integers(2, 6)))
 
 
+class TestOracleProperty:
+    """Solver against the enumeration oracle on drawn small problems: T <= 6,
+    up to 6 levels, off and committed starts at off-grid powers."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(shared_problems(max_T=6, max_candidates=1))
+    def test_solver_matches_oracle(self, problem):
+        (inst,), opts = problem
+        try:
+            oracle = enumerate_uc_oracle(inst, opts)
+        except SolverError:  # no feasible schedule from this initial condition
+            with pytest.raises(SolverError):
+                solve_uc(inst, opts)
+            return
+        schedule = solve_uc(inst, opts)
+        assert abs(schedule.profit - oracle.profit) <= 1e-6 * max(1.0, abs(oracle.profit))
+        assert validate_schedule(schedule, inst) == []
+
+
 class TestBatchedSweep:
     @settings(max_examples=200, deadline=None)
     @given(shared_problems())
@@ -403,7 +435,7 @@ class TestBatchedSweep:
         instances, opts = problem
         first = instances[0]
         graph = UcGraph(first.dynamics, first.market.dt, opts,
-                        hold_level=first.initial_power if first.initial_committed else None)
+                        first.initial_committed, first.initial_power)
         try:
             batch = solve_uc_batch(instances, opts, graph=graph)
         except SolverError:  # the shared problem has no feasible start
@@ -445,6 +477,39 @@ class TestBatchedSweep:
         good, failed = solve_uc_batch([inst, bad], opts)
         assert good.profit == solve_uc(inst, opts).profit
         assert isinstance(failed, ParameterError)
+
+    @pytest.mark.parametrize("field,value", [
+        ("sigma", math.nan), ("phi", math.nan), ("nu", math.nan), ("epsilon", math.nan),
+        ("sigma", -5e5), ("eta", 1.7)])
+    def test_invalid_parameters_fail_alone_naming_the_field(self, field, value):
+        inst, opts = worked_example()
+        bad = dataclasses.replace(inst, params=dataclasses.replace(inst.params, **{field: value}))
+        with pytest.raises(ParameterError, match=field):
+            solve_uc(bad, opts)
+        good, failed, again = solve_uc_batch([inst, bad, inst], opts)
+        assert isinstance(failed, ParameterError) and field in str(failed)
+        assert good.profit == again.profit == solve_uc(inst, opts).profit
+
+    @pytest.mark.parametrize("other", ["dynamics", "dt", "initial state", "options"])
+    def test_graph_of_another_problem_rejected(self, other):
+        # a graph for MEL 250 would solve this MEL 400 instance over the wrong levels
+        T = 6
+        market = toy_market([60.0, 80.0, 90.0, 85.0, 70.0, 50.0], dt=1.0, fuel=20.0)
+        dynamics = flat_dynamics(T, mel=400.0, sel=100.0, ramp_up=500.0, ramp_dn=500.0)
+        inst = UcInstance(params=params(eta=0.5, sigma=5000.0, phi=100.0),
+                          dynamics=dynamics, market=market)
+        opts = SolverOptions(power_levels=5)
+        graph_args = {
+            "dynamics": (flat_dynamics(T, mel=250.0, sel=100.0, ramp_up=500.0, ramp_dn=500.0),
+                         1.0, opts),
+            "dt": (dynamics, 0.5, opts),
+            "initial state": (dynamics, 1.0, opts, True, 300.0),
+            "options": (dynamics, 1.0, SolverOptions(power_levels=6)),
+        }[other]
+        with pytest.raises(SolverError, match="graph was built for other"):
+            solve_uc(inst, opts, graph=UcGraph(*graph_args))
+        own = solve_uc(inst, opts, graph=UcGraph(dynamics, 1.0, opts))
+        assert own.profit == solve_uc(inst, opts).profit
 
     def test_instances_must_share_the_problem(self):
         inst, opts = worked_example()
