@@ -138,16 +138,19 @@ _SECTION_KEYS = {
 }
 
 
+def _number(name: str, value, kind):
+    """A config value converted to ``kind``, or a ConfigError naming its key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
 def _section(cfg: dict, name: str) -> dict:
     """The settings one config section overrides, each converted to its type."""
     known = _SECTION_KEYS[name]
-    settings = {}
-    for key, value in _known_keys(cfg.get(name, {}), known, f"config section {name!r}").items():
-        try:
-            settings[key] = known[key](value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{name}.{key} must be a number, got {value!r}") from None
-    return settings
+    section = _known_keys(cfg.get(name, {}), known, f"config section {name!r}")
+    return {key: _number(f"{name}.{key}", value, known[key]) for key, value in section.items()}
 
 
 def _write_atomic(out_dir: Path, name: str, text: str) -> None:
@@ -209,18 +212,32 @@ class Run:
     dataset: AlignedDataset
     plant: dict
     opts: SolverOptions
+    bounds: SearchBounds
+    de_cfg: DeConfig
+    compass_cfg: CompassConfig
     context: FitContext
     out_dir: Path
     params: PlantParameters | None  # the fixed parameters of simulate and landscape
 
 
 def _prepare(args) -> Run:
-    """Read the config, aligned dataset and plant; build the fit context."""
+    """Read the config, aligned dataset and plant; build the fit context.
+
+    Every section of the config is checked, whichever command reads it, so
+    validate fails wherever fit would.
+    """
     cfg = _load_config(args.config)
     base = Path(args.config).parent
-    dt = args.dt if args.dt is not None else float(cfg.get("dt", 0.5))
+    dt = args.dt if args.dt is not None else _number("dt", cfg.get("dt", 0.5), float)
+    seed = getattr(args, "seed", None)  # only fit takes --seed
+    if seed is None:
+        seed = _number("seed", cfg.get("seed", 0), int)
+    opts = SolverOptions(**_section(cfg, "solver"))
+    de_cfg = DeConfig(seed=seed, **_section(cfg, "de"))
+    compass_cfg = CompassConfig(**_section(cfg, "compass"))
     dataset = _load_dataset(cfg, dt, base)
     plant = _load_plant(cfg, base)
+    bounds = _bounds_from_plant(plant, dataset.dynamics.capacity)
     params = None
     if hasattr(args, "eta"):  # only simulate and landscape take parameter flags
         params = _cli_params(args, plant, dataset.dynamics.capacity)
@@ -230,26 +247,18 @@ def _prepare(args) -> Run:
     )
     out = getattr(args, "out", None)  # validate writes nothing
     out_dir = Path(out if out is not None else cfg.get("out", "out"))
-    return Run(cfg, dataset, plant, SolverOptions(**_section(cfg, "solver")), context,
-               out_dir, params)
+    return Run(cfg, dataset, plant, opts, bounds, de_cfg, compass_cfg, context, out_dir, params)
 
 
 def cmd_fit(args) -> int:
     run = _prepare(args)
-    seed = args.seed if args.seed is not None else int(run.cfg.get("seed", 0))
     capacity = run.dataset.dynamics.capacity
-    result = fit(
-        run.context,
-        bounds=_bounds_from_plant(run.plant, capacity),
-        de_cfg=DeConfig(seed=seed, **_section(run.cfg, "de")),
-        compass_cfg=CompassConfig(**_section(run.cfg, "compass")),
-        opts=run.opts,
-        jobs=args.jobs,
-    )
+    result = fit(run.context, bounds=run.bounds, de_cfg=run.de_cfg,
+                 compass_cfg=run.compass_cfg, opts=run.opts, jobs=args.jobs)
 
     payload = {
         "plant_id": run.plant.get("plant_id", ""),
-        "seed": seed,
+        "seed": run.de_cfg.seed,
         "sse_mw2": result.sse,
         "rms_mw": result.rms,
         "evaluations": result.evaluations,

@@ -9,7 +9,6 @@ not depend on how the batch is split.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -165,8 +164,9 @@ _WORKER: tuple | None = None
 
 
 def _pool_init(context: FitContext, opts: SolverOptions):
+    # the graph is compiled at the first block, so an error building it
+    # reaches the caller as itself rather than as a broken pool
     global _WORKER
-    context.graph(opts)  # compile once per process
     _WORKER = (context, opts)
 
 
@@ -196,7 +196,8 @@ class CandidateEvaluator:
     of one candidate (an infeasible parameter set) score +inf; an error of
     the problem every candidate shares, or any other error, propagates.
     Results come back in submission order and do not depend on the worker
-    count, so a fixed seed gives identical runs.
+    count, so a fixed seed gives identical runs. A vector scored before is
+    served from its stored score, not solved again.
     """
 
     def __init__(self, context: FitContext, opts: SolverOptions, jobs: int | None = None):
@@ -204,9 +205,13 @@ class CandidateEvaluator:
         self.opts = opts
         self.jobs = jobs if jobs and jobs > 1 else 1
         self._pool = None
+        self._scored: dict[bytes, float] = {}  # float64 vector bytes -> score
 
     def __enter__(self):
         if self.jobs > 1:
+            # imported here, so a serial run never loads the pool machinery
+            from concurrent.futures import ProcessPoolExecutor
+
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 initializer=_pool_init,
@@ -225,7 +230,17 @@ class CandidateEvaluator:
 
     def scores(self, vecs) -> list[float]:
         vecs = np.array(vecs, dtype=float)
-        if self._pool is None or len(vecs) == 0:
+        keys = [vec.tobytes() for vec in vecs]
+        new = {}  # each vector not scored before, in first-seen order
+        for key, vec in zip(keys, vecs):
+            if key not in self._scored:
+                new.setdefault(key, vec)
+        if new:
+            self._scored.update(zip(new, self._solve(np.array(list(new.values())))))
+        return [self._scored[key] for key in keys]
+
+    def _solve(self, vecs: np.ndarray) -> list[float]:
+        if self._pool is None:
             return _score_block(vecs, self.context, self.opts)
         size = -(-len(vecs) // self.jobs)
         blocks = [vecs[i:i + size] for i in range(0, len(vecs), size)]

@@ -45,6 +45,8 @@ class DeConfig:
             raise ParameterError("crossover rate must be in [0, 1]")
         if self.generations < 0:
             raise ParameterError("generations must be non-negative")
+        if self.seed < 0:
+            raise ParameterError("seed must be non-negative")
 
 
 @dataclass(frozen=True)

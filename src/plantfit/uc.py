@@ -53,6 +53,10 @@ from .domain import (
 # MW slack used when comparing power levels and ramp limits
 _TOL = 1e-9
 
+# States a period may hold: a back-pointer is one byte, as the block budget
+# below counts it
+_MAX_STATES = 256
+
 # state modes
 _OFF, _RUN, _UP, _DOWN = 0, 1, 2, 3
 
@@ -112,16 +116,19 @@ def _period_levels(mel: float, sel: float, up_step: float, dn_step: float,
     trajectory may pass through any grid value below SEL. When the plant
     enters the horizon committed at an off-grid level, that level (clamped
     into the stable band) is added so a hold-near-initial path exists.
+    More than ``_MAX_STATES`` states raise ``SolverError``, before a slow
+    ramp's ladder is built out.
     """
     levels = [0.0]
     modes = [_OFF]
+    transit = set()
     if sel > _TOL:
-        transit = set()
         for step in (up_step, dn_step):
-            k = 1
-            while k * step < sel - _TOL:
+            # one ladder of more than half the limit breaks it: stop there
+            for k in range(1, _MAX_STATES // 2 + 2):
+                if not k * step < sel - _TOL:
+                    break
                 transit.add(k * step)
-                k += 1
         for value in sorted(transit):
             levels.extend([value, value])
             modes.extend([_UP, _DOWN])
@@ -133,6 +140,12 @@ def _period_levels(mel: float, sel: float, up_step: float, dn_step: float,
         held = min(max(hold_level, sel), mel)
         if not np.any(np.abs(stable - held) <= _TOL):
             stable = np.append(stable, held)
+    if 1 + 2 * len(transit) + len(stable) > _MAX_STATES:
+        raise SolverError(
+            f"a period would hold more than {_MAX_STATES} states: SEL {sel:g} MW over "
+            f"ramp×dt steps of {up_step:g} MW up and {dn_step:g} MW down, plus "
+            f"power_levels {power_levels}; raise the ramp rates or dt, or lower "
+            f"SEL or power_levels")
     levels.extend(stable.tolist())
     modes.extend([_RUN] * len(stable))
     return np.array(levels), np.array(modes, dtype=np.int8)
@@ -295,17 +308,13 @@ def solve_uc_batch(instances, opts: SolverOptions | None = None,
 
 
 def _sweep(graph: UcGraph, instances: list) -> list:
-    """One DP pass over the periods for a block of candidates at once.
-
-    The DP keeps per (candidate, state) the best profit and, for the
-    tie-break, the committed-period count and energy of the path reaching it.
-    """
+    """Solve a block of candidates at once: check each one's parameters, run
+    the DP forward over the periods, then backtrack every path together."""
     out: list = [None] * len(instances)
-    live, margins = [], []
+    live = []
     for i, inst in enumerate(instances):
         try:
             validate_parameters(inst.params, None)
-            margins.append(marginal_values(inst.params, inst.market))
             live.append(i)
         except ParameterError as exc:
             out[i] = exc
@@ -315,35 +324,71 @@ def _sweep(graph: UcGraph, instances: list) -> list:
     if not np.isfinite(graph._arc_base[graph._arc_of[0]]).any():
         raise SolverError("no feasible first-period state from the initial condition")
     instances = [instances[i] for i in live]
+    parents, profit, count, energy = _forward(graph, instances)
+
+    T, P, _ = parents.shape
+    last = np.lexsort((energy, count, -profit))[:, 0]
+    picks = np.arange(P)
+    # (candidate, period): each candidate's row is contiguous, so its profit
+    # sums in the order it does over the Schedule's own copy
+    path = np.empty((P, T), dtype=parents.dtype)
+    path[:, -1] = last
+    for t in range(T - 1, 0, -1):
+        path[:, t - 1] = parents[t, picks, path[:, t]]
+    periods = np.arange(T)
+    power = graph._level[periods, path]
+    committed = graph._on[periods, path].astype(np.int8)
+    dp_profit = profit[picks, last]
+    for p, (i, inst) in enumerate(zip(live, instances)):
+        try:
+            out[i] = _checked_schedule(inst, power[p], committed[p], dp_profit[p])
+        except CANDIDATE_ERRORS as exc:
+            out[i] = exc
+    return out
+
+
+def _forward(graph: UcGraph, instances: list) -> tuple:
+    """The DP's forward pass for a block of valid candidates.
+
+    Keeps per (candidate, state) the best profit and, for the tie-break, the
+    committed-period count and energy of the path reaching it. Returns the
+    back-pointers (periods, candidates, states) and the final profit, count
+    and energy; the margins, arc stacks and rewards it builds are freed when
+    it returns, before the backtrack.
+    """
     P = len(instances)
-    T = len(margins[0])
-    n = graph.states
-    dt = instances[0].market.dt
+    market = instances[0].market
+    T, dt, n = market.horizon, market.dt, graph.states
+    mv_dt = np.empty((T, P))
+    for p, inst in enumerate(instances):
+        mv_dt[:, p] = marginal_values(inst.params, market)
+    mv_dt *= dt
     sigma = np.array([inst.params.sigma for inst in instances])
     phi_dt = np.array([[inst.params.phi * dt] for inst in instances])
-    mv_dt = np.stack(margins, axis=1)  # (T, P)
-    mv_dt *= dt
     level, on = graph._level, graph._on
     level_dt = level * dt
     # each candidate's arcs: the start-up cost on every off -> committed arc,
     # rows of all candidates stacked so one fancy index gathers them
-    arcs = [
-        (graph._arc_base[u] - sigma[:, None, None]
-         * np.outer(graph._layout_off[a], graph._layout_on[b])).reshape(P * n, n)
-        for u, (a, b) in enumerate(graph._pairs)
-    ]
+    arcs = []
+    for u, (a, b) in enumerate(graph._pairs):
+        arc = sigma[:, None, None] * np.outer(graph._layout_off[a], graph._layout_on[b])
+        np.subtract(graph._arc_base[u], arc, out=arc)
+        arcs.append(arc.reshape(P * n, n))
     rows = np.arange(P)[:, None] * n  # first row of each candidate
     cells = rows * n + np.arange(n)   # (candidate, to-state) cell of row 0
 
     profit = np.zeros((P, n))
     count = np.zeros((P, n))
     energy = np.zeros((P, n))
-    parents = np.empty((T, P, n), dtype=np.min_scalar_type(n - 1))
+    parents = np.empty((T, P, n), dtype=np.uint8)
     chunk = max(1, _REWARD_BYTES // (P * n * 8))
+    rewards = np.empty((min(chunk, T), P, n))
     for lo in range(0, T, chunk):
         hi = min(T, lo + chunk)
-        rewards = level[lo:hi, None] * mv_dt[lo:hi, :, None] - on[lo:hi, None] * phi_dt
-        for t, reward in enumerate(rewards, lo):
+        # level × margin, less the fixed cost on committed states
+        np.multiply(level[lo:hi, None], mv_dt[lo:hi, :, None], out=rewards[:hi - lo])
+        np.subtract(rewards[:hi - lo], phi_dt, out=rewards[:hi - lo], where=on[lo:hi, None])
+        for t, reward in enumerate(rewards[:hi - lo], lo):
             # rows in tie-break order, so the first maximum is the parent
             order = np.lexsort((energy, count)) + rows
             cand = arcs[graph._arc_of[t]][order]
@@ -355,23 +400,7 @@ def _sweep(graph: UcGraph, instances: list) -> list:
             profit = best + reward
             count = count.take(src) + on[t]
             energy = energy.take(src) + level_dt[t]
-
-    last = np.lexsort((energy, count, -profit))[:, 0]
-    picks = np.arange(P)
-    path = np.empty((T, P), dtype=parents.dtype)
-    path[-1] = last
-    for t in range(T - 1, 0, -1):
-        path[t - 1] = parents[t, picks, path[t]]
-    periods = np.arange(T)[:, None]
-    power = level[periods, path]
-    committed = on[periods, path].astype(np.int8)
-    dp_profit = profit[picks, last]
-    for p, (i, inst) in enumerate(zip(live, instances)):
-        try:
-            out[i] = _checked_schedule(inst, power[:, p], committed[:, p], dp_profit[p])
-        except CANDIDATE_ERRORS as exc:
-            out[i] = exc
-    return out
+    return parents, profit, count, energy
 
 
 def _checked_schedule(instance: UcInstance, power: np.ndarray, committed: np.ndarray,
@@ -381,8 +410,7 @@ def _checked_schedule(instance: UcInstance, power: np.ndarray, committed: np.nda
         raise SolverError("no feasible schedule exists for this instance")
     prev = np.concatenate(([1 if instance.initial_committed else 0], committed[:-1]))
     started = ((committed == 1) & (prev == 0)).astype(np.int8)
-    schedule = Schedule(power=power, committed=committed, started=started, profit=0.0)
-    exact = schedule_profit(schedule, instance)
+    exact = _profit(power, committed, started, instance)
     if abs(exact - dp_profit) > 1e-6 * (1.0 + abs(exact)):
         raise SolverError("internal profit accounting mismatch")
     return Schedule(power=power, committed=committed, started=started, profit=exact)
@@ -390,16 +418,21 @@ def _checked_schedule(instance: UcInstance, power: np.ndarray, committed: np.nda
 
 def schedule_profit(s: Schedule, instance: UcInstance) -> float:
     """Objective value of a schedule: margin minus fixed and start-up costs."""
-    T = instance.market.horizon
-    if s.horizon != T:
+    if s.horizon != instance.market.horizon:
         raise DataError("schedule and instance horizon mismatch")
+    return _profit(s.power, s.committed, s.started, instance)
+
+
+def _profit(power, committed, started, instance: UcInstance) -> float:
+    """Objective value of a schedule's arrays; a strided ``power`` would be
+    summed in another order, and so differ in the last bits."""
     p = instance.params
     dt = instance.market.dt
     mv = marginal_values(p, instance.market)
     return float(
-        np.dot(s.power, mv) * dt
-        - int(s.committed.sum()) * p.phi * dt
-        - int(s.started.sum()) * p.sigma
+        np.dot(power, mv) * dt
+        - int(committed.sum()) * p.phi * dt
+        - int(started.sum()) * p.sigma
     )
 
 

@@ -1,5 +1,10 @@
 """Command-line interface: subcommands, outputs, exit codes, determinism."""
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +85,14 @@ def with_production(fixture_dir, root, edit):
     return with_config(fixture_dir, root, production=str(root / "production.csv"))
 
 
+def with_plant(fixture_dir, root, **changes):
+    """A config over the fixture's data with ``changes`` applied to its plant."""
+    plant = json.loads((fixture_dir / "plant.json").read_text())
+    plant.update(changes)
+    (root / "plant.json").write_text(json.dumps(plant))
+    return with_config(fixture_dir, root, plant=str(root / "plant.json"))
+
+
 @pytest.fixture(scope="module")
 def fixture_dir(tmp_path_factory):
     return build_fixture(tmp_path_factory.mktemp("dataset"))
@@ -133,6 +146,21 @@ class TestFit:
         config = with_production(fixture_dir, tmp_path, too_high)
         assert main(["fit", "--config", config, "--out", str(tmp_path / "out")]) == 3
         assert "initial power exceeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--jobs", "1"],
+        ["landscape", "--jobs", "2", "--eta", "0.45", "--axes", "eta,sigma",
+         "--grid1", "0.3:0.6:3", "--grid2", "0:1000:3"],
+    ])
+    def test_too_many_states_exits_3(self, fixture_dir, tmp_path, capsys, argv):
+        # 0.1 MW rungs below SEL 40: 399 of them
+        header, *rows = (fixture_dir / "dynamics.csv").read_text().splitlines()
+        rows = [",".join(row.split(",")[:3] + ["0.2", "0.2"]) for row in rows]
+        (tmp_path / "dynamics.csv").write_text("\n".join([header, *rows]) + "\n")
+        config = with_config(fixture_dir, tmp_path, dynamics=str(tmp_path / "dynamics.csv"))
+        command, *rest = argv
+        assert main([command, "--config", config, "--out", str(tmp_path / "out"), *rest]) == 3
+        assert "more than 256 states: SEL 40 MW" in capsys.readouterr().err
 
     def test_missing_production_file(self, fixture_dir, tmp_path, capsys):
         config = json.loads((fixture_dir / "config.json").read_text())
@@ -222,6 +250,30 @@ class TestValidate:
         assert "gap in observed production at 2018-01-01T00:30:00Z" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("changes,message", [
+        ({"de": {"generation": 5}}, "unknown key 'generation' in config section 'de'"),
+        ({"de": {"population": 2}}, "population must be at least 4"),
+        ({"compass": {"contraction": 1.5}}, "contraction must be in (0, 1)"),
+        ({"seed": -1}, "seed must be non-negative"),
+    ])
+    def test_config_fit_rejects_fails_validation(self, fixture_dir, tmp_path, capsys,
+                                                  changes, message):
+        config = with_config(fixture_dir, tmp_path, **changes)
+        assert main(["validate", "--config", config]) == 1
+        assert message in capsys.readouterr().err
+        assert main(["fit", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bounds,message", [
+        ({"eta": [0.3]}, "plant bounds for eta must be a [low, high] pair"),
+        ({"nu_per_cap": [0, 1]}, "unknown key 'nu_per_cap' in plant bounds"),
+    ])
+    def test_plant_bounds_checked(self, fixture_dir, tmp_path, capsys, bounds, message):
+        config = with_plant(fixture_dir, tmp_path, bounds=bounds)
+        assert main(["validate", "--config", config]) == 1
+        assert message in capsys.readouterr().err
+
+
 class TestUsage:
     def test_missing_required_flag_exits_1(self, capsys):
         assert main(["fit"]) == 1
@@ -256,6 +308,15 @@ class TestConfigKeys:
         assert main(["fit", "--config", config, "--out", str(tmp_path / "out")]) == 1
         assert "de.population must be a number, got 'many'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("seed", "x"), ("seed", math.inf), ("dt", "half"), ("dt", None)])
+    def test_top_level_value_of_the_wrong_type_exits_1(self, fixture_dir, tmp_path, capsys,
+                                                       key, value):
+        config = with_config(fixture_dir, tmp_path, **{key: value})
+        assert main(["fit", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        assert f"{key} must be a number, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bounds_absolute_or_per_mw_of_capacity(self):
         bounds = plantfit.cli._bounds_from_plant(
             {"bounds": {"eta": [0.3, 0.6], "sigma_per_cap": [0, 120], "phi": [0, 500]}}, 100.0)
@@ -272,3 +333,24 @@ class TestConfigKeys:
     def test_bound_that_is_not_a_pair_rejected(self, value):
         with pytest.raises(plantfit.cli.ConfigError, match="sigma"):
             plantfit.cli._bounds_from_plant({"bounds": {"sigma_per_cap": value}}, 100.0)
+
+
+class TestPoolLoading:
+    @pytest.mark.parametrize("argv,loaded", [
+        (["fit", "--jobs", "1"], False),
+        (["landscape", "--jobs", "2", "--eta", "0.45", "--axes", "eta,sigma",
+          "--grid1", "0.3:0.6:3", "--grid2", "0:1000:3"], True),
+    ])
+    def test_process_pool_loaded_only_with_workers(self, fixture_dir, tmp_path, argv, loaded):
+        config = with_config(fixture_dir, tmp_path, de={"population": 8, "generations": 2},
+                             compass={"max_iterations": 1})
+        script = ("import sys; from plantfit.cli import main; code = main(sys.argv[1:]); "
+                  "print('concurrent.futures.process' in sys.modules); sys.exit(code)")
+        env = dict(os.environ, PYTHONPATH=str(Path(plantfit.cli.__file__).parents[1]))
+        command, *rest = argv
+        proc = subprocess.run(
+            [sys.executable, "-c", script, command, "--config", config,
+             "--out", str(tmp_path / "out"), *rest],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str(loaded)

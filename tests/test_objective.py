@@ -252,6 +252,39 @@ class TestCandidateEvaluator:
             assert ev.scores([]) == []
         assert serial == parallel
 
+    def test_scored_vectors_served_from_memory(self, monkeypatch):
+        true, ctx = small_context(T=24)
+        calls = _count_batches(monkeypatch)
+        vecs = [params_to_vector(true), params_to_vector(dataclasses.replace(true, eta=0.4))]
+        with CandidateEvaluator(ctx, SolverOptions()) as ev:
+            first = ev.scores(vecs)
+            assert ev.scores(vecs[::-1]) == first[::-1]
+        assert len(calls) == 1
+        assert len(calls[0][0]) == 2
+
+    def test_fit_does_not_solve_the_compass_start_again(self, monkeypatch):
+        true, ctx = small_context(T=24)
+        calls = _count_batches(monkeypatch)
+        # a negative target keeps DE from stopping early on a perfect score
+        fit(ctx, de_cfg=DeConfig(population=8, generations=3, seed=1, target=-1.0),
+            compass_cfg=CompassConfig(max_iterations=2))
+        # the first population, three generations and two rounds of polls:
+        # compass search starts from DE's best, which DE already scored
+        assert len(calls) == 1 + 3 + 2
+
+
+def _count_batches(monkeypatch) -> list:
+    """Count the evaluator's calls of ``solve_uc_batch``; returns their list."""
+    calls = []
+    batch = plantfit.objective.solve_uc_batch
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return batch(*args, **kwargs)
+
+    monkeypatch.setattr(plantfit.objective, "solve_uc_batch", counted)
+    return calls
+
 
 def _break_solver(monkeypatch) -> list:
     """Make the inner solver raise TypeError; returns the list of its calls."""
@@ -288,14 +321,7 @@ class TestProgrammingErrorsPropagate:
         power[0] = ctx.dynamics.mel[0] + 10.0  # taken as the initial power
         observed = ObservedProduction(grid=ctx.market.grid, power=power)
         ctx = FitContext.from_observed(ctx.dynamics, ctx.market, observed, epsilon=EPSILON)
-        calls = []
-        batch = plantfit.objective.solve_uc_batch
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return batch(*args, **kwargs)
-
-        monkeypatch.setattr(plantfit.objective, "solve_uc_batch", counted)
+        calls = _count_batches(monkeypatch)
         with pytest.raises(SolverError, match="initial power exceeds"):
             fit(ctx, de_cfg=DeConfig(population=8, generations=20, seed=1),
                 compass_cfg=CompassConfig(max_iterations=2))

@@ -1,6 +1,7 @@
 """Inner unit-commitment solver: worked examples, properties, oracle checks."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,9 +25,11 @@ from plantfit import (
     validate_schedule,
 )
 from conftest import (
+    TRUE_PARAMS,
     flat_dynamics,
     loop_solve,
     random_small_instance,
+    recovery_market,
     toy_market,
     worked_example,
 )
@@ -516,3 +519,74 @@ class TestBatchedSweep:
         other = dataclasses.replace(inst, initial_committed=True, initial_power=100.0)
         with pytest.raises(SolverError, match="share"):
             solve_uc_batch([inst, other], opts)
+
+
+class TestStateBound:
+    def test_slow_ramp_rejected_naming_its_causes(self):
+        # 199 rungs of 2 MW below SEL 400: 420 states
+        dynamics = flat_dynamics(4, mel=450.0, sel=400.0, ramp_up=4.0, ramp_dn=4.0)
+        with pytest.raises(SolverError, match=r"more than 256 states: SEL 400 MW over "
+                                              r"ramp×dt steps of 2 MW up.*power_levels 21"):
+            UcGraph(dynamics, 0.5, SolverOptions())
+
+    def test_endless_ladder_rejected(self):
+        dynamics = flat_dynamics(2, mel=450.0, sel=400.0, ramp_up=1e-300, ramp_dn=1e-300)
+        with pytest.raises(SolverError, match="more than 256 states"):
+            UcGraph(dynamics, 0.5, SolverOptions())
+
+    @pytest.mark.parametrize("sel,power_levels,states", [
+        (117.5, 21, 256), (118.5, 21, 258), (0.0, 255, 256), (0.0, 256, 257)])
+    def test_limit_is_256_states(self, sel, power_levels, states):
+        # 1 MW rungs: 1 off state, 2 per rung below SEL, the stable levels
+        T = 3
+        dynamics = flat_dynamics(T, mel=450.0, sel=sel, ramp_up=2.0, ramp_dn=2.0)
+        opts = SolverOptions(power_levels=power_levels)
+        if states > 256:
+            with pytest.raises(SolverError, match="more than 256 states"):
+                UcGraph(dynamics, 0.5, opts)
+            return
+        assert UcGraph(dynamics, 0.5, opts).states == states
+        market = toy_market([60.0, 20.0, 90.0], dt=0.5, fuel=20.0)
+        inst = UcInstance(params=params(eta=0.5, sigma=500.0, phi=10.0),
+                          dynamics=dynamics, market=market)
+        power, committed = loop_solve(inst, opts)
+        schedule = solve_uc(inst, opts)
+        assert schedule.power.tobytes() == power.tobytes()
+        assert schedule.committed.tobytes() == committed.tobytes()
+
+
+@pytest.fixture(scope="module")
+def two_week_batch():
+    """32 candidates on the two-week recovery problem (24 states a period)."""
+    market = recovery_market(672)
+    dynamics = flat_dynamics(672)
+    rng = np.random.default_rng(3)
+    instances = [UcInstance(params=dataclasses.replace(
+        TRUE_PARAMS, eta=float(eta), sigma=float(sigma), phi=float(phi), nu=float(nu)),
+        dynamics=dynamics, market=market)
+        for eta, sigma, phi, nu in zip(rng.uniform(0.3, 0.7, 32), rng.uniform(0.0, 6e4, 32),
+                                       rng.uniform(0.0, 3e3, 32), rng.uniform(0.0, 5.0, 32))]
+    opts = SolverOptions()
+    return instances, opts, UcGraph(dynamics, market.dt, opts)
+
+
+class TestTwoWeekBatch:
+    def test_batch_peaks_within_the_block_budget(self, two_week_batch):
+        import plantfit.uc as uc
+
+        instances, opts, graph = two_week_batch
+        solve_uc_batch(instances, opts, graph)
+        tracemalloc.start()
+        try:
+            solve_uc_batch(instances, opts, graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= uc._BLOCK_BYTES
+
+    def test_profits_exactly_those_of_the_schedules(self, two_week_batch):
+        instances, opts, graph = two_week_batch
+        schedules = solve_uc_batch(instances, opts, graph)
+        assert sum(s.started.sum() > 0 for s in schedules) > 16
+        for schedule, inst in zip(schedules, instances):
+            assert schedule.profit == schedule_profit(schedule, inst)
