@@ -55,7 +55,6 @@ from .uc import (
     UcGraph,
     UcInstance,
     Violation,
-    enumerate_uc_oracle,
     marginal_values,
     schedule_profit,
     solve_uc,
@@ -94,7 +93,6 @@ __all__ = [
     "align",
     "compass_search",
     "differential_evolution",
-    "enumerate_uc_oracle",
     "evaluate_candidate",
     "fit",
     "landscape_slice",

@@ -141,9 +141,12 @@ _SECTION_KEYS = {
 def _number(name: str, value, kind):
     """A config value converted to ``kind``, or a ConfigError naming its key."""
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    if kind is int and isinstance(value, float) and number != value:  # int() truncates
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return number
 
 
 def _section(cfg: dict, name: str) -> dict:
@@ -201,7 +204,7 @@ def _cli_params(args, plant: dict, capacity: float) -> PlantParameters:
     params = PlantParameters(eta=args.eta, sigma=cost(args.sigma, args.sigma_per_cap),
                              phi=cost(args.phi, args.phi_per_cap), nu=args.nu,
                              epsilon=float(plant["epsilon_tco2_per_mwh_fuel"]))
-    return validate_parameters(params, None)
+    return validate_parameters(params)
 
 
 @dataclass(frozen=True, eq=False)

@@ -116,9 +116,6 @@ class SearchBounds:
         i = self.names.index(name)
         return float(self.lower[i]), float(self.upper[i])
 
-    def clip(self, vec: np.ndarray) -> np.ndarray:
-        return np.clip(np.asarray(vec, dtype=float), self.lower, self.upper)
-
     def contains(self, vec, tol: float = 1e-12) -> bool:
         v = np.asarray(vec, dtype=float)
         return bool(np.all(v >= self.lower - tol) and np.all(v <= self.upper + tol))
@@ -247,8 +244,8 @@ class FitResult:
     schedule: Schedule         # inner optimum at best, the one scored as sse
 
 
-def validate_parameters(p: PlantParameters, bounds: SearchBounds) -> PlantParameters:
-    """Check invariants and search bounds; returns ``p`` unchanged.
+def validate_parameters(p: PlantParameters) -> PlantParameters:
+    """Check the parameters' invariants; returns ``p`` unchanged.
 
     Idempotent: a value that passes once passes again with identical output.
     """
@@ -260,14 +257,6 @@ def validate_parameters(p: PlantParameters, bounds: SearchBounds) -> PlantParame
     for name in ("sigma", "phi", "nu", "epsilon"):
         if getattr(p, name) < 0:
             raise ParameterError(f"{name} negative")
-    if bounds is not None:
-        if not all(n in bounds.names for n in PARAM_NAMES):
-            raise ParameterError("bounds must name eta, sigma, phi, nu")
-        for name in PARAM_NAMES:
-            lo, hi = bounds.range(name)
-            val = getattr(p, name)
-            if not (lo <= val <= hi):
-                raise ParameterError(f"{name} out of range [{lo}, {hi}]: {val}")
     return p
 
 

@@ -183,8 +183,7 @@ def _score_block(vecs, context: FitContext, opts: SolverOptions) -> list[float]:
         if isinstance(result, CANDIDATE_ERRORS):
             scores.append(math.inf)  # infeasible corners score worst instead of aborting
             continue
-        err = sse(result, context.observed)
-        scores.append(err if math.isfinite(err) else math.inf)
+        scores.append(sse(result, context.observed))
     return scores
 
 
@@ -192,9 +191,10 @@ class CandidateEvaluator:
     """Maps parameter vectors to outer-objective scores, a batch at a time.
 
     Each batch is solved in one DP sweep; with ``jobs`` > 1 it is cut into
-    that many contiguous blocks, one per worker process. Expected failures
-    of one candidate (an infeasible parameter set) score +inf; an error of
-    the problem every candidate shares, or any other error, propagates.
+    that many contiguous blocks, one per worker process (None runs serially,
+    and a value below 1 is refused). Expected failures of one candidate (an
+    infeasible parameter set) score +inf; an error of the problem every
+    candidate shares, or any other error, propagates.
     Results come back in submission order and do not depend on the worker
     count, so a fixed seed gives identical runs. A vector scored before is
     served from its stored score, not solved again.
@@ -203,7 +203,9 @@ class CandidateEvaluator:
     def __init__(self, context: FitContext, opts: SolverOptions, jobs: int | None = None):
         self.context = context
         self.opts = opts
-        self.jobs = jobs if jobs and jobs > 1 else 1
+        if jobs is not None and jobs < 1:
+            raise ParameterError(f"jobs must be at least 1, got {jobs}")
+        self.jobs = jobs or 1
         self._pool = None
         self._scored: dict[bytes, float] = {}  # float64 vector bytes -> score
 
@@ -224,9 +226,6 @@ class CandidateEvaluator:
             self._pool.shutdown()
             self._pool = None
         return False
-
-    def one(self, vec) -> float:
-        return self.scores([vec])[0]
 
     def scores(self, vecs) -> list[float]:
         vecs = np.array(vecs, dtype=float)

@@ -1,14 +1,16 @@
 """Derivative-free outer search: differential evolution, then compass search.
 
 Differential evolution explores the parameter box globally; compass search
-refines the best member locally. Both treat the objective as a black box,
-score failures as +inf, and are bit-reproducible for a fixed seed. Fitness
-evaluations may be dispatched in parallel through a batch evaluator; the
-drivers own all mutable state, so results do not depend on scheduling.
+refines the best member locally. Both treat the objective as a black box:
+a batch scorer, ``score(vecs) -> scores``, called once per generation or
+poll. A score of +inf marks an infeasible candidate, which loses to every
+finite one. An exception from the scorer propagates, and a NaN score raises
+``ValueError``. The drivers own all mutable state and are bit-reproducible
+for a fixed seed, so results do not depend on how the scorer spreads a
+batch over workers.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,26 +78,18 @@ class SearchResult:
     evaluations: int
 
 
-def _safe(fitness):
-    def wrapped(vec):
-        try:
-            val = float(fitness(np.asarray(vec, dtype=float)))
-        except Exception:
-            return math.inf
-        return val if math.isfinite(val) or val == math.inf else math.inf
-
-    return wrapped
-
-
-def _batch(fitness, evaluator):
-    if evaluator is not None:
-        return evaluator
-    one = _safe(fitness)
-    return lambda vecs: [one(v) for v in vecs]
+def _scores(score, vecs) -> np.ndarray:
+    """``score(vecs)`` as floats, refusing a NaN: it marks a scorer bug, not
+    an infeasible candidate."""
+    scores = np.array(score(vecs), dtype=float)
+    nan = np.flatnonzero(np.isnan(scores))
+    if nan.size:
+        raise ValueError(f"the scorer returned NaN for candidate {nan[0]} of its batch")
+    return scores
 
 
-def differential_evolution(fitness, bounds: SearchBounds, cfg: DeConfig | None = None,
-                           evaluator=None) -> SearchResult:
+def differential_evolution(score, bounds: SearchBounds,
+                           cfg: DeConfig | None = None) -> SearchResult:
     """Global search with DE/rand/1/bin.
 
     Per generation each member i receives a trial built from three distinct
@@ -106,13 +100,12 @@ def differential_evolution(fitness, bounds: SearchBounds, cfg: DeConfig | None =
     """
     cfg = cfg or DeConfig()
     rng = np.random.default_rng(cfg.seed)
-    evaluate = _batch(fitness, evaluator)
     lower, upper = bounds.lower, bounds.upper
     dim = bounds.dim
     npop = cfg.population
 
     pop = lower + rng.random((npop, dim)) * (upper - lower)
-    scores = np.array(evaluate(list(pop)), dtype=float)
+    scores = _scores(score, pop)
     trace = [(pop[i].copy(), float(scores[i])) for i in range(npop)]
     history = [float(scores.min())]
 
@@ -128,7 +121,7 @@ def differential_evolution(fitness, bounds: SearchBounds, cfg: DeConfig | None =
             cross = rng.random(dim) < cfg.crossover
             cross[rng.integers(dim)] = True
             trials[i] = np.clip(np.where(cross, mutant, pop[i]), lower, upper)
-        trial_scores = np.array(evaluate(list(trials)), dtype=float)
+        trial_scores = _scores(score, trials)
         for i in range(npop):
             trace.append((trials[i].copy(), float(trial_scores[i])))
             if trial_scores[i] <= scores[i]:
@@ -146,8 +139,8 @@ def differential_evolution(fitness, bounds: SearchBounds, cfg: DeConfig | None =
     )
 
 
-def compass_search(fitness, start, bounds: SearchBounds,
-                   cfg: CompassConfig | None = None, evaluator=None) -> SearchResult:
+def compass_search(score, start, bounds: SearchBounds,
+                   cfg: CompassConfig | None = None) -> SearchResult:
     """Local refinement by coordinate polling with step contraction.
 
     Polls +/-step along each coordinate (clipped to the bounds) and moves to
@@ -156,7 +149,6 @@ def compass_search(fitness, start, bounds: SearchBounds,
     worse than the start.
     """
     cfg = cfg or CompassConfig()
-    evaluate = _batch(fitness, evaluator)
     lower, upper = bounds.lower, bounds.upper
     dim = bounds.dim
     x = np.asarray(start, dtype=float).copy()
@@ -169,7 +161,7 @@ def compass_search(fitness, start, bounds: SearchBounds,
     if np.any(step <= 0) or np.any(min_step <= 0):
         raise ParameterError("steps must be positive")
 
-    fx = evaluate([x])[0]
+    fx = _scores(score, [x])[0]
     trace = [(x.copy(), float(fx))]
     history = [float(fx)]
 
@@ -183,12 +175,12 @@ def compass_search(fitness, start, bounds: SearchBounds,
                 cand[d] = min(max(cand[d] + sign * step[d], lower[d]), upper[d])
                 if abs(cand[d] - x[d]) > 0.0:
                     polls.append(cand)
-        poll_scores = evaluate(polls)
+        poll_scores = _scores(score, polls)
         trace.extend((polls[i].copy(), float(poll_scores[i])) for i in range(len(polls)))
         moved = False
-        for cand, score in zip(polls, poll_scores):
-            if score < fx:
-                x, fx = cand, score
+        for cand, value in zip(polls, poll_scores):
+            if value < fx:
+                x, fx = cand, value
                 moved = True
                 break
         if not moved:
@@ -222,8 +214,8 @@ def fit(
     bounds = bounds or SearchBounds.for_plant(capacity)
 
     with CandidateEvaluator(context, opts, jobs) as ev:
-        de = differential_evolution(ev.one, bounds, de_cfg, evaluator=ev.scores)
-        local = compass_search(ev.one, de.best, bounds, compass_cfg, evaluator=ev.scores)
+        de = differential_evolution(ev.scores, bounds, de_cfg)
+        local = compass_search(ev.scores, de.best, bounds, compass_cfg)
 
     best_params = vector_to_params(local.best, context.epsilon)
     final = evaluate_candidate(best_params, context, opts)

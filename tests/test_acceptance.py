@@ -23,7 +23,6 @@ from plantfit import (
     UcInstance,
     compass_search,
     differential_evolution,
-    enumerate_uc_oracle,
     evaluate_candidate,
     fit,
     landscape_slice,
@@ -42,6 +41,8 @@ from conftest import (
     recovery_market,
     toy_market,
 )
+from oracle import enumerate_uc_oracle
+from test_search import batched
 
 CAPACITY = 500.0
 
@@ -197,16 +198,16 @@ def test_criterion_7_optimizer_sanity():
     bounds = SearchBounds(np.full(4, -5.0), np.full(4, 5.0))
     sphere = lambda x: float(np.dot(x, x))
     cfg = DeConfig(population=32, generations=200, seed=7, target=-1.0)
-    first = differential_evolution(sphere, bounds, cfg)
-    second = differential_evolution(sphere, bounds, cfg)
+    first = differential_evolution(batched(sphere), bounds, cfg)
+    second = differential_evolution(batched(sphere), bounds, cfg)
     de_ok = first.score <= 1e-4
     de_det = np.array_equal(first.best, second.best) and first.score == second.score
 
     quad = lambda x: float((x[0] - 1.0) ** 2 + 2.0 * (x[1] + 2.0) ** 2)
     box2 = SearchBounds(np.full(2, -5.0), np.full(2, 5.0))
     ccfg = CompassConfig(min_step=(1e-5, 1e-5), max_iterations=1000)
-    ca = compass_search(quad, np.zeros(2), box2, ccfg)
-    cb = compass_search(quad, np.zeros(2), box2, ccfg)
+    ca = compass_search(batched(quad), np.zeros(2), box2, ccfg)
+    cb = compass_search(batched(quad), np.zeros(2), box2, ccfg)
     compass_ok = abs(ca.best[0] - 1.0) <= 1e-3 and abs(ca.best[1] + 2.0) <= 1e-3
     compass_det = np.array_equal(ca.best, cb.best)
     verdict(7, "optimizer sanity", de_ok and de_det and compass_ok and compass_det,

@@ -162,6 +162,18 @@ class TestFit:
         assert main([command, "--config", config, "--out", str(tmp_path / "out"), *rest]) == 3
         assert "more than 256 states: SEL 40 MW" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--jobs", "0"],
+        ["landscape", "--jobs", "-3", "--eta", "0.45", "--axes", "eta,sigma",
+         "--grid1", "0.3:0.6:3", "--grid2", "0:1000:3"],
+    ])
+    def test_jobs_below_one_exits_1(self, fixture_dir, tmp_path, capsys, argv):
+        command, *rest = argv
+        assert main([command, "--config", str(fixture_dir / "config.json"),
+                     "--out", str(tmp_path / "out"), *rest]) == 1
+        assert f"jobs must be at least 1, got {rest[1]}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_production_file(self, fixture_dir, tmp_path, capsys):
         config = json.loads((fixture_dir / "config.json").read_text())
         config["production"] = "nowhere.csv"
@@ -307,6 +319,35 @@ class TestConfigKeys:
         config = with_config(fixture_dir, tmp_path, de={"population": "many"})
         assert main(["fit", "--config", config, "--out", str(tmp_path / "out")]) == 1
         assert "de.population must be a number, got 'many'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value,name", [
+        ("seed", 1.7, "seed"),
+        ("solver", {"power_levels": 8.5}, "solver.power_levels"),
+        ("de", {"population": 8.9}, "de.population"),
+        ("de", {"generations": 2.5}, "de.generations"),
+        ("compass", {"max_iterations": 1.5}, "compass.max_iterations")])
+    def test_integer_key_with_a_fraction_exits_1(self, fixture_dir, tmp_path, capsys,
+                                                 key, value, name):
+        config = with_config(fixture_dir, tmp_path, **{key: value})
+        assert main(["fit", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        bad = value if key == "seed" else next(iter(value.values()))
+        assert f"{name} must be an integer, got {bad!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_runs_as_the_integer(self, fixture_dir, tmp_path):
+        outputs = []
+        for kind in (int, float):
+            root = tmp_path / kind.__name__
+            root.mkdir()
+            config = with_config(fixture_dir, root, seed=kind(3),
+                                 solver={"power_levels": kind(11)},
+                                 de={"population": kind(8), "generations": kind(3)},
+                                 compass={"max_iterations": kind(2)})
+            assert main(["fit", "--config", config, "--out", str(root / "out")]) == 0
+            outputs.append([(root / "out" / name).read_bytes()
+                            for name in ("fit_result.json", "trace.csv", "schedule.csv")])
+        assert outputs[0] == outputs[1]
+        assert b'"seed": 3,' in outputs[1][0]
 
     @pytest.mark.parametrize("key,value", [
         ("seed", "x"), ("seed", math.inf), ("dt", "half"), ("dt", None)])

@@ -25,32 +25,25 @@ def plant(eta=0.5, sigma=100.0, phi=10.0, nu=1.0, epsilon=0.2):
 
 class TestValidateParameters:
     def test_typical_plant_values_pass(self):
-        bounds = SearchBounds.for_plant(capacity=500.0)
         p = plant(eta=0.53, sigma=15000.0, phi=4500.0, nu=2.0)
-        assert validate_parameters(p, bounds) is p
+        assert validate_parameters(p) is p
 
     def test_eta_zero_rejected(self):
         with pytest.raises(ParameterError, match="eta out of range"):
-            validate_parameters(plant(eta=0.0), SearchBounds.for_plant(500.0))
+            validate_parameters(plant(eta=0.0))
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ParameterError, match="sigma negative"):
-            validate_parameters(plant(sigma=-1.0), SearchBounds.for_plant(500.0))
+            validate_parameters(plant(sigma=-1.0))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ParameterError, match="phi"):
-            validate_parameters(plant(phi=float("nan")), SearchBounds.for_plant(500.0))
-
-    def test_out_of_bounds_names_field(self):
-        bounds = SearchBounds.for_plant(500.0, nu=(0.0, 5.0))
-        with pytest.raises(ParameterError, match="nu out of range"):
-            validate_parameters(plant(nu=7.0), bounds)
+            validate_parameters(plant(phi=float("nan")))
 
     def test_idempotent(self):
-        bounds = SearchBounds.for_plant(500.0)
         p = plant()
-        once = validate_parameters(p, bounds)
-        assert validate_parameters(once, bounds) is once
+        once = validate_parameters(p)
+        assert validate_parameters(once) is once
 
 
 class TestNormalizeCosts:
@@ -98,11 +91,9 @@ class TestSearchBounds:
         with pytest.raises(ParameterError, match="eta"):
             SearchBounds.for_plant(500.0, eta=(0.0, 1.5))
 
-    def test_clip_and_contains(self):
+    def test_contains(self):
         b = SearchBounds(np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
-        clipped = b.clip(np.array([-9.0, 7.0]))
-        assert clipped.tolist() == [-5.0, 5.0]
-        assert b.contains(clipped)
+        assert b.contains(np.array([-5.0, 5.0]))
         assert not b.contains(np.array([6.0, 0.0]))
 
 

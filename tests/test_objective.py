@@ -252,6 +252,14 @@ class TestCandidateEvaluator:
             assert ev.scores([]) == []
         assert serial == parallel
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_refused(self, jobs):
+        true, ctx = small_context(T=24)
+        with pytest.raises(ParameterError, match=f"jobs must be at least 1, got {jobs}"):
+            CandidateEvaluator(ctx, SolverOptions(), jobs)
+        with pytest.raises(ParameterError, match="jobs"):
+            fit(ctx, jobs=jobs)
+
     def test_scored_vectors_served_from_memory(self, monkeypatch):
         true, ctx = small_context(T=24)
         calls = _count_batches(monkeypatch)

@@ -1,4 +1,6 @@
 """Derivative-free search: DE, compass, and the bilevel fit driver."""
+import math
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,11 @@ def box(lo, hi, dim):
     return SearchBounds(np.full(dim, float(lo)), np.full(dim, float(hi)))
 
 
+def batched(f):
+    """The batch scorer of a function of one vector."""
+    return lambda vs: [f(v) for v in vs]
+
+
 def sphere(x):
     return float(np.dot(x, x))
 
@@ -34,14 +41,14 @@ def rosenbrock(x):
 class TestDifferentialEvolution:
     def test_sphere_reaches_target(self):
         result = differential_evolution(
-            sphere, box(-5, 5, 4),
+            batched(sphere), box(-5, 5, 4),
             DeConfig(population=32, generations=200, seed=7, target=-1.0))
         assert result.score <= 1e-4
 
     def test_constant_fitness_flat_history(self):
         bounds = box(-2, 2, 3)
         result = differential_evolution(
-            lambda x: 4.25, bounds,
+            batched(lambda x: 4.25), bounds,
             DeConfig(population=8, generations=20, seed=1, target=-1.0))
         assert result.score == 4.25
         assert bounds.contains(result.best)
@@ -49,7 +56,7 @@ class TestDifferentialEvolution:
 
     def test_rosenbrock(self):
         result = differential_evolution(
-            rosenbrock, box(-2, 2, 2),
+            batched(rosenbrock), box(-2, 2, 2),
             DeConfig(population=32, generations=300, seed=3, target=-1.0))
         assert result.score <= 1e-2
 
@@ -59,8 +66,8 @@ class TestDifferentialEvolution:
 
     def test_seed_reproducibility(self):
         cfg = DeConfig(population=16, generations=40, seed=42, target=-1.0)
-        a = differential_evolution(sphere, box(-5, 5, 4), cfg)
-        b = differential_evolution(sphere, box(-5, 5, 4), cfg)
+        a = differential_evolution(batched(sphere), box(-5, 5, 4), cfg)
+        b = differential_evolution(batched(sphere), box(-5, 5, 4), cfg)
         assert np.array_equal(a.best, b.best)
         assert a.score == b.score
         assert a.history == b.history
@@ -70,62 +77,82 @@ class TestDifferentialEvolution:
     def test_every_candidate_within_bounds(self):
         bounds = box(-1, 1, 3)
         result = differential_evolution(
-            sphere, bounds, DeConfig(population=12, generations=30, seed=5, target=-1.0))
+            batched(sphere), bounds,
+            DeConfig(population=12, generations=30, seed=5, target=-1.0))
         for vec, _ in result.trace:
             assert bounds.contains(vec)
 
-    def test_fitness_errors_become_inf(self):
-        def spiky(x):
-            if x[0] > 0:
-                raise RuntimeError("boom")
-            return sphere(x)
-
-        result = differential_evolution(
-            spiky, box(-5, 5, 2), DeConfig(population=10, generations=30, seed=2, target=-1.0))
-        assert np.isfinite(result.score)
-        assert result.best[0] <= 0
-
     def test_target_stops_early(self):
         cfg = DeConfig(population=16, generations=500, seed=9, target=1e-2)
-        result = differential_evolution(sphere, box(-5, 5, 2), cfg)
+        result = differential_evolution(batched(sphere), box(-5, 5, 2), cfg)
         assert result.score <= 1e-2
         assert len(result.history) < 501
 
     def test_running_best_non_increasing(self):
         result = differential_evolution(
-            sphere, box(-5, 5, 3), DeConfig(population=12, generations=50, seed=8, target=-1.0))
+            batched(sphere), box(-5, 5, 3),
+            DeConfig(population=12, generations=50, seed=8, target=-1.0))
         assert all(b <= a + 1e-15 for a, b in zip(result.history, result.history[1:]))
+
+
+class TestScorerContract:
+    def test_infinite_scores_steer_de_away(self):
+        spiky = batched(lambda x: math.inf if x[0] > 0 else sphere(x))
+        result = differential_evolution(
+            spiky, box(-5, 5, 2), DeConfig(population=10, generations=30, seed=2, target=-1.0))
+        assert np.isfinite(result.score)
+        assert result.best[0] <= 0
+
+    def test_scorer_error_propagates_from_both_drivers(self):
+        def broken(vecs):
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            differential_evolution(broken, box(-5, 5, 2), DeConfig(population=8, seed=2))
+        with pytest.raises(RuntimeError, match="boom"):
+            compass_search(broken, np.zeros(2), box(-5, 5, 2))
+
+    def test_nan_score_raises_from_both_drivers(self):
+        # NaN for the third candidate of any batch that has one
+        def nan_third(vecs):
+            return [math.nan if i == 2 else sphere(v) for i, v in enumerate(vecs)]
+
+        with pytest.raises(ValueError, match="NaN for candidate 2 "):
+            differential_evolution(nan_third, box(-5, 5, 2), DeConfig(population=8, seed=2))
+        # the start is scored alone; the first poll of 4 has a third
+        with pytest.raises(ValueError, match="NaN for candidate 2 "):
+            compass_search(nan_third, np.ones(2), box(-5, 5, 2))
 
 
 class TestCompassSearch:
     def test_one_dimensional_quadratic(self):
-        result = compass_search(lambda x: (x[0] - 3.0) ** 2, np.array([0.0]),
+        result = compass_search(batched(lambda x: (x[0] - 3.0) ** 2), np.array([0.0]),
                                 box(-10, 10, 1),
                                 CompassConfig(min_step=(1e-4,), max_iterations=500))
         assert abs(result.best[0] - 3.0) <= 1e-3
 
     def test_start_at_minimizer_returns_start(self):
-        result = compass_search(sphere, np.zeros(2), box(-5, 5, 2),
+        result = compass_search(batched(sphere), np.zeros(2), box(-5, 5, 2),
                                 CompassConfig(max_iterations=200))
         assert np.array_equal(result.best, np.zeros(2))
         assert result.score == 0.0
 
     def test_two_dimensional_quadratic(self):
         f = lambda x: (x[0] - 1.0) ** 2 + 2.0 * (x[1] + 2.0) ** 2
-        result = compass_search(f, np.zeros(2), box(-5, 5, 2),
+        result = compass_search(batched(f), np.zeros(2), box(-5, 5, 2),
                                 CompassConfig(min_step=(1e-5, 1e-5), max_iterations=1000))
         assert abs(result.best[0] - 1.0) <= 1e-3
         assert abs(result.best[1] + 2.0) <= 1e-3
 
     def test_start_out_of_bounds_rejected(self):
         with pytest.raises(ParameterError, match="outside"):
-            compass_search(sphere, np.array([9.0, 0.0]), box(-5, 5, 2))
+            compass_search(batched(sphere), np.array([9.0, 0.0]), box(-5, 5, 2))
 
     def test_never_worse_than_start(self):
         rng = np.random.default_rng(77)
         for _ in range(10):
             start = rng.uniform(-5, 5, 3)
-            result = compass_search(sphere, start, box(-5, 5, 3),
+            result = compass_search(batched(sphere), start, box(-5, 5, 3),
                                     CompassConfig(max_iterations=25))
             assert result.score <= sphere(start) + 1e-15
 

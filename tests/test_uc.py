@@ -17,7 +17,6 @@ from plantfit import (
     SolverOptions,
     UcGraph,
     UcInstance,
-    enumerate_uc_oracle,
     marginal_values,
     schedule_profit,
     solve_uc,
@@ -33,6 +32,7 @@ from conftest import (
     toy_market,
     worked_example,
 )
+from oracle import enumerate_uc_oracle
 
 
 def params(eta=0.5, sigma=0.0, phi=0.0, nu=0.0, epsilon=0.0):
@@ -429,6 +429,44 @@ class TestOracleProperty:
         schedule = solve_uc(inst, opts)
         assert abs(schedule.profit - oracle.profit) <= 1e-6 * max(1.0, abs(oracle.profit))
         assert validate_schedule(schedule, inst) == []
+
+
+def assert_profit_order(low, high, opts):
+    """``low`` solves to no more profit than ``high``, within 1e-9 relative;
+    a problem with no feasible schedule raises on both sides."""
+    try:
+        bound = solve_uc(high, opts).profit
+    except SolverError as exc:
+        assert "no feasible" in str(exc)
+        with pytest.raises(SolverError, match="no feasible"):
+            solve_uc(low, opts)
+        return
+    assert solve_uc(low, opts).profit <= bound + 1e-9 * (1.0 + abs(bound))
+
+
+class TestMonotonicityProperty:
+    """Profit order on drawn problems: a higher cost never raises the optimal
+    profit, and higher electricity prices never lower it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(shared_problems(), st.sampled_from(["sigma", "phi", "nu"]), st.floats(0.0, 1e4))
+    def test_higher_cost_never_raises_profit(self, problem, field, rise):
+        instances, opts = problem
+        for inst in instances:
+            dearer = dataclasses.replace(
+                inst.params, **{field: getattr(inst.params, field) + rise})
+            assert_profit_order(dataclasses.replace(inst, params=dearer), inst, opts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shared_problems(), st.data())
+    def test_higher_electricity_prices_never_lower_profit(self, problem, data):
+        instances, opts = problem
+        market = instances[0].market
+        rise = data.draw(st.lists(st.floats(0.0, 50.0), min_size=market.horizon,
+                                  max_size=market.horizon))
+        richer = dataclasses.replace(market, w=market.w + np.array(rise))
+        for inst in instances:
+            assert_profit_order(inst, dataclasses.replace(inst, market=richer), opts)
 
 
 class TestBatchedSweep:
