@@ -59,6 +59,7 @@ from .uc import (
     schedule_profit,
     solve_uc,
     solve_uc_batch,
+    solve_uc_blocks,
     validate_schedule,
 )
 
@@ -105,6 +106,7 @@ __all__ = [
     "schedule_profit",
     "solve_uc",
     "solve_uc_batch",
+    "solve_uc_blocks",
     "sse",
     "synthesize",
     "validate_parameters",

@@ -56,12 +56,18 @@ def format_timestamp(stamp: np.datetime64) -> str:
     return np.datetime_as_string(stamp.astype("datetime64[s]"), unit="s") + "Z"
 
 
+def _check_dt(dt: float) -> None:
+    if not (math.isfinite(dt) and dt > 0):
+        raise DataError(f"dt must be finite and positive, got {dt}")
+
+
 def make_grid(start, periods: int, dt: float) -> np.ndarray:
     """Uniform settlement grid of ``periods`` steps of ``dt`` hours."""
+    _check_dt(dt)
     if periods < 1:
         raise DataError("grid needs at least one period")
     step_s = dt * 3600.0
-    if abs(step_s - round(step_s)) > 1e-9 or step_s <= 0:
+    if abs(step_s - round(step_s)) > 1e-9 or round(step_s) < 1:
         raise DataError("dt must be a positive whole number of seconds")
     t0 = parse_timestamp(start) if isinstance(start, str) else np.datetime64(start, "s")
     return t0 + np.arange(periods) * np.timedelta64(int(round(step_s)), "s")
@@ -202,6 +208,7 @@ def align(
     production and dynamic data must cover every period. The single ramp
     rate the model uses is the most restrictive value over the horizon.
     """
+    _check_dt(dt)
     required = ("electricity", "fuel", "carbon", "production",
                 "mel", "sel", "ramp_up", "ramp_dn")
     missing = [k for k in required if k not in series]

@@ -3,8 +3,10 @@
 An evaluation solves the inner unit-commitment problem for one candidate
 parameter set and scores the resulting schedule against observed output.
 Evaluations are pure functions of their inputs: a batch of candidates is
-solved in one DP sweep against one shared read-only context, and scores do
-not depend on how the batch is split.
+solved against one shared read-only context in blocks of at most
+``uc._BLOCK_BYTES`` of DP state, and each block is scored before the next is
+solved, so a batch's memory does not grow with its width. Scores do not
+depend on how the batch is split.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from .uc import (
     UcGraph,
     UcInstance,
     solve_uc,
-    solve_uc_batch,
+    solve_uc_blocks,
 )
 
 
@@ -170,31 +172,49 @@ def _pool_init(context: FitContext, opts: SolverOptions):
     _WORKER = (context, opts)
 
 
-def _pool_score(vecs) -> list[float]:
+def _pool_score(vecs) -> tuple[list[float], Exception | None]:
     context, opts = _WORKER
     return _score_block(vecs, context, opts)
 
 
-def _score_block(vecs, context: FitContext, opts: SolverOptions) -> list[float]:
-    """Scores of a block of parameter vectors, solved in one DP sweep."""
+def _score_block(vecs, context: FitContext,
+                 opts: SolverOptions) -> tuple[list[float], Exception | None]:
+    """Scores of parameter vectors (a batch, or one worker's part of it), and
+    the first candidate error.
+
+    The DP solves the vectors in blocks of at most ``uc._BLOCK_BYTES`` of
+    state; each block's schedules become scores before the next block is
+    solved, so one block of schedules is alive at a time. A candidate that
+    fails alone (``CANDIDATE_ERRORS``) scores +inf, and the first such error
+    is returned with the scores.
+    """
     instances = [context.instance(vector_to_params(v, context.epsilon)) for v in vecs]
     scores = []
-    for result in solve_uc_batch(instances, opts, graph=context.graph(opts)):
-        if isinstance(result, CANDIDATE_ERRORS):
-            scores.append(math.inf)  # infeasible corners score worst instead of aborting
-            continue
-        scores.append(sse(result, context.observed))
-    return scores
+    error = None
+    for block in solve_uc_blocks(instances, opts, graph=context.graph(opts)):
+        for result in block:
+            if isinstance(result, CANDIDATE_ERRORS):
+                # infeasible corners score worst instead of aborting
+                scores.append(math.inf)
+                if error is None:
+                    error = result
+            else:
+                scores.append(sse(result, context.observed))
+        del block  # before the next block is solved
+    return scores, error
 
 
 class CandidateEvaluator:
     """Maps parameter vectors to outer-objective scores, a batch at a time.
 
-    Each batch is solved in one DP sweep; with ``jobs`` > 1 it is cut into
-    that many contiguous blocks, one per worker process (None runs serially,
-    and a value below 1 is refused). Expected failures of one candidate (an
-    infeasible parameter set) score +inf; an error of the problem every
-    candidate shares, or any other error, propagates.
+    With ``jobs`` > 1 a batch is cut into that many contiguous parts, one
+    per worker process (None runs serially, and a value below 1 is refused).
+    Each part is solved in DP blocks of at most ``uc._BLOCK_BYTES`` of state,
+    each block scored before the next is solved. Expected failures of one
+    candidate (an infeasible parameter set) score +inf, and ``error`` holds
+    the first such failure of the latest batch (None if it had none); an
+    error of the problem every candidate shares, or any other error,
+    propagates.
     Results come back in submission order and do not depend on the worker
     count, so a fixed seed gives identical runs. A vector scored before is
     served from its stored score, not solved again.
@@ -208,6 +228,7 @@ class CandidateEvaluator:
         self.jobs = jobs or 1
         self._pool = None
         self._scored: dict[bytes, float] = {}  # float64 vector bytes -> score
+        self.error: Exception | None = None
 
     def __enter__(self):
         if self.jobs > 1:
@@ -228,6 +249,7 @@ class CandidateEvaluator:
         return False
 
     def scores(self, vecs) -> list[float]:
+        self.error = None
         vecs = np.array(vecs, dtype=float)
         keys = [vec.tobytes() for vec in vecs]
         new = {}  # each vector not scored before, in first-seen order
@@ -240,10 +262,17 @@ class CandidateEvaluator:
 
     def _solve(self, vecs: np.ndarray) -> list[float]:
         if self._pool is None:
-            return _score_block(vecs, self.context, self.opts)
-        size = -(-len(vecs) // self.jobs)
-        blocks = [vecs[i:i + size] for i in range(0, len(vecs), size)]
-        return [s for block in self._pool.map(_pool_score, blocks) for s in block]
+            parts = [_score_block(vecs, self.context, self.opts)]
+        else:
+            size = -(-len(vecs) // self.jobs)
+            parts = self._pool.map(_pool_score, [vecs[i:i + size]
+                                                 for i in range(0, len(vecs), size)])
+        scores = []
+        for part, error in parts:
+            scores.extend(part)
+            if self.error is None:
+                self.error = error
+        return scores
 
 
 def landscape_slice(

@@ -191,6 +191,25 @@ def compass_search(score, start, bounds: SearchBounds,
                         trace=trace, evaluations=len(trace))
 
 
+def _feasible_start(ev: CandidateEvaluator):
+    """``ev.scores``, except that a first batch (DE's initial population)
+    with no finite score raises the error of its first candidate. A wholly
+    infeasible population almost always means no candidate is feasible, and
+    the search would spend every generation scoring +inf, to fail only at
+    its final re-evaluation."""
+    first = True
+
+    def score(vecs):
+        nonlocal first
+        scores = ev.scores(vecs)
+        if first and not np.isfinite(scores).any():
+            raise ev.error
+        first = False
+        return scores
+
+    return score
+
+
 def fit(
     context: FitContext,
     bounds: SearchBounds | None = None,
@@ -203,7 +222,9 @@ def fit(
 
     Returns the best parameters with the outer objective re-evaluated at
     them, the schedule that re-evaluation solved, the per-MW(cap) cost
-    report, and the complete evaluation trace.
+    report, and the complete evaluation trace. When DE's whole initial
+    population scores +inf, the fit stops there and raises the first
+    candidate's error.
     """
     opts = opts or SolverOptions()
     de_cfg = de_cfg or DeConfig()
@@ -214,7 +235,7 @@ def fit(
     bounds = bounds or SearchBounds.for_plant(capacity)
 
     with CandidateEvaluator(context, opts, jobs) as ev:
-        de = differential_evolution(ev.scores, bounds, de_cfg)
+        de = differential_evolution(_feasible_start(ev), bounds, de_cfg)
         local = compass_search(ev.scores, de.best, bounds, compass_cfg)
 
     best_params = vector_to_params(local.best, context.epsilon)

@@ -16,9 +16,13 @@ only be crossed monotonically: a start climbs from zero to the stable
 band without pausing or turning back, a stop descends from the stable
 band to zero. Dwelling strictly between zero and SEL is infeasible.
 
-One DP sweep solves a batch of parameter sets on the same problem: each
-period advances a (candidates, states) stack at once, and ``solve_uc`` is
-the batch of one. The state graph does not depend on the parameters.
+A batch of parameter sets on the same problem is solved in blocks of at
+most ``_BLOCK_BYTES`` of DP state, one DP sweep per block: each period
+advances a (candidates, states) stack at once. ``solve_uc_blocks`` hands
+back each block's results as soon as its sweep ends, so a caller that
+consumes a block before asking for the next holds one block at a time, and
+``solve_uc`` is the batch of one. The state graph does not depend on the
+parameters.
 Periods with equal (levels, modes) share one state layout, and one arc
 matrix is stored per distinct pair of adjacent layouts; flat dynamics need
 a single matrix. The initial condition is a source layout before the first
@@ -249,8 +253,10 @@ CANDIDATE_ERRORS = (SolverError, ParameterError, DataError)
 
 # Bytes of DP state one block of candidates may hold: per candidate, a
 # back-pointer per (period, state), a few series over the horizon, its arc
-# matrices and one period's candidate matrices. Bounds a batch's memory.
-_BLOCK_BYTES = 2 * 2**20
+# matrices and one period's candidate matrices. A caller that scores each
+# block before asking for the next holds one block at a time, so this bounds
+# a whole batch's memory.
+_BLOCK_BYTES = 4 * 2**20
 # Bytes of period rewards computed ahead of the sweep.
 _REWARD_BYTES = 2**18
 
@@ -272,17 +278,34 @@ def solve_uc(instance: UcInstance, opts: SolverOptions | None = None,
 
 def solve_uc_batch(instances, opts: SolverOptions | None = None,
                    graph: UcGraph | None = None) -> list:
-    """Optimal schedules for many parameter sets on one problem, in one sweep.
+    """Optimal schedules for many parameter sets on one problem.
+
+    The list form of :func:`solve_uc_blocks`: returns, in order, each
+    instance's schedule, or the error from ``CANDIDATE_ERRORS`` that it
+    alone raised. An error of the shared problem raises. Every schedule of
+    the batch is held at once; a caller that needs only a summary of each
+    should consume the blocks instead.
+    """
+    return [result for block in solve_uc_blocks(instances, opts, graph) for result in block]
+
+
+def solve_uc_blocks(instances, opts: SolverOptions | None = None,
+                    graph: UcGraph | None = None):
+    """Optimal schedules for many parameter sets on one problem, block by block.
 
     The instances must share dynamics, market and initial state; only their
-    parameters differ. Returns, in order, each instance's schedule, or the
-    error from ``CANDIDATE_ERRORS`` that it alone raised. An error of the
-    shared problem (say, no feasible first-period state) raises. Each
-    schedule is bit-identical to the one the instance gets when solved alone.
+    parameters differ. The shared problem is checked at the call; it returns
+    an iterator over contiguous blocks of at most ``_BLOCK_BYTES`` of DP
+    state, each a list holding, in order, each instance's schedule or the
+    error from ``CANDIDATE_ERRORS`` that it alone raised. A block is solved
+    in one sweep when it is asked for, so dropping each block before asking
+    for the next keeps one block alive. An error of the shared problem (say,
+    no feasible first-period state) raises at the first block. Each schedule
+    is bit-identical to the one the instance gets when solved alone.
     """
     instances = list(instances)
     if not instances:
-        return []
+        return iter(())
     opts = opts or SolverOptions()
     first = instances[0]
     _check_instance(first)
@@ -301,15 +324,16 @@ def solve_uc_batch(instances, opts: SolverOptions | None = None,
     n = graph.states
     per_candidate = first.market.horizon * (n + 32) + (len(graph._pairs) + 3) * n * n * 8
     block = max(1, _BLOCK_BYTES // per_candidate)
-    results = []
-    for lo in range(0, len(instances), block):
-        results.extend(_sweep(graph, instances[lo:lo + block]))
-    return results
+    return (_sweep(graph, instances[lo:lo + block]) for lo in range(0, len(instances), block))
 
 
 def _sweep(graph: UcGraph, instances: list) -> list:
     """Solve a block of candidates at once: check each one's parameters, run
-    the DP forward over the periods, then backtrack every path together."""
+    the DP forward over the periods, then backtrack every path together.
+
+    A candidate's error is kept without its traceback: the traceback holds
+    this frame, whose ``out`` holds the error, and that cycle would keep the
+    block's arrays alive until the garbage collector ran."""
     out: list = [None] * len(instances)
     live = []
     for i, inst in enumerate(instances):
@@ -317,7 +341,7 @@ def _sweep(graph: UcGraph, instances: list) -> list:
             validate_parameters(inst.params)
             live.append(i)
         except ParameterError as exc:
-            out[i] = exc
+            out[i] = exc.with_traceback(None)
     if not live:
         return out
     # after the parameters, so a lone solve reports a bad parameter first
@@ -343,7 +367,7 @@ def _sweep(graph: UcGraph, instances: list) -> list:
         try:
             out[i] = _checked_schedule(inst, power[p], committed[p], dp_profit[p])
         except CANDIDATE_ERRORS as exc:
-            out[i] = exc
+            out[i] = exc.with_traceback(None)
     return out
 
 

@@ -147,6 +147,20 @@ class TestFit:
         assert main(["fit", "--config", config, "--out", str(tmp_path / "out")]) == 3
         assert "initial power exceeds" in capsys.readouterr().err
 
+    def test_wholly_infeasible_first_population_exits_3(self, fixture_dir, tmp_path, capsys):
+        # committed at 95 MW, 5 MW steps down: MEL 50 from the third period is out of reach
+        header, *rows = (fixture_dir / "dynamics.csv").read_text().splitlines()
+        rows = [",".join([row.split(",")[0], "100.0" if i < 2 else "50.0", "40.0", "10.0", "10.0"])
+                for i, row in enumerate(rows)]
+        (tmp_path / "dynamics.csv").write_text("\n".join([header, *rows]) + "\n")
+        header, *rows = (fixture_dir / "production.csv").read_text().splitlines()
+        rows = [row.split(",")[0] + ",95.0" for row in rows]
+        (tmp_path / "production.csv").write_text("\n".join([header, *rows]) + "\n")
+        config = with_config(fixture_dir, tmp_path, production=str(tmp_path / "production.csv"),
+                             dynamics=str(tmp_path / "dynamics.csv"))
+        assert main(["fit", "--config", config, "--out", str(tmp_path / "out")]) == 3
+        assert "no feasible schedule exists for this instance" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["fit", "--jobs", "1"],
         ["landscape", "--jobs", "2", "--eta", "0.45", "--axes", "eta,sigma",
@@ -261,6 +275,12 @@ class TestValidate:
         assert main(["validate", "--config", config]) == 2
         assert "gap in observed production at 2018-01-01T00:30:00Z" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("dt", ["0", "-0.5", "nan", "inf"])
+    def test_bad_dt_exits_2(self, fixture_dir, capsys, dt):
+        assert main(["validate", "--config", str(fixture_dir / "config.json"),
+                     "--dt", dt]) == 2
+        assert "dt must be finite and positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("changes,message", [
         ({"de": {"generation": 5}}, "unknown key 'generation' in config section 'de'"),

@@ -190,6 +190,20 @@ class TestAlign:
         with pytest.raises(DataError, match="whole number"):
             align(series, 0.5, "2018-01-01T00:00:00Z", "2018-01-01T00:20:00Z")
 
+    @pytest.mark.parametrize("dt,message", [
+        (0.0, "dt must be finite and positive"),
+        (-0.5, "dt must be finite and positive"),
+        (float("nan"), "dt must be finite and positive"),
+        (float("inf"), "dt must be finite and positive"),
+        (1e-13, "dt must be a positive whole number of seconds"),  # rounds to a 0 s step
+    ])
+    def test_bad_dt_named(self, dt, message):
+        series = full_series_set()
+        with pytest.raises(DataError, match=message):
+            align(series, dt, "2018-01-01T00:00:00Z", "2018-01-02T00:00:00Z")
+        with pytest.raises(DataError, match=message):
+            make_grid("2018-01-01T00:00:00Z", 4, dt)
+
     def test_ramp_rate_is_horizon_minimum(self):
         series = full_series_set()
         ramps = np.full(48, 240.0)

@@ -1,6 +1,7 @@
 """Outer-objective evaluation and landscape slicing."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from plantfit import (
     FitContext,
     ObservedProduction,
     ParameterError,
+    PlantDynamics,
     PlantParameters,
     SearchBounds,
     SolverError,
@@ -31,7 +33,7 @@ from plantfit import (
     vector_to_params,
 )
 from plantfit.objective import CandidateEvaluator
-from conftest import EPSILON, flat_dynamics, toy_market
+from conftest import EPSILON, TRUE_PARAMS, flat_dynamics, toy_market
 
 
 def observed_of(values, dt=1.0):
@@ -240,17 +242,24 @@ class TestCandidateEvaluator:
                                         SolverOptions())
             assert score == record.sse
 
-    def test_split_across_workers_matches_serial(self):
+    def test_split_across_workers_matches_serial(self, monkeypatch):
         true, ctx = small_context(T=24)
         rng = np.random.default_rng(8)
         bounds = SearchBounds.for_plant(ctx.dynamics.capacity)
         vecs = list(bounds.lower + rng.random((7, 4)) * (bounds.upper - bounds.lower))
+        vecs.insert(3, params_to_vector(dataclasses.replace(true, eta=0.0)))  # fails alone
         with CandidateEvaluator(ctx, SolverOptions()) as ev:
             serial = ev.scores(vecs)
-        with CandidateEvaluator(ctx, SolverOptions(), jobs=3) as ev:
-            parallel = ev.scores(vecs)
-            assert ev.scores([]) == []
-        assert serial == parallel
+        assert serial[3] == math.inf and np.isfinite(np.delete(serial, 3)).all()
+        for jobs in (2, 3):
+            with CandidateEvaluator(ctx, SolverOptions(), jobs=jobs) as ev:
+                assert ev.scores(vecs) == serial
+                assert ev.scores([]) == []
+        # one candidate per DP block: scored block by block, serially and on workers
+        monkeypatch.setattr(plantfit.uc, "_BLOCK_BYTES", 1)
+        for jobs in (None, 2):
+            with CandidateEvaluator(ctx, SolverOptions(), jobs=jobs) as ev:
+                assert ev.scores(vecs) == serial
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_refused(self, jobs):
@@ -281,16 +290,48 @@ class TestCandidateEvaluator:
         assert len(calls) == 1 + 3 + 2
 
 
+def out_of_reach_context(market):
+    """Committed at 380 MW, 50 MW/h down: MEL 100 from period 3 is out of reach,
+    so no candidate has a feasible schedule."""
+    T = market.horizon
+    dynamics = PlantDynamics(mel=np.where(np.arange(T) < 3, 400.0, 100.0),
+                             sel=np.full(T, 50.0), ramp_up=50.0, ramp_dn=50.0)
+    return FitContext.from_observed(dynamics, market, observed_of(np.full(T, 380.0), market.dt),
+                                    epsilon=EPSILON)
+
+
+class TestWideBatchMemory:
+    @pytest.mark.parametrize("feasible", [True, False])
+    def test_wide_batch_peaks_within_one_block(self, recovery_context, feasible):
+        # the landscape's 25 x 25 grid at T=672: 625 candidates, many DP blocks
+        ctx = recovery_context if feasible else out_of_reach_context(recovery_context.market)
+        opts = SolverOptions()
+        vecs = [params_to_vector(dataclasses.replace(TRUE_PARAMS, eta=float(eta), sigma=float(sigma)))
+                for eta in np.linspace(0.3, 0.7, 25) for sigma in np.linspace(0.0, 6e4, 25)]
+        with CandidateEvaluator(ctx, opts) as ev:
+            ev.scores(vecs[:2])  # the graph and numpy's first-call state, outside the measure
+        with CandidateEvaluator(ctx, opts) as ev:
+            tracemalloc.start()
+            try:
+                scores = ev.scores(vecs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert np.isfinite(scores).all() if feasible else np.isinf(scores).all()
+        # one block of DP state, plus each candidate's vector, memo key and score
+        assert peak <= plantfit.uc._BLOCK_BYTES + len(vecs) * 2**10
+
+
 def _count_batches(monkeypatch) -> list:
-    """Count the evaluator's calls of ``solve_uc_batch``; returns their list."""
+    """Count the evaluator's calls of ``solve_uc_blocks``; returns their list."""
     calls = []
-    batch = plantfit.objective.solve_uc_batch
+    blocks = plantfit.objective.solve_uc_blocks
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return batch(*args, **kwargs)
+        return blocks(*args, **kwargs)
 
-    monkeypatch.setattr(plantfit.objective, "solve_uc_batch", counted)
+    monkeypatch.setattr(plantfit.objective, "solve_uc_blocks", counted)
     return calls
 
 
@@ -334,6 +375,40 @@ class TestProgrammingErrorsPropagate:
             fit(ctx, de_cfg=DeConfig(population=8, generations=20, seed=1),
                 compass_cfg=CompassConfig(max_iterations=2))
         assert len(calls) == 1  # not scored +inf batch after batch
+
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_wholly_infeasible_first_population_ends_the_fit(self, monkeypatch, jobs):
+        ctx = out_of_reach_context(toy_market(np.full(12, 60.0), dt=1.0))
+        calls = _count_batches(monkeypatch)
+        batches = []
+        real = CandidateEvaluator.scores
+
+        def counted(ev, vecs):
+            batches.append(len(vecs))
+            return real(ev, vecs)
+
+        monkeypatch.setattr(CandidateEvaluator, "scores", counted)
+        with pytest.raises(SolverError) as caught:
+            fit(ctx, de_cfg=DeConfig(population=8, generations=20, seed=1),
+                compass_cfg=CompassConfig(max_iterations=5), jobs=jobs)
+        assert type(caught.value) is SolverError
+        assert str(caught.value) == "no feasible schedule exists for this instance"
+        assert batches == [8]  # the initial population, not 26 batches of +inf
+        assert len(calls) == (1 if jobs is None else 0)  # a worker's calls stay in the worker
+
+    def test_first_population_with_one_feasible_member_runs_on(self, monkeypatch):
+        true, ctx = small_context(T=24)
+        real = CandidateEvaluator.scores
+
+        def one_feasible(ev, vecs):  # every member but the last scores +inf
+            scores = real(ev, vecs)
+            return [math.inf] * (len(scores) - 1) + scores[-1:]
+
+        monkeypatch.setattr(CandidateEvaluator, "scores", one_feasible)
+        result = fit(ctx, de_cfg=DeConfig(population=8, generations=2, seed=1),
+                     compass_cfg=CompassConfig(max_iterations=1))
+        assert [math.isfinite(score) for _, score in result.trace[:8]] == [False] * 7 + [True]
+        assert result.evaluations > 8 * 3  # both generations and the compass polls ran
 
     def test_infeasible_candidate_still_scores_inf(self):
         true, ctx = small_context(T=24)
