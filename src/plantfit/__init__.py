@@ -58,7 +58,6 @@ from .uc import (
     marginal_values,
     schedule_profit,
     solve_uc,
-    solve_uc_batch,
     solve_uc_blocks,
     validate_schedule,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "rms",
     "schedule_profit",
     "solve_uc",
-    "solve_uc_batch",
     "solve_uc_blocks",
     "sse",
     "synthesize",

@@ -95,6 +95,8 @@ def _load_plant(cfg: dict, base: Path) -> dict:
     plant = _load_config(str(plant_path))
     if "epsilon_tco2_per_mwh_fuel" not in plant:
         raise ConfigError(f"{plant_path}: missing epsilon_tco2_per_mwh_fuel")
+    plant["epsilon_tco2_per_mwh_fuel"] = _number(
+        f"{plant_path}: epsilon_tco2_per_mwh_fuel", plant["epsilon_tco2_per_mwh_fuel"], float)
     return plant
 
 
@@ -203,7 +205,7 @@ def _cli_params(args, plant: dict, capacity: float) -> PlantParameters:
 
     params = PlantParameters(eta=args.eta, sigma=cost(args.sigma, args.sigma_per_cap),
                              phi=cost(args.phi, args.phi_per_cap), nu=args.nu,
-                             epsilon=float(plant["epsilon_tco2_per_mwh_fuel"]))
+                             epsilon=plant["epsilon_tco2_per_mwh_fuel"])
     return validate_parameters(params)
 
 
@@ -246,7 +248,7 @@ def _prepare(args) -> Run:
         params = _cli_params(args, plant, dataset.dynamics.capacity)
     context = FitContext.from_observed(
         dataset.dynamics, dataset.market, dataset.observed,
-        epsilon=float(plant["epsilon_tco2_per_mwh_fuel"]),
+        epsilon=plant["epsilon_tco2_per_mwh_fuel"],
     )
     out = getattr(args, "out", None)  # validate writes nothing
     out_dir = Path(out if out is not None else cfg.get("out", "out"))

@@ -129,6 +129,9 @@ def load_series(path, schema: ColumnSpec) -> RawSeries:
                 raise DataError(f"{path}: missing column {col!r}")
         for row in reader:
             line = reader.line_num
+            for col in (schema.timestamp, schema.value):
+                if row[col] is None:  # a short row
+                    raise DataError(f"{path}:{line}: missing value in column {col!r}")
             try:
                 stamp = parse_timestamp(row[schema.timestamp])
             except DataError as exc:

@@ -182,16 +182,16 @@ def _score_block(vecs, context: FitContext,
     """Scores of parameter vectors (a batch, or one worker's part of it), and
     the first candidate error.
 
-    The DP solves the vectors in blocks of at most ``uc._BLOCK_BYTES`` of
-    state; each block's schedules become scores before the next block is
-    solved, so one block of schedules is alive at a time. A candidate that
-    fails alone (``CANDIDATE_ERRORS``) scores +inf, and the first such error
-    is returned with the scores.
+    The parameter sets are solved on the context's graph and market in DP
+    blocks of at most ``uc._BLOCK_BYTES`` of state; each block's schedules
+    become scores before the next block is solved, so one block of schedules
+    is alive at a time. A candidate that fails alone (``CANDIDATE_ERRORS``)
+    scores +inf, and the first such error is returned with the scores.
     """
-    instances = [context.instance(vector_to_params(v, context.epsilon)) for v in vecs]
+    params = [vector_to_params(v, context.epsilon) for v in vecs]
     scores = []
     error = None
-    for block in solve_uc_blocks(instances, opts, graph=context.graph(opts)):
+    for block in solve_uc_blocks(context.graph(opts), context.market, params):
         for result in block:
             if isinstance(result, CANDIDATE_ERRORS):
                 # infeasible corners score worst instead of aborting

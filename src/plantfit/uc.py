@@ -16,13 +16,14 @@ only be crossed monotonically: a start climbs from zero to the stable
 band without pausing or turning back, a stop descends from the stable
 band to zero. Dwelling strictly between zero and SEL is infeasible.
 
-A batch of parameter sets on the same problem is solved in blocks of at
-most ``_BLOCK_BYTES`` of DP state, one DP sweep per block: each period
-advances a (candidates, states) stack at once. ``solve_uc_blocks`` hands
-back each block's results as soon as its sweep ends, so a caller that
-consumes a block before asking for the next holds one block at a time, and
-``solve_uc`` is the batch of one. The state graph does not depend on the
-parameters.
+A problem is a state graph (``UcGraph``: dynamics, dt, grid options and the
+initial state, checked when it is built) and a market over the same horizon.
+``solve_uc_blocks(graph, market, params)`` solves a list of parameter sets on
+one problem in blocks of at most ``_BLOCK_BYTES`` of DP state, one DP sweep
+per block: each period advances a (candidates, states) stack at once. It
+hands back each block's results as soon as its sweep ends, so a caller that
+consumes a block before asking for the next holds one block at a time.
+``solve_uc`` solves one ``UcInstance`` as a batch of one.
 Periods with equal (levels, modes) share one state layout, and one arc
 matrix is stored per distinct pair of adjacent layouts; flat dynamics need
 a single matrix. The initial condition is a source layout before the first
@@ -85,22 +86,6 @@ class UcInstance:
     market: MarketSeries
     initial_committed: bool = False
     initial_power: float = 0.0  # MW immediately before the first period
-
-
-def _check_instance(instance: UcInstance) -> None:
-    """Checks on the problem an instance poses, whatever its parameters."""
-    T = instance.market.horizon
-    if T == 0:
-        raise SolverError("empty horizon")
-    if len(instance.dynamics.mel) != T:
-        raise SolverError("dynamics and market series length mismatch")
-    if instance.initial_committed:
-        if instance.initial_power < -_TOL:
-            raise SolverError("initial power must be non-negative")
-        if instance.initial_power > instance.dynamics.mel[0] + _TOL:
-            raise SolverError("initial power exceeds the first-period export limit")
-    elif instance.initial_power != 0.0:
-        raise SolverError("initial power must be zero while not committed")
 
 
 def marginal_values(params: PlantParameters, market: MarketSeries) -> np.ndarray:
@@ -188,10 +173,22 @@ class UcGraph:
     period's stable band, to the stable levels, so a path holding near it
     exists. ``_arc_of[t]`` indexes the arc matrix into period t, from the
     source when t = 0.
+
+    An empty horizon, or an initial power the plant cannot hold in its
+    initial state, raises ``SolverError`` here.
     """
 
     def __init__(self, dynamics: PlantDynamics, dt: float, opts: SolverOptions,
                  initial_committed: bool = False, initial_power: float = 0.0):
+        if len(dynamics.mel) == 0:
+            raise SolverError("empty horizon")
+        if initial_committed:
+            if initial_power < -_TOL:
+                raise SolverError("initial power must be non-negative")
+            if initial_power > dynamics.mel[0] + _TOL:
+                raise SolverError("initial power exceeds the first-period export limit")
+        elif initial_power != 0.0:
+            raise SolverError("initial power must be zero while not committed")
         self.dynamics = dynamics
         self.dt = dt
         self.opts = opts
@@ -268,77 +265,56 @@ def solve_uc(instance: UcInstance, opts: SolverOptions | None = None,
     Ties in profit prefer fewer committed periods, then lower total energy,
     so the result is deterministic. Pass a precompiled ``graph`` to reuse
     the state graph across many parameter sets on the same context. This is
-    the one-candidate call of :func:`solve_uc_batch`.
+    the one-candidate call of :func:`solve_uc_blocks`.
     """
-    (result,) = solve_uc_batch([instance], opts, graph)
+    opts = opts or SolverOptions()
+    initial = (instance.initial_committed, instance.initial_power)
+    if graph is None:
+        graph = UcGraph(instance.dynamics, instance.market.dt, opts, *initial)
+    elif (graph.dynamics is not instance.dynamics or graph.dt != instance.market.dt
+          or graph.opts != opts or (graph.initial_committed, graph.initial_power) != initial):
+        raise SolverError("the graph was built for other dynamics, dt, initial state or options")
+    ((result,),) = solve_uc_blocks(graph, instance.market, [instance.params])
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def solve_uc_batch(instances, opts: SolverOptions | None = None,
-                   graph: UcGraph | None = None) -> list:
-    """Optimal schedules for many parameter sets on one problem.
-
-    The list form of :func:`solve_uc_blocks`: returns, in order, each
-    instance's schedule, or the error from ``CANDIDATE_ERRORS`` that it
-    alone raised. An error of the shared problem raises. Every schedule of
-    the batch is held at once; a caller that needs only a summary of each
-    should consume the blocks instead.
-    """
-    return [result for block in solve_uc_blocks(instances, opts, graph) for result in block]
-
-
-def solve_uc_blocks(instances, opts: SolverOptions | None = None,
-                    graph: UcGraph | None = None):
+def solve_uc_blocks(graph: UcGraph, market: MarketSeries, params):
     """Optimal schedules for many parameter sets on one problem, block by block.
 
-    The instances must share dynamics, market and initial state; only their
-    parameters differ. The shared problem is checked at the call; it returns
-    an iterator over contiguous blocks of at most ``_BLOCK_BYTES`` of DP
-    state, each a list holding, in order, each instance's schedule or the
+    The problem is ``graph`` with ``market``, whose horizon and dt must be
+    the graph's; ``params`` is a sequence of ``PlantParameters``. Returns an
+    iterator over contiguous blocks of at most ``_BLOCK_BYTES`` of DP state,
+    each a list holding, in order, each parameter set's schedule or the
     error from ``CANDIDATE_ERRORS`` that it alone raised. A block is solved
     in one sweep when it is asked for, so dropping each block before asking
     for the next keeps one block alive. An error of the shared problem (say,
     no feasible first-period state) raises at the first block. Each schedule
-    is bit-identical to the one the instance gets when solved alone.
+    is bit-identical to the one the parameter set gets when solved alone.
     """
-    instances = list(instances)
-    if not instances:
-        return iter(())
-    opts = opts or SolverOptions()
-    first = instances[0]
-    _check_instance(first)
-    for inst in instances[1:]:
-        if (inst.dynamics is not first.dynamics or inst.market is not first.market
-                or inst.initial_committed != first.initial_committed
-                or inst.initial_power != first.initial_power):
-            raise SolverError("batched instances must share dynamics, market and initial state")
-    if graph is None:
-        graph = UcGraph(first.dynamics, first.market.dt, opts,
-                        first.initial_committed, first.initial_power)
-    elif (graph.dynamics is not first.dynamics or graph.dt != first.market.dt or graph.opts != opts
-          or (graph.initial_committed, graph.initial_power)
-          != (first.initial_committed, first.initial_power)):
-        raise SolverError("the graph was built for other dynamics, dt, initial state or options")
+    if market.horizon != len(graph.levels) or market.dt != graph.dt:
+        raise SolverError(f"market and graph mismatch: horizon {market.horizon} and dt "
+                          f"{market.dt:g} h against {len(graph.levels)} and {graph.dt:g} h")
+    params = list(params)
     n = graph.states
-    per_candidate = first.market.horizon * (n + 32) + (len(graph._pairs) + 3) * n * n * 8
+    per_candidate = market.horizon * (n + 32) + (len(graph._pairs) + 3) * n * n * 8
     block = max(1, _BLOCK_BYTES // per_candidate)
-    return (_sweep(graph, instances[lo:lo + block]) for lo in range(0, len(instances), block))
+    return (_sweep(graph, market, params[lo:lo + block]) for lo in range(0, len(params), block))
 
 
-def _sweep(graph: UcGraph, instances: list) -> list:
+def _sweep(graph: UcGraph, market: MarketSeries, params: list) -> list:
     """Solve a block of candidates at once: check each one's parameters, run
     the DP forward over the periods, then backtrack every path together.
 
     A candidate's error is kept without its traceback: the traceback holds
     this frame, whose ``out`` holds the error, and that cycle would keep the
     block's arrays alive until the garbage collector ran."""
-    out: list = [None] * len(instances)
+    out: list = [None] * len(params)
     live = []
-    for i, inst in enumerate(instances):
+    for i, p in enumerate(params):
         try:
-            validate_parameters(inst.params)
+            validate_parameters(p)
             live.append(i)
         except ParameterError as exc:
             out[i] = exc.with_traceback(None)
@@ -347,8 +323,8 @@ def _sweep(graph: UcGraph, instances: list) -> list:
     # after the parameters, so a lone solve reports a bad parameter first
     if not np.isfinite(graph._arc_base[graph._arc_of[0]]).any():
         raise SolverError("no feasible first-period state from the initial condition")
-    instances = [instances[i] for i in live]
-    parents, profit, count, energy = _forward(graph, instances)
+    params = [params[i] for i in live]
+    parents, profit, count, energy = _forward(graph, market, params)
 
     T, P, _ = parents.shape
     last = np.lexsort((energy, count, -profit))[:, 0]
@@ -363,15 +339,15 @@ def _sweep(graph: UcGraph, instances: list) -> list:
     power = graph._level[periods, path]
     committed = graph._on[periods, path].astype(np.int8)
     dp_profit = profit[picks, last]
-    for p, (i, inst) in enumerate(zip(live, instances)):
+    for p, (i, cand) in enumerate(zip(live, params)):
         try:
-            out[i] = _checked_schedule(inst, power[p], committed[p], dp_profit[p])
+            out[i] = _checked_schedule(graph, market, cand, power[p], committed[p], dp_profit[p])
         except CANDIDATE_ERRORS as exc:
             out[i] = exc.with_traceback(None)
     return out
 
 
-def _forward(graph: UcGraph, instances: list) -> tuple:
+def _forward(graph: UcGraph, market: MarketSeries, params: list) -> tuple:
     """The DP's forward pass for a block of valid candidates.
 
     Keeps per (candidate, state) the best profit and, for the tie-break, the
@@ -380,15 +356,14 @@ def _forward(graph: UcGraph, instances: list) -> tuple:
     and energy; the margins, arc stacks and rewards it builds are freed when
     it returns, before the backtrack.
     """
-    P = len(instances)
-    market = instances[0].market
+    P = len(params)
     T, dt, n = market.horizon, market.dt, graph.states
     mv_dt = np.empty((T, P))
-    for p, inst in enumerate(instances):
-        mv_dt[:, p] = marginal_values(inst.params, market)
+    for i, p in enumerate(params):
+        mv_dt[:, i] = marginal_values(p, market)
     mv_dt *= dt
-    sigma = np.array([inst.params.sigma for inst in instances])
-    phi_dt = np.array([[inst.params.phi * dt] for inst in instances])
+    sigma = np.array([p.sigma for p in params])
+    phi_dt = np.array([[p.phi * dt] for p in params])
     level, on = graph._level, graph._on
     level_dt = level * dt
     # each candidate's arcs: the start-up cost on every off -> committed arc,
@@ -427,14 +402,14 @@ def _forward(graph: UcGraph, instances: list) -> tuple:
     return parents, profit, count, energy
 
 
-def _checked_schedule(instance: UcInstance, power: np.ndarray, committed: np.ndarray,
-                      dp_profit: float) -> Schedule:
+def _checked_schedule(graph: UcGraph, market: MarketSeries, params: PlantParameters,
+                      power: np.ndarray, committed: np.ndarray, dp_profit: float) -> Schedule:
     """The schedule of one DP path, its profit re-derived from the raw series."""
     if not np.isfinite(dp_profit):
         raise SolverError("no feasible schedule exists for this instance")
-    prev = np.concatenate(([1 if instance.initial_committed else 0], committed[:-1]))
+    prev = np.concatenate(([1 if graph.initial_committed else 0], committed[:-1]))
     started = ((committed == 1) & (prev == 0)).astype(np.int8)
-    exact = _profit(power, committed, started, instance)
+    exact = _profit(power, committed, started, market, params)
     if abs(exact - dp_profit) > 1e-6 * (1.0 + abs(exact)):
         raise SolverError("internal profit accounting mismatch")
     return Schedule(power=power, committed=committed, started=started, profit=exact)
@@ -444,19 +419,17 @@ def schedule_profit(s: Schedule, instance: UcInstance) -> float:
     """Objective value of a schedule: margin minus fixed and start-up costs."""
     if s.horizon != instance.market.horizon:
         raise DataError("schedule and instance horizon mismatch")
-    return _profit(s.power, s.committed, s.started, instance)
+    return _profit(s.power, s.committed, s.started, instance.market, instance.params)
 
 
-def _profit(power, committed, started, instance: UcInstance) -> float:
+def _profit(power, committed, started, market: MarketSeries, params: PlantParameters) -> float:
     """Objective value of a schedule's arrays; a strided ``power`` would be
     summed in another order, and so differ in the last bits."""
-    p = instance.params
-    dt = instance.market.dt
-    mv = marginal_values(p, instance.market)
+    mv = marginal_values(params, market)
     return float(
-        np.dot(power, mv) * dt
-        - int(committed.sum()) * p.phi * dt
-        - int(started.sum()) * p.sigma
+        np.dot(power, mv) * market.dt
+        - int(committed.sum()) * params.phi * market.dt
+        - int(started.sum()) * params.sigma
     )
 
 

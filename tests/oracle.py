@@ -1,9 +1,10 @@
 """Exhaustive reference optimum of the unit-commitment problem, for tests.
 
 Of the solver it checks, the oracle takes only the level grid
-(``UcGraph.levels``) and the instance checks. Feasibility is decided by rules
-written against the raw series, not by the solver's transition tables, and
-each schedule is scored with ``schedule_profit``.
+(``UcGraph.levels``) and the checks that building a ``UcGraph`` makes.
+Feasibility is decided by rules written against the raw series, not by the
+solver's transition tables, and each schedule is scored with
+``schedule_profit``.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from plantfit import (
     schedule_profit,
     validate_schedule,
 )
-from plantfit.uc import _TOL, _check_instance
+from plantfit.uc import _TOL
 
 
 def _period_options(graph: UcGraph, t: int) -> list[tuple[float, int]]:
@@ -41,15 +42,16 @@ def enumerate_uc_oracle(instance: UcInstance, opts: SolverOptions | None = None)
     10 periods or more than 6 stable power levels.
     """
     opts = opts or SolverOptions()
-    _check_instance(instance)
+    dyn = instance.dynamics
+    dt = instance.market.dt
+    graph = UcGraph(dyn, dt, opts, instance.initial_committed, instance.initial_power)
     T = instance.market.horizon
+    if T != len(dyn.mel):
+        raise SolverError("dynamics and market series length mismatch")
     if T > 10 or opts.power_levels > 6:
         raise SolverError("instance too large to enumerate")
-    dyn = instance.dynamics
     p = instance.params
-    dt = instance.market.dt
     mv = marginal_values(p, instance.market)
-    graph = UcGraph(dyn, dt, opts, instance.initial_committed, instance.initial_power)
     options = [_period_options(graph, t) for t in range(T)]
     up_step = dyn.ramp_up * dt
     dn_step = dyn.ramp_dn * dt

@@ -305,6 +305,14 @@ class TestValidate:
         assert main(["validate", "--config", config]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("epsilon", ["abc", None])
+    def test_plant_epsilon_that_is_not_a_number_exits_1(self, fixture_dir, tmp_path, capsys,
+                                                        epsilon):
+        config = with_plant(fixture_dir, tmp_path, epsilon_tco2_per_mwh_fuel=epsilon)
+        assert main(["validate", "--config", config]) == 1
+        assert (f"epsilon_tco2_per_mwh_fuel must be a number, got {epsilon!r}"
+                in capsys.readouterr().err)
+
 
 class TestUsage:
     def test_missing_required_flag_exits_1(self, capsys):

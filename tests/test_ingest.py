@@ -86,6 +86,16 @@ class TestLoadSeries:
         with pytest.raises(DataError, match="missing column"):
             load_series(path, SPEC)
 
+    @pytest.mark.parametrize("header,row,column", [
+        ("value,timestamp_utc", "6", "timestamp_utc"),
+        ("timestamp_utc,value", "2018-01-01T00:30:00Z", "value"),
+    ])
+    def test_short_row_names_its_missing_column(self, tmp_path, header, row, column):
+        first = "1,2018-01-01T00:00:00Z" if header.startswith("value") else "2018-01-01T00:00:00Z,1"
+        path = write(tmp_path / "s.csv", [header, first, row])
+        with pytest.raises(DataError, match=rf"s\.csv:3: missing value in column '{column}'"):
+            load_series(path, SPEC)
+
     @pytest.mark.parametrize("hours, resolution", [
         ([0, 0.5, 1], "half-hourly"),
         ([0, 1, 2], "hourly"),

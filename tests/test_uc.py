@@ -20,7 +20,7 @@ from plantfit import (
     marginal_values,
     schedule_profit,
     solve_uc,
-    solve_uc_batch,
+    solve_uc_blocks,
     validate_schedule,
 )
 from conftest import (
@@ -469,16 +469,24 @@ class TestMonotonicityProperty:
             assert_profit_order(inst, dataclasses.replace(inst, market=richer), opts)
 
 
+def graph_of(inst: UcInstance, opts: SolverOptions) -> UcGraph:
+    return UcGraph(inst.dynamics, inst.market.dt, opts, inst.initial_committed, inst.initial_power)
+
+
+def solve_all(graph: UcGraph, market: MarketSeries, params: list) -> list:
+    """Every block's results of one batch, in order."""
+    return [result for block in solve_uc_blocks(graph, market, params) for result in block]
+
+
 class TestBatchedSweep:
     @settings(max_examples=200, deadline=None)
     @given(shared_problems())
     def test_batch_matches_single_solves_and_loop_reference(self, problem):
         instances, opts = problem
         first = instances[0]
-        graph = UcGraph(first.dynamics, first.market.dt, opts,
-                        first.initial_committed, first.initial_power)
         try:
-            batch = solve_uc_batch(instances, opts, graph=graph)
+            batch = solve_all(graph_of(first, opts), first.market,
+                              [inst.params for inst in instances])
         except SolverError:  # the shared problem has no feasible start
             for inst in instances:
                 with pytest.raises(SolverError):
@@ -503,19 +511,20 @@ class TestBatchedSweep:
 
         rng = np.random.default_rng(17)
         inst, opts = random_small_instance(rng)
-        instances = [dataclasses.replace(inst, params=dataclasses.replace(
-            inst.params, sigma=float(s), phi=float(s) / 50.0))
-            for s in rng.uniform(0.0, 4000.0, 9)]
-        whole = solve_uc_batch(instances, opts)
+        candidates = [dataclasses.replace(inst.params, sigma=float(s), phi=float(s) / 50.0)
+                      for s in rng.uniform(0.0, 4000.0, 9)]
+        graph = graph_of(inst, opts)
+        (whole,) = solve_uc_blocks(graph, inst.market, candidates)
         monkeypatch.setattr(uc, "_BLOCK_BYTES", 1)  # one candidate per block
-        for a, b in zip(whole, solve_uc_batch(instances, opts)):
+        blocks = list(solve_uc_blocks(graph, inst.market, candidates))
+        assert [len(block) for block in blocks] == [1] * 9
+        for a, (b,) in zip(whole, blocks):
             assert a.power.tobytes() == b.power.tobytes()
             assert a.profit == b.profit
 
     def test_bad_candidate_fails_alone(self):
         inst, opts = worked_example()
-        bad = dataclasses.replace(inst, params=params(eta=0.0))
-        good, failed = solve_uc_batch([inst, bad], opts)
+        good, failed = solve_all(graph_of(inst, opts), inst.market, [inst.params, params(eta=0.0)])
         assert good.profit == solve_uc(inst, opts).profit
         assert isinstance(failed, ParameterError)
 
@@ -527,7 +536,8 @@ class TestBatchedSweep:
         bad = dataclasses.replace(inst, params=dataclasses.replace(inst.params, **{field: value}))
         with pytest.raises(ParameterError, match=field):
             solve_uc(bad, opts)
-        good, failed, again = solve_uc_batch([inst, bad, inst], opts)
+        good, failed, again = solve_all(graph_of(inst, opts), inst.market,
+                                        [inst.params, bad.params, inst.params])
         assert isinstance(failed, ParameterError) and field in str(failed)
         assert good.profit == again.profit == solve_uc(inst, opts).profit
 
@@ -552,11 +562,28 @@ class TestBatchedSweep:
         own = solve_uc(inst, opts, graph=UcGraph(dynamics, 1.0, opts))
         assert own.profit == solve_uc(inst, opts).profit
 
-    def test_instances_must_share_the_problem(self):
+    @pytest.mark.parametrize("other", ["horizon", "dt"])
+    def test_market_of_another_problem_rejected(self, other):
         inst, opts = worked_example()
-        other = dataclasses.replace(inst, initial_committed=True, initial_power=100.0)
-        with pytest.raises(SolverError, match="share"):
-            solve_uc_batch([inst, other], opts)
+        market = {"horizon": toy_market([60.0, 80.0], dt=inst.market.dt, fuel=20.0),
+                  "dt": toy_market(inst.market.w, dt=inst.market.dt / 2, fuel=20.0)}[other]
+        with pytest.raises(SolverError, match="market and graph mismatch"):
+            solve_uc_blocks(graph_of(inst, opts), market, [inst.params])
+
+
+class TestGraphChecks:
+    """An empty horizon, or an initial power the plant cannot hold, is refused
+    when the graph is built."""
+
+    @pytest.mark.parametrize("T,committed,power,message", [
+        (0, False, 0.0, "empty horizon"),
+        (3, True, 450.0, "exceeds the first-period export limit"),
+        (3, True, -1.0, "must be non-negative"),
+        (3, False, 50.0, "must be zero while not committed"),
+    ])
+    def test_bad_problem_rejected_at_construction(self, T, committed, power, message):
+        with pytest.raises(SolverError, match=message):
+            UcGraph(flat_dynamics(T, mel=400.0), 1.0, SolverOptions(), committed, power)
 
 
 class TestStateBound:
@@ -599,32 +626,31 @@ def two_week_batch():
     market = recovery_market(672)
     dynamics = flat_dynamics(672)
     rng = np.random.default_rng(3)
-    instances = [UcInstance(params=dataclasses.replace(
-        TRUE_PARAMS, eta=float(eta), sigma=float(sigma), phi=float(phi), nu=float(nu)),
-        dynamics=dynamics, market=market)
+    candidates = [dataclasses.replace(
+        TRUE_PARAMS, eta=float(eta), sigma=float(sigma), phi=float(phi), nu=float(nu))
         for eta, sigma, phi, nu in zip(rng.uniform(0.3, 0.7, 32), rng.uniform(0.0, 6e4, 32),
                                        rng.uniform(0.0, 3e3, 32), rng.uniform(0.0, 5.0, 32))]
-    opts = SolverOptions()
-    return instances, opts, UcGraph(dynamics, market.dt, opts)
+    return UcGraph(dynamics, market.dt, SolverOptions()), market, candidates
 
 
 class TestTwoWeekBatch:
     def test_batch_peaks_within_the_block_budget(self, two_week_batch):
         import plantfit.uc as uc
 
-        instances, opts, graph = two_week_batch
-        solve_uc_batch(instances, opts, graph)
+        graph, market, candidates = two_week_batch
+        solve_all(graph, market, candidates)
         tracemalloc.start()
         try:
-            solve_uc_batch(instances, opts, graph)
+            solve_all(graph, market, candidates)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= uc._BLOCK_BYTES
 
     def test_profits_exactly_those_of_the_schedules(self, two_week_batch):
-        instances, opts, graph = two_week_batch
-        schedules = solve_uc_batch(instances, opts, graph)
+        graph, market, candidates = two_week_batch
+        schedules = solve_all(graph, market, candidates)
         assert sum(s.started.sum() > 0 for s in schedules) > 16
-        for schedule, inst in zip(schedules, instances):
+        for schedule, p in zip(schedules, candidates):
+            inst = UcInstance(params=p, dynamics=graph.dynamics, market=market)
             assert schedule.profit == schedule_profit(schedule, inst)
