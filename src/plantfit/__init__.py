@@ -5,6 +5,14 @@ discretized power grid; the outer problem minimizes the squared error
 between the optimal schedule and observed output by differential evolution
 followed by compass search.
 """
+import os
+import sys
+
+# One OpenBLAS thread: an idle extra one spins through set-up, and plantfit's
+# only BLAS calls are 1-D dots, whose sum above 10000 elements depends on the
+# thread count. A value set before start, or a numpy loaded first, wins.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .domain import (
     DataError,
@@ -26,8 +34,8 @@ from .domain import (
 )
 from .ingest import (
     AlignedDataset,
-    ColumnSpec,
     RawSeries,
+    SeriesTable,
     align,
     load_series,
     make_grid,
@@ -66,7 +74,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlignedDataset",
-    "ColumnSpec",
     "CompassConfig",
     "DataError",
     "DeConfig",
@@ -85,6 +92,7 @@ __all__ = [
     "Schedule",
     "SearchBounds",
     "SearchResult",
+    "SeriesTable",
     "SolverError",
     "SolverOptions",
     "UcGraph",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -30,7 +31,7 @@ from .domain import (
     normalize_costs,
     validate_parameters,
 )
-from .ingest import AlignedDataset, ColumnSpec, align, format_timestamp, load_series
+from .ingest import AlignedDataset, align, format_timestamp, load_series
 from .objective import FitContext, landscape_slice, sse as sse_of
 from .search import CompassConfig, DeConfig, fit
 from .uc import SolverOptions, solve_uc, validate_schedule
@@ -71,20 +72,27 @@ def _require(cfg: dict, key: str) -> object:
     return cfg[key]
 
 
-def _load_dataset(cfg: dict, dt: float, base: Path):
-    def read(key: str, kind: str, column: str):
-        path = base / str(_require(cfg, key))
-        if not path.exists():
-            raise DataError(f"{kind} file not found: {path}")
-        return load_series(path, ColumnSpec("timestamp_utc", column))
+def _load_dataset(cfg: dict, dt: float, base: Path) -> AlignedDataset:
+    # the columns each file gives, by role; a file is read once for all of them
+    files: dict[Path, tuple[str, dict[str, str]]] = {}
 
-    series = {}
+    def want(key: str, kind: str, role: str, column: str) -> None:
+        path = base / str(_require(cfg, key))
+        files.setdefault(path, (kind, {}))[1][role] = column
+
     for role, column in PRICE_COLUMNS.items():
         own = f"{role}_prices"
-        series[role] = read(own if cfg.get(own) else "prices", "price", column)
-    series["production"] = read("production", "production", "mw")
+        want(own if cfg.get(own) else "prices", "price", role, column)
+    want("production", "production", "production", "mw")
     for role, column in DYNAMICS_COLUMNS.items():
-        series[role] = read("dynamics", "dynamics", column)
+        want("dynamics", "dynamics", role, column)
+
+    series = {}
+    for path, (kind, columns) in files.items():
+        if not path.exists():
+            raise DataError(f"{kind} file not found: {path}")
+        table = load_series(path, columns.values())
+        series.update((role, table[column]) for role, column in columns.items())
     return align(series, dt, str(_require(cfg, "start")), str(_require(cfg, "end")))
 
 
@@ -163,6 +171,9 @@ def _write_atomic(out_dir: Path, name: str, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)  # the mode open() creates files with, not 0600
             handle.write(text)
         os.replace(tmp, out_dir / name)
     except BaseException:
@@ -324,9 +335,13 @@ def cmd_simulate(args) -> int:
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         lo, hi, n = spec.split(":")
-        return np.linspace(float(lo), float(hi), int(n))
+        lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
         raise ConfigError(f"grid must look like lo:hi:count, got {spec!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and n >= 0):
+        raise ConfigError(f"grid bounds must be finite and its count non-negative, "
+                          f"got {spec!r}")
+    return np.linspace(lo, hi, n)
 
 
 def cmd_landscape(args) -> int:
@@ -336,9 +351,9 @@ def cmd_landscape(args) -> int:
     if names[0] == names[1]:
         raise ConfigError("axes must differ")
 
-    run = _prepare(args)
     grid1 = _parse_grid(args.grid1)
     grid2 = _parse_grid(args.grid2)
+    run = _prepare(args)
     slc = landscape_slice(
         (names[0], grid1), (names[1], grid2), run.params, run.context,
         opts=run.opts, jobs=args.jobs,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -40,16 +40,25 @@ RESOLUTION_HOURS = {"half-hourly": 0.5, "hourly": 1.0, "daily": 24.0}
 MAX_PRICE_GAP_HOURS = 24.0
 
 
-def parse_timestamp(text: str) -> np.datetime64:
-    """ISO-8601 to UTC datetime64[s]; naive values are taken as UTC."""
+_EPOCH = datetime(1970, 1, 1)
+_EPOCH_UTC = _EPOCH.replace(tzinfo=timezone.utc)
+_SECOND = timedelta(seconds=1)
+
+
+def _epoch_seconds(text: str) -> int:
+    """ISO-8601 to whole UTC seconds since 1970, sub-seconds dropped;
+    naive values are taken as UTC."""
     raw = text.strip()
     try:
         stamp = datetime.fromisoformat(raw.replace("Z", "+00:00"))
     except ValueError as exc:
         raise DataError(f"unparseable timestamp: {raw!r}") from exc
-    if stamp.tzinfo is not None:
-        stamp = stamp.astimezone(timezone.utc).replace(tzinfo=None)
-    return np.datetime64(stamp.isoformat(), "s")
+    return (stamp - (_EPOCH if stamp.tzinfo is None else _EPOCH_UTC)) // _SECOND
+
+
+def parse_timestamp(text: str) -> np.datetime64:
+    """ISO-8601 to UTC datetime64[s]; naive values are taken as UTC."""
+    return np.datetime64(_epoch_seconds(text), "s")
 
 
 def format_timestamp(stamp: np.datetime64) -> str:
@@ -71,14 +80,6 @@ def make_grid(start, periods: int, dt: float) -> np.ndarray:
         raise DataError("dt must be a positive whole number of seconds")
     t0 = parse_timestamp(start) if isinstance(start, str) else np.datetime64(start, "s")
     return t0 + np.arange(periods) * np.timedelta64(int(round(step_s)), "s")
-
-
-@dataclass(frozen=True)
-class ColumnSpec:
-    """Names of the timestamp and value columns to read from a CSV file."""
-
-    timestamp: str = "timestamp_utc"
-    value: str = "value"
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,52 +112,81 @@ class RawSeries:
         return len(self.timestamps)
 
 
-def load_series(path, schema: ColumnSpec) -> RawSeries:
-    """Read one series from a CSV file, rejecting malformed rows by line.
+@dataclass(frozen=True, eq=False)
+class SeriesTable:
+    """The value columns read from one CSV file, on its one timestamp column."""
 
-    The native resolution is the finest one that the smallest spacing
-    between rows fits; a single row reads as daily.
+    timestamps: np.ndarray  # datetime64[s], strictly increasing
+    values: dict[str, np.ndarray]
+    resolution: str
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def __getitem__(self, column: str) -> RawSeries:
+        return RawSeries(self.timestamps, self.values[column], self.resolution)
+
+
+def load_series(path, columns, timestamp: str = "timestamp_utc") -> SeriesTable:
+    """Read the named value columns of a CSV file in one pass.
+
+    A malformed row is rejected with its line: a missing, extra or
+    unparseable field, a non-finite value, or a timestamp that does not
+    increase. Blank lines are skipped and a UTF-8 byte-order mark is
+    ignored. The native resolution is the finest one that the smallest
+    spacing between rows fits; a single row reads as daily.
     """
     path = Path(path)
-    timestamps: list[np.datetime64] = []
-    values: list[float] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+    columns = tuple(columns)
+    seconds: list[int] = []
+    values: list[list[float]] = [[] for _ in columns]
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             raise DataError(f"{path}: missing header row")
-        for col in (schema.timestamp, schema.value):
-            if col not in reader.fieldnames:
+        position = {name: i for i, name in enumerate(header)}
+        for col in (timestamp, *columns):
+            if col not in position:
                 raise DataError(f"{path}: missing column {col!r}")
+        stamp_at = position[timestamp]
+        value_at = [(col, position[col]) for col in columns]
+        shortest = max(position[col] for col in (timestamp, *columns)) + 1
         for row in reader:
+            if not row:
+                continue
             line = reader.line_num
-            for col in (schema.timestamp, schema.value):
-                if row[col] is None:  # a short row
-                    raise DataError(f"{path}:{line}: missing value in column {col!r}")
+            if len(row) > len(header):
+                raise DataError(f"{path}:{line}: {len(row)} fields but the header "
+                                f"has {len(header)}")
+            if len(row) < shortest:
+                col = next(c for c in (timestamp, *columns) if position[c] >= len(row))
+                raise DataError(f"{path}:{line}: missing value in column {col!r}")
             try:
-                stamp = parse_timestamp(row[schema.timestamp])
+                second = _epoch_seconds(row[stamp_at])
             except DataError as exc:
                 raise DataError(f"{path}:{line}: {exc}") from None
-            try:
-                value = float(row[schema.value])
-            except (TypeError, ValueError):
-                raise DataError(f"{path}:{line}: unparseable value {row[schema.value]!r}") from None
-            if not math.isfinite(value):
-                raise DataError(f"{path}:{line}: non-finite value in column {schema.value!r}")
-            if timestamps:
-                if stamp == timestamps[-1]:
-                    raise DataError(f"{path}:{line}: duplicate timestamp {format_timestamp(stamp)}")
-                if stamp < timestamps[-1]:
-                    raise DataError(f"{path}:{line}: decreasing timestamp {format_timestamp(stamp)}")
-            timestamps.append(stamp)
-            values.append(value)
-    if not timestamps:
+            for out, (col, i) in zip(values, value_at):
+                try:
+                    value = float(row[i])
+                except ValueError:
+                    raise DataError(f"{path}:{line}: unparseable value {row[i]!r}") from None
+                if not math.isfinite(value):
+                    raise DataError(f"{path}:{line}: non-finite value in column {col!r}")
+                out.append(value)
+            if seconds and second <= seconds[-1]:
+                kind = "duplicate" if second == seconds[-1] else "decreasing"
+                raise DataError(f"{path}:{line}: {kind} timestamp "
+                                f"{format_timestamp(np.datetime64(second, 's'))}")
+            seconds.append(second)
+    if not seconds:
         raise DataError(f"{path}: no data rows")
-    stamps = np.array(timestamps)
-    gaps_s = np.diff(stamps).astype("timedelta64[s]").astype(float)
-    gap_h = gaps_s.min() / 3600.0 if len(gaps_s) else math.inf
+    stamps = np.array(seconds, dtype=np.int64)
+    gap_h = np.diff(stamps).min() / 3600.0 if len(stamps) > 1 else math.inf
     resolution = next((name for name, hours in RESOLUTION_HOURS.items()
                        if gap_h <= hours + 1e-9), "daily")
-    return RawSeries(stamps, np.array(values), resolution)
+    return SeriesTable(stamps.astype("datetime64[s]"),
+                       dict(zip(columns, (np.array(v) for v in values))), resolution)
 
 
 @dataclass(frozen=True, eq=False)

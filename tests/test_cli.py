@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from plantfit import (
-    ColumnSpec,
     PlantParameters,
     SolverOptions,
     load_series,
@@ -113,10 +112,8 @@ class TestFit:
         assert header == "evaluation,eta,sigma,phi,nu,sse"
         assert len(rows) == result["evaluations"]
 
-        schedule = load_series(out / "schedule.csv",
-                               ColumnSpec("timestamp_utc", "fitted_mw"))
-        observed = load_series(out / "schedule.csv",
-                               ColumnSpec("timestamp_utc", "observed_mw"))
+        table = load_series(out / "schedule.csv", ["fitted_mw", "observed_mw"])
+        schedule, observed = table["fitted_mw"], table["observed_mw"]
         assert len(schedule) == T
         assert np.allclose(schedule.values, observed.values, atol=1e-9)
 
@@ -209,8 +206,7 @@ class TestSimulate:
         result = json.loads((out / "simulate_result.json").read_text())
         assert result["parameters"]["eta"] == 0.58
         assert result["parameters"]["sigma_gbp"] == pytest.approx(62.0 * 100.0)
-        series = load_series(out / "schedule.csv",
-                             ColumnSpec("timestamp_utc", "mw"))
+        series = load_series(out / "schedule.csv", ["mw"])["mw"]
         assert len(series) == T
 
     def test_unprofitable_prices_stay_off(self, fixture_dir, tmp_path):
@@ -221,8 +217,7 @@ class TestSimulate:
         assert code == 0
         result = json.loads((out / "simulate_result.json").read_text())
         assert result["profit_gbp"] == 0.0
-        series = load_series(out / "schedule.csv",
-                             ColumnSpec("timestamp_utc", "mw"))
+        series = load_series(out / "schedule.csv", ["mw"])["mw"]
         assert np.all(series.values == 0.0)
 
 
@@ -238,6 +233,17 @@ class TestLandscape:
         header, *rows = (out / "landscape.csv").read_text().strip().splitlines()
         assert header == "eta,sigma,rms_mw"
         assert len(rows) == 20
+
+    @pytest.mark.parametrize("bound", ["nan", "inf", "-inf"])
+    def test_non_finite_grid_bound_exits_1(self, fixture_dir, tmp_path, capsys, bound):
+        code = main(["landscape", "--config", str(fixture_dir / "config.json"),
+                     "--out", str(tmp_path / "out"), "--eta", "0.45",
+                     "--axes", "eta,sigma", "--grid1", f"0.4:{bound}:3",
+                     "--grid2", "0:1000:3"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "grid bounds must be finite" in err and f"got '0.4:{bound}:3'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_identical_axes_rejected(self, fixture_dir, tmp_path, capsys):
         code = main(["landscape", "--config", str(fixture_dir / "config.json"),
@@ -275,6 +281,18 @@ class TestValidate:
         assert main(["validate", "--config", config]) == 2
         assert "gap in observed production at 2018-01-01T00:30:00Z" in capsys.readouterr().err
 
+    def test_byte_order_mark_accepted(self, fixture_dir, tmp_path, capsys):
+        prices = tmp_path / "prices.csv"
+        prices.write_bytes(b"\xef\xbb\xbf" + (fixture_dir / "prices.csv").read_bytes())
+        config = with_config(fixture_dir, tmp_path, prices=str(prices))
+        assert main(["validate", "--config", config]) == 0
+        assert capsys.readouterr().out.endswith("ok\n")
+
+    def test_row_with_an_extra_field_exits_2(self, fixture_dir, tmp_path, capsys):
+        config = with_production(fixture_dir, tmp_path,
+                                 lambda rows: rows[:3] + [rows[3] + ",5"] + rows[4:])
+        assert main(["validate", "--config", config]) == 2
+        assert "production.csv:4: 3 fields but the header has 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("dt", ["0", "-0.5", "nan", "inf"])
     def test_bad_dt_exits_2(self, fixture_dir, capsys, dt):
@@ -423,3 +441,94 @@ class TestPoolLoading:
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == str(loaded)
+
+
+class TestLoadDataset:
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """The path of every reader call ``_load_dataset`` makes."""
+        paths = []
+        reader = plantfit.cli.load_series
+
+        def counted(path, columns):
+            paths.append(Path(path).name)
+            return reader(path, columns)
+
+        monkeypatch.setattr(plantfit.cli, "load_series", counted)
+        return paths
+
+    def load(self, config_path):
+        cfg = json.loads(Path(config_path).read_text())
+        return plantfit.cli._load_dataset(cfg, 0.5, Path(config_path).parent)
+
+    def test_each_file_read_once(self, fixture_dir, reads):
+        self.load(fixture_dir / "config.json")
+        assert sorted(reads) == ["dynamics.csv", "prices.csv", "production.csv"]
+
+    def test_each_price_in_its_own_file(self, fixture_dir, tmp_path, reads):
+        header, *rows = (fixture_dir / "prices.csv").read_text().splitlines()
+        files = {}
+        for i, role in enumerate(("electricity", "fuel", "carbon"), start=1):
+            lines = [f"timestamp_utc,{header.split(',')[i]}"]
+            lines += [f"{row.split(',')[0]},{row.split(',')[i]}" for row in rows]
+            (tmp_path / f"{role}.csv").write_text("\n".join(lines) + "\n")
+            files[f"{role}_prices"] = str(tmp_path / f"{role}.csv")
+        config = with_config(fixture_dir, tmp_path, prices="absent.csv", **files)
+        split = self.load(config)
+        assert sorted(reads) == ["carbon.csv", "dynamics.csv", "electricity.csv",
+                                 "fuel.csv", "production.csv"]
+        whole = self.load(fixture_dir / "config.json")
+        for name in ("w", "f", "e"):
+            assert np.array_equal(getattr(split.market, name), getattr(whole.market, name))
+
+    def test_a_file_named_twice_is_read_once(self, fixture_dir, tmp_path, reads):
+        config = with_config(fixture_dir, tmp_path,
+                             fuel_prices=str(fixture_dir / "prices.csv"))
+        self.load(config)
+        assert sorted(reads) == ["dynamics.csv", "prices.csv", "production.csv"]
+
+
+class TestOutputFiles:
+    def test_created_as_open_would_under_the_umask(self, fixture_dir, tmp_path):
+        config = with_config(fixture_dir, tmp_path, de={"population": 8, "generations": 2},
+                             compass={"max_iterations": 1})
+        params = ["--eta", "0.45", "--sigma", "500", "--phi", "50"]
+        previous = os.umask(0o022)
+        try:
+            assert main(["fit", "--config", config, "--out", str(tmp_path / "fit")]) == 0
+            assert main(["simulate", "--config", config, "--out", str(tmp_path / "sim"),
+                         *params]) == 0
+            assert main(["landscape", "--config", config, "--out", str(tmp_path / "land"),
+                         *params, "--axes", "eta,sigma", "--grid1", "0.3:0.6:2",
+                         "--grid2", "0:1000:2"]) == 0
+        finally:
+            os.umask(previous)
+        written = sorted(tmp_path.glob("*/*"))
+        assert [p.name for p in written] == ["fit_result.json", "schedule.csv", "trace.csv",
+                                             "landscape.csv", "schedule.csv",
+                                             "simulate_result.json"]
+        assert {oct(p.stat().st_mode & 0o777) for p in written} == {oct(0o644)}
+
+
+class TestBlasThreads:
+    SCRIPT = ("import os, plantfit; print(os.environ.get('OPENBLAS_NUM_THREADS')); "
+              "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') "
+              "else '')")
+
+    def run(self, **preset):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env.update(preset, PYTHONPATH=str(Path(plantfit.cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split("\n")[:2]
+
+    def test_import_pins_one_thread(self):
+        setting, tasks = self.run()
+        assert setting == "1"
+        if not tasks:
+            pytest.skip("no /proc/self/task to count threads in")
+        assert tasks == "1"
+
+    def test_a_preset_value_wins(self):
+        assert self.run(OPENBLAS_NUM_THREADS="2")[0] == "2"

@@ -1,9 +1,12 @@
 """CSV loading, grid alignment, and synthetic data generation."""
+import calendar
+from datetime import datetime, timedelta, timezone
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plantfit import (
-    ColumnSpec,
     DataError,
     PlantParameters,
     RawSeries,
@@ -14,11 +17,14 @@ from plantfit import (
     solve_uc,
     synthesize,
 )
-from plantfit.ingest import format_timestamp, parse_timestamp
+from plantfit.ingest import _epoch_seconds, format_timestamp, parse_timestamp
 from plantfit.uc import UcInstance
 from conftest import EPSILON, flat_dynamics, toy_market
 
-SPEC = ColumnSpec("timestamp_utc", "value")
+
+
+def read_value(path):
+    return load_series(path, ["value"])["value"]
 
 
 def write(path, lines):
@@ -41,6 +47,23 @@ class TestParseTimestamp:
         stamp = parse_timestamp("2018-06-01T00:30:00Z")
         assert format_timestamp(stamp) == "2018-06-01T00:30:00Z"
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.datetimes(min_value=datetime(1900, 1, 1), max_value=datetime(2200, 1, 1)),
+           st.one_of(st.none(), st.just("Z"), st.integers(-23 * 60 - 59, 23 * 60 + 59)))
+    def test_whole_seconds_match_the_utc_instant(self, local, zone):
+        """Z, +-hh:mm offsets and naive stamps, with microseconds dropped."""
+        if zone is None:
+            text, utc = local.isoformat(), local
+        elif zone == "Z":
+            text, utc = local.isoformat() + "Z", local
+        else:
+            offset = timezone(timedelta(minutes=zone))
+            text = local.replace(tzinfo=offset).isoformat()
+            utc = local - timedelta(minutes=zone)
+        expected = calendar.timegm(utc.timetuple())  # whole seconds, earlier in time
+        assert _epoch_seconds(text) == expected
+        assert parse_timestamp(text) == np.datetime64(expected, "s")
+
 
 class TestLoadSeries:
     def test_well_formed(self, tmp_path):
@@ -50,7 +73,7 @@ class TestLoadSeries:
             "2018-01-01T00:30:00Z,11.0",
             "2018-01-01T01:00:00Z,9.25",
         ])
-        series = load_series(path, SPEC)
+        series = read_value(path)
         assert len(series) == 3
         assert series.values.tolist() == [10.5, 11.0, 9.25]
 
@@ -61,7 +84,7 @@ class TestLoadSeries:
             "2018-01-01T00:00:00Z,2",
         ])
         with pytest.raises(DataError, match="duplicate timestamp 2018-01-01T00:00:00Z"):
-            load_series(path, SPEC)
+            read_value(path)
 
     def test_decreasing_timestamp_rejected(self, tmp_path):
         path = write(tmp_path / "s.csv", [
@@ -70,7 +93,7 @@ class TestLoadSeries:
             "2018-01-01T00:00:00Z,2",
         ])
         with pytest.raises(DataError, match="decreasing"):
-            load_series(path, SPEC)
+            read_value(path)
 
     def test_nan_value_names_line(self, tmp_path):
         path = write(tmp_path / "s.csv", [
@@ -79,12 +102,53 @@ class TestLoadSeries:
             "2018-01-01T00:30:00Z,NaN",
         ])
         with pytest.raises(DataError, match=r"s\.csv:3"):
-            load_series(path, SPEC)
+            read_value(path)
+
+    def test_columns_of_one_file(self, tmp_path):
+        stamps = ["2018-01-01T00:00:00Z", "2018-01-01T01:30:00+01:00",
+                  "2018-01-01T01:00:00", "2018-01-01T01:30:00.999999Z"]
+        path = write(tmp_path / "s.csv", ["a,timestamp_utc,b,c"] + [
+            f"{i},{t},{10 * i},x" for i, t in enumerate(stamps)])
+        table = load_series(path, ["b", "a"])
+        assert len(table) == 4
+        assert table.resolution == "half-hourly"
+        assert table.timestamps.tolist() == [parse_timestamp(t).tolist() for t in stamps]
+        assert table["a"].values.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert table["b"].values.tolist() == [0.0, 10.0, 20.0, 30.0]
+        assert np.array_equal(table["b"].timestamps, table.timestamps)
+
+    def test_row_with_an_extra_field_rejected(self, tmp_path):
+        path = write(tmp_path / "s.csv", [
+            "timestamp_utc,value",
+            "2018-01-01T00:00:00Z,1",
+            "2018-01-01T00:30:00Z,1,5",  # a decimal comma
+        ])
+        with pytest.raises(DataError, match=r"s\.csv:3: 3 fields but the header has 2"):
+            read_value(path)
+
+    def test_blank_lines_skipped_and_counted(self, tmp_path):
+        path = write(tmp_path / "s.csv", [
+            "timestamp_utc,value",
+            "2018-01-01T00:00:00Z,1",
+            "",
+            "2018-01-01T00:30:00Z,2",
+            "",
+            "2018-01-01T01:00:00Z,inf",
+        ])
+        with pytest.raises(DataError, match=r"s\.csv:6: non-finite value in column 'value'"):
+            read_value(path)
+        path.write_text(path.read_text().replace("inf", "3"))
+        assert read_value(path).values.tolist() == [1.0, 2.0, 3.0]
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"\xef\xbb\xbftimestamp_utc,value\n2018-01-01T00:00:00Z,4.5\n")
+        assert read_value(path).values.tolist() == [4.5]
 
     def test_missing_column(self, tmp_path):
         path = write(tmp_path / "s.csv", ["timestamp_utc,mw", "2018-01-01T00:00:00Z,1"])
         with pytest.raises(DataError, match="missing column"):
-            load_series(path, SPEC)
+            read_value(path)
 
     @pytest.mark.parametrize("header,row,column", [
         ("value,timestamp_utc", "6", "timestamp_utc"),
@@ -94,7 +158,7 @@ class TestLoadSeries:
         first = "1,2018-01-01T00:00:00Z" if header.startswith("value") else "2018-01-01T00:00:00Z,1"
         path = write(tmp_path / "s.csv", [header, first, row])
         with pytest.raises(DataError, match=rf"s\.csv:3: missing value in column '{column}'"):
-            load_series(path, SPEC)
+            read_value(path)
 
     @pytest.mark.parametrize("hours, resolution", [
         ([0, 0.5, 1], "half-hourly"),
@@ -107,7 +171,7 @@ class TestLoadSeries:
         t0 = parse_timestamp("2018-01-01T00:00:00Z")
         path = write(tmp_path / "s.csv", ["timestamp_utc,value"] + [
             f"{format_timestamp(t0 + np.timedelta64(int(h * 3600), 's'))},1" for h in hours])
-        assert load_series(path, SPEC).resolution == resolution
+        assert read_value(path).resolution == resolution
 
     def test_round_trip(self, tmp_path):
         rows = [
@@ -117,12 +181,12 @@ class TestLoadSeries:
         ]
         path = write(tmp_path / "s.csv", ["timestamp_utc,value"]
                      + [f"{t},{v}" for t, v in rows])
-        series = load_series(path, SPEC)
+        series = read_value(path)
         path2 = write(tmp_path / "s2.csv", ["timestamp_utc,value"] + [
             f"{format_timestamp(t)},{v}"
             for t, v in zip(series.timestamps, series.values)
         ])
-        series2 = load_series(path2, SPEC)
+        series2 = read_value(path2)
         assert np.array_equal(series.timestamps, series2.timestamps)
         assert np.array_equal(series.values, series2.values)
 
