@@ -130,11 +130,12 @@ class SeriesTable:
 def load_series(path, columns, timestamp: str = "timestamp_utc") -> SeriesTable:
     """Read the named value columns of a CSV file in one pass.
 
-    A malformed row is rejected with its line: a missing, extra or
-    unparseable field, a non-finite value, or a timestamp that does not
-    increase. Blank lines are skipped and a UTF-8 byte-order mark is
-    ignored. The native resolution is the finest one that the smallest
-    spacing between rows fits; a single row reads as daily.
+    A column that is read must appear once in the header. A malformed row is
+    rejected with its line: a missing, extra or unparseable field, a
+    non-finite value, or a timestamp that does not increase. Blank lines are
+    skipped and a UTF-8 byte-order mark is ignored. The native resolution is
+    the finest one that the smallest spacing between rows fits; a single row
+    reads as daily.
     """
     path = Path(path)
     columns = tuple(columns)
@@ -149,9 +150,10 @@ def load_series(path, columns, timestamp: str = "timestamp_utc") -> SeriesTable:
         for col in (timestamp, *columns):
             if col not in position:
                 raise DataError(f"{path}: missing column {col!r}")
+            if header.count(col) > 1:
+                raise DataError(f"{path}: column {col!r} appears twice in the header")
         stamp_at = position[timestamp]
         value_at = [(col, position[col]) for col in columns]
-        shortest = max(position[col] for col in (timestamp, *columns)) + 1
         for row in reader:
             if not row:
                 continue
@@ -159,9 +161,8 @@ def load_series(path, columns, timestamp: str = "timestamp_utc") -> SeriesTable:
             if len(row) > len(header):
                 raise DataError(f"{path}:{line}: {len(row)} fields but the header "
                                 f"has {len(header)}")
-            if len(row) < shortest:
-                col = next(c for c in (timestamp, *columns) if position[c] >= len(row))
-                raise DataError(f"{path}:{line}: missing value in column {col!r}")
+            if len(row) < len(header):
+                raise DataError(f"{path}:{line}: missing value in column {header[len(row)]!r}")
             try:
                 second = _epoch_seconds(row[stamp_at])
             except DataError as exc:

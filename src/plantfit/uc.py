@@ -24,19 +24,21 @@ per block: each period advances a (candidates, states) stack at once. It
 hands back each block's results as soon as its sweep ends, so a caller that
 consumes a block before asking for the next holds one block at a time.
 ``solve_uc`` solves one ``UcInstance`` as a batch of one.
-Periods with equal (levels, modes) share one state layout, and one arc
-matrix is stored per distinct pair of adjacent layouts; flat dynamics need
-a single matrix. The initial condition is a source layout before the first
-period, so every period, the first included, takes the same step. Each
-candidate's start-up cost is subtracted once per batch, as sigma times the
-outer product of the from-layout's off state and the to-layout's committed
-states.
+Periods with equal (levels, modes) share one state layout, and one table of
+feasible arcs is stored per distinct pair of adjacent layouts; flat dynamics
+need a single table. The initial condition is a source layout before the
+first period, so every period, the first included, takes the same step.
+Start-up cost needs no arc of its own: state 0, the off state, has a second
+row that carries its profit less each candidate's sigma, and the arcs from
+off into committed states leave from that row.
 
 Ties in profit go to the path with fewer committed periods, then less
 energy, then the lowest state index, at every step and at the end. Each
-period the from-states are put in that order once, by (committed count,
-energy, index) ascending, so a single argmax over the profits returns the
-tie-break winner as its first maximum.
+period every candidate's rows are sorted once by (profit descending,
+committed count, energy, index), and each state's parent is the first row in
+that order with a feasible arc into it. A feasible arc adds nothing but the
+start-up cost that the second row already holds, so the parent's profit is
+the state's best, and the order breaks its ties.
 """
 from __future__ import annotations
 
@@ -171,8 +173,13 @@ class UcGraph:
     ``p``. Leaving it follows the transition and start-cost rules of every
     other period. A committed start also adds ``p``, clamped into each
     period's stable band, to the stable levels, so a path holding near it
-    exists. ``_arc_of[t]`` indexes the arc matrix into period t, from the
-    source when t = 0.
+    exists.
+
+    The sweep works on ``states + 2`` rows: state 0, state 0 again for the
+    arcs that pay the start-up cost, states 1 onwards, and a sentinel that is
+    never reached and feeds every row, so a state with no feasible parent
+    stays unreachable. ``_feeds[_arc_of[t]]`` is the (from, to) table of the
+    rows feeding each row of period t, from the source when t = 0.
 
     An empty horizon, or an initial power the plant cannot hold in its
     initial state, raises ``SolverError`` here.
@@ -212,36 +219,46 @@ class UcGraph:
                         np.array(source_modes, dtype=np.int8)))
 
         n = max(len(levels) for levels, _ in layouts)
-        level = np.zeros((len(layouts), n))
-        self._layout_on = np.zeros((len(layouts), n), dtype=bool)
-        self._layout_off = np.zeros((len(layouts), n), dtype=bool)
+        # state 0 is a period's one off state, and the source's when it has one
+        assert all(modes[0] == _OFF for _, modes in layouts[:source])
+        assert not any((modes[1:] == _OFF).any() for _, modes in layouts)
+        m = n + 2  # rows 1 and m-1 are off at level 0
+        self._column = np.concatenate(([0], np.arange(2, n + 1)))  # of each state
+        self._state = np.zeros(m, dtype=np.uint8)                   # of each row
+        self._state[self._column] = np.arange(n)
+        level = np.zeros((len(layouts), m))
+        on = np.zeros((len(layouts), m), dtype=bool)
         committed = []
         for k, (levels, modes) in enumerate(layouts):
-            level[k, :len(levels)] = levels
-            self._layout_on[k, :len(levels)] = modes != _OFF
-            self._layout_off[k, :len(levels)] = modes == _OFF
+            level[k, self._column[:len(levels)]] = levels
+            on[k, self._column[:len(levels)]] = modes != _OFF
             committed.append(modes != _OFF)
         self.levels = [layouts[k][0] for k in layout_at]
         self.modes = [layouts[k][1] for k in layout_at]
         self.committed = [committed[k] for k in layout_at]
         self.states = n
-        self._level = level[layout_at]            # (T, states), zero on padding
-        self._on = self._layout_on[layout_at]     # (T, states)
+        self._level = level[layout_at]  # (T, m), zero on padding
+        self._on = on[layout_at]        # (T, m)
 
-        # one matrix per distinct (from, to) layout pair: 0 on feasible arcs, else -inf
-        self._pairs: list[tuple[int, int]] = []
+        # per distinct pair of adjacent layouts, which rows feed which columns
+        pairs: list[tuple[int, int]] = []
         pair_of: dict = {}
         self._arc_of = []
         for pair in zip([source] + layout_at, layout_at):
             if pair not in pair_of:
-                pair_of[pair] = len(self._pairs)
-                self._pairs.append(pair)
+                pair_of[pair] = len(pairs)
+                pairs.append(pair)
             self._arc_of.append(pair_of[pair])
-        self._arc_base = np.full((len(self._pairs), n, n), -np.inf)
-        for u, (a, b) in enumerate(self._pairs):
+        self._feeds = np.zeros((len(pairs), m, m), dtype=bool)  # [pair, from, to]
+        for feeds, (a, b) in zip(self._feeds, pairs):
             (levels_a, modes_a), (levels_b, modes_b) = layouts[a], layouts[b]
-            mask = _transition_mask(levels_a, modes_a, levels_b, modes_b, up_step, dn_step)
-            self._arc_base[u, :len(levels_a), :len(levels_b)][mask] = 0.0
+            feeds[np.ix_(self._column[:len(levels_a)], self._column[:len(levels_b)])] = (
+                _transition_mask(levels_a, modes_a, levels_b, modes_b, up_step, dn_step))
+            if modes_a[0] == _OFF:  # a start leaves from row 1
+                feeds[1, on[b]] = feeds[0, on[b]]
+                feeds[0, on[b]] = False
+            feeds[:, 1] = feeds[:, 0]
+            feeds[-1] = True
 
 
 # Errors that fail one candidate alone: a parameter out of its range or an
@@ -249,10 +266,10 @@ class UcGraph:
 CANDIDATE_ERRORS = (SolverError, ParameterError, DataError)
 
 # Bytes of DP state one block of candidates may hold: per candidate, a
-# back-pointer per (period, state), a few series over the horizon, its arc
-# matrices and one period's candidate matrices. A caller that scores each
-# block before asking for the next holds one block at a time, so this bounds
-# a whole batch's memory.
+# back-pointer per (period, state), a few series over the horizon and one
+# period's gather of its feed table. A caller that scores each block before
+# asking for the next holds one block at a time, so this bounds a whole
+# batch's memory.
 _BLOCK_BYTES = 4 * 2**20
 # Bytes of period rewards computed ahead of the sweep.
 _REWARD_BYTES = 2**18
@@ -298,7 +315,7 @@ def solve_uc_blocks(graph: UcGraph, market: MarketSeries, params):
                           f"{market.dt:g} h against {len(graph.levels)} and {graph.dt:g} h")
     params = list(params)
     n = graph.states
-    per_candidate = market.horizon * (n + 32) + (len(graph._pairs) + 3) * n * n * 8
+    per_candidate = market.horizon * (n + 32) + (n + 2) ** 2
     block = max(1, _BLOCK_BYTES // per_candidate)
     return (_sweep(graph, market, params[lo:lo + block]) for lo in range(0, len(params), block))
 
@@ -321,7 +338,7 @@ def _sweep(graph: UcGraph, market: MarketSeries, params: list) -> list:
     if not live:
         return out
     # after the parameters, so a lone solve reports a bad parameter first
-    if not np.isfinite(graph._arc_base[graph._arc_of[0]]).any():
+    if not graph._feeds[graph._arc_of[0], :-1].any():
         raise SolverError("no feasible first-period state from the initial condition")
     params = [params[i] for i in live]
     parents, profit, count, energy = _forward(graph, market, params)
@@ -336,8 +353,9 @@ def _sweep(graph: UcGraph, market: MarketSeries, params: list) -> list:
     for t in range(T - 1, 0, -1):
         path[:, t - 1] = parents[t, picks, path[:, t]]
     periods = np.arange(T)
-    power = graph._level[periods, path]
-    committed = graph._on[periods, path].astype(np.int8)
+    columns = graph._column[path]
+    power = graph._level[periods, columns]
+    committed = graph._on[periods, columns].astype(np.int8)
     dp_profit = profit[picks, last]
     for p, (i, cand) in enumerate(zip(live, params)):
         try:
@@ -350,56 +368,53 @@ def _sweep(graph: UcGraph, market: MarketSeries, params: list) -> list:
 def _forward(graph: UcGraph, market: MarketSeries, params: list) -> tuple:
     """The DP's forward pass for a block of valid candidates.
 
-    Keeps per (candidate, state) the best profit and, for the tie-break, the
-    committed-period count and energy of the path reaching it. Returns the
-    back-pointers (periods, candidates, states) and the final profit, count
-    and energy; the margins, arc stacks and rewards it builds are freed when
-    it returns, before the backtrack.
+    Keeps per (candidate, row) the best profit, negated, and for the
+    tie-break the committed-period count and energy of the path reaching it.
+    Each period sorts every candidate's rows once by (negated profit, count,
+    energy, row), and gives each row the first one in that order that feeds
+    it. Returns the back-pointers (periods, candidates, states) and each
+    state's final profit, count and energy; the margins and rewards it builds
+    are freed when it returns, before the backtrack.
     """
     P = len(params)
-    T, dt, n = market.horizon, market.dt, graph.states
+    T, dt, m = market.horizon, market.dt, graph.states + 2
     mv_dt = np.empty((T, P))
     for i, p in enumerate(params):
         mv_dt[:, i] = marginal_values(p, market)
     mv_dt *= dt
     sigma = np.array([p.sigma for p in params])
     phi_dt = np.array([[p.phi * dt] for p in params])
-    level, on = graph._level, graph._on
-    level_dt = level * dt
-    # each candidate's arcs: the start-up cost on every off -> committed arc,
-    # rows of all candidates stacked so one fancy index gathers them
-    arcs = []
-    for u, (a, b) in enumerate(graph._pairs):
-        arc = sigma[:, None, None] * np.outer(graph._layout_off[a], graph._layout_on[b])
-        np.subtract(graph._arc_base[u], arc, out=arc)
-        arcs.append(arc.reshape(P * n, n))
-    rows = np.arange(P)[:, None] * n  # first row of each candidate
-    cells = rows * n + np.arange(n)   # (candidate, to-state) cell of row 0
+    level, on, feeds = graph._level, graph._on, graph._feeds
+    rows = np.arange(P)[:, None] * m  # first row of each candidate
 
-    profit = np.zeros((P, n))
-    count = np.zeros((P, n))
-    energy = np.zeros((P, n))
-    parents = np.empty((T, P, n), dtype=np.uint8)
-    chunk = max(1, _REWARD_BYTES // (P * n * 8))
-    rewards = np.empty((min(chunk, T), P, n))
+    # the source's rows; row 1 is state 0 less sigma, row m-1 the sentinel
+    nv = np.zeros((P, m))
+    nv[:, 1] = sigma
+    nv[:, -1] = np.inf
+    tally = np.zeros((P, m, 2))  # committed count, energy
+    parents = np.empty((T, P, graph.states), dtype=np.uint8)
+    chunk = max(1, _REWARD_BYTES // (P * m * 8))
+    rewards = np.empty((min(chunk, T), P, m))
     for lo in range(0, T, chunk):
         hi = min(T, lo + chunk)
         # level × margin, less the fixed cost on committed states
         np.multiply(level[lo:hi, None], mv_dt[lo:hi, :, None], out=rewards[:hi - lo])
         np.subtract(rewards[:hi - lo], phi_dt, out=rewards[:hi - lo], where=on[lo:hi, None])
-        for t, reward in enumerate(rewards[:hi - lo], lo):
-            # rows in tie-break order, so the first maximum is the parent
-            order = np.lexsort((energy, count)) + rows
-            cand = arcs[graph._arc_of[t]][order]
-            cand += profit.take(order)[:, :, None]
-            k = cand.argmax(axis=1)
-            best = cand.take(k * n + cells)
-            src = order.take(k + rows)
-            np.subtract(src, rows, out=parents[t], casting="unsafe")
-            profit = best + reward
-            count = count.take(src) + on[t]
-            energy = energy.take(src) + level_dt[t]
-    return parents, profit, count, energy
+        gains = np.stack((on[lo:hi], level[lo:hi] * dt), axis=2)  # to (count, energy)
+        for t, reward, gain in zip(range(lo, hi), rewards, gains):
+            order = np.lexsort((tally[..., 1], tally[..., 0], nv))
+            first = feeds[graph._arc_of[t]].take(order, axis=0).argmax(axis=1)
+            first += rows
+            src = order.take(first)
+            graph._state.take(src[:, graph._column], out=parents[t])
+            src += rows
+            nv = nv.take(src)
+            nv -= reward
+            nv[:, 1] += sigma
+            tally = tally.reshape(P * m, 2).take(src, axis=0)
+            tally += gain
+    real = graph._column
+    return parents, -nv[:, real], tally[:, real, 0], tally[:, real, 1]
 
 
 def _checked_schedule(graph: UcGraph, market: MarketSeries, params: PlantParameters,

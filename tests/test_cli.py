@@ -294,6 +294,12 @@ class TestValidate:
         assert main(["validate", "--config", config]) == 2
         assert "production.csv:4: 3 fields but the header has 2" in capsys.readouterr().err
 
+    def test_column_named_twice_exits_2(self, fixture_dir, tmp_path, capsys):
+        config = with_production(fixture_dir, tmp_path,
+                                 lambda rows: [rows[0] + ",mw"] + [r + ",0" for r in rows[1:]])
+        assert main(["validate", "--config", config]) == 2
+        assert "production.csv: column 'mw' appears twice in the header" in capsys.readouterr().err
+
     @pytest.mark.parametrize("dt", ["0", "-0.5", "nan", "inf"])
     def test_bad_dt_exits_2(self, fixture_dir, capsys, dt):
         assert main(["validate", "--config", str(fixture_dir / "config.json"),

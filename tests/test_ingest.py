@@ -160,6 +160,32 @@ class TestLoadSeries:
         with pytest.raises(DataError, match=rf"s\.csv:3: missing value in column '{column}'"):
             read_value(path)
 
+    def test_row_short_of_a_column_not_read_rejected(self, tmp_path):
+        path = write(tmp_path / "s.csv", [
+            "timestamp_utc,value,note",
+            "2018-01-01T00:00:00Z,1,ok",
+            "2018-01-01T00:30:00Z,2",
+        ])
+        with pytest.raises(DataError, match=r"s\.csv:3: missing value in column 'note'"):
+            read_value(path)
+
+    @pytest.mark.parametrize("header", [
+        "timestamp_utc,value,value",
+        "timestamp_utc,value,timestamp_utc",
+    ])
+    def test_column_read_twice_in_the_header_rejected(self, tmp_path, header):
+        path = write(tmp_path / "s.csv", [header, "2018-01-01T00:00:00Z,1,7"])
+        column = header.split(",")[-1]
+        with pytest.raises(DataError, match=rf"s\.csv: column '{column}' appears twice"):
+            read_value(path)
+
+    def test_repeated_name_of_a_column_not_read_accepted(self, tmp_path):
+        path = write(tmp_path / "s.csv", [
+            "timestamp_utc,note,value,note",
+            "2018-01-01T00:00:00Z,a,1.5,b",
+        ])
+        assert read_value(path).values.tolist() == [1.5]
+
     @pytest.mark.parametrize("hours, resolution", [
         ([0, 0.5, 1], "half-hourly"),
         ([0, 1, 2], "hourly"),

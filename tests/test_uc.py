@@ -522,6 +522,64 @@ class TestBatchedSweep:
             assert a.power.tobytes() == b.power.tobytes()
             assert a.profit == b.profit
 
+    @pytest.mark.parametrize("committed,power", [(False, 0.0), (True, 70.0)])
+    def test_ties_everywhere_match_loop_reference(self, committed, power):
+        # margin exactly zero at eta 0.5 but for a few periods, so many paths tie
+        # on profit; sigma = 0 ties a start with staying off
+        T = 12
+        w = 40.0 + np.array([0, 0, 5, 5, 0, -5, 0, 0, 5, 0, 0, -5], dtype=float)
+        market = toy_market(w, dt=0.5, fuel=20.0)
+        dynamics = flat_dynamics(T, mel=100.0, sel=40.0, ramp_up=120.0, ramp_dn=100.0)
+        candidates = [params(eta=0.5, sigma=sigma, phi=phi)
+                      for sigma in (0.0, 0.0, 250.0, 1e4) for phi in (0.0, 5.0)]
+        insts = [UcInstance(params=p, dynamics=dynamics, market=market,
+                            initial_committed=committed, initial_power=power)
+                 for p in candidates]
+        opts = SolverOptions(power_levels=4)
+        batch = solve_all(graph_of(insts[0], opts), market, candidates)
+        starts = [bool(s.started.any()) for s in batch]
+        assert any(starts) and not all(starts)
+        for inst, got in zip(insts, batch):
+            power_ref, committed_ref = loop_solve(inst, opts)
+            alone = solve_uc(inst, opts)
+            for schedule in (got, alone):
+                assert schedule.power.tobytes() == power_ref.tobytes()
+                assert schedule.committed.tobytes() == committed_ref.tobytes()
+            assert got.profit == alone.profit
+
+    def test_committed_start_has_no_start_row(self):
+        # the source holds no off state, so nothing leaves it paying sigma
+        market = toy_market([60.0, 10.0, 10.0, 70.0, 80.0, 20.0], dt=1.0, fuel=20.0)
+        dynamics = flat_dynamics(6, mel=100.0, sel=30.0, ramp_up=50.0, ramp_dn=40.0)
+        candidates = [params(eta=0.5, sigma=sigma, phi=2.0) for sigma in (0.0, 300.0, 3000.0)]
+        opts = SolverOptions(power_levels=5)
+        graph = UcGraph(dynamics, 1.0, opts, True, 65.0)
+        assert graph._feeds[graph._arc_of[0], :-1].any()
+        assert not graph._feeds[graph._arc_of[0], 1].any()
+        for p, got in zip(candidates, solve_all(graph, market, candidates)):
+            inst = UcInstance(params=p, dynamics=dynamics, market=market,
+                              initial_committed=True, initial_power=65.0)
+            power, committed = loop_solve(inst, opts)
+            assert got.power.tobytes() == power.tobytes()
+            assert got.committed.tobytes() == committed.tobytes()
+
+    def test_block_width_does_not_depend_on_layout_pairs(self, monkeypatch):
+        import plantfit.uc as uc
+
+        # 24 states a period either way; ten MEL values give about 100 pairs
+        T = 672
+        market = recovery_market(T)
+        mel = np.random.default_rng(7).choice(np.linspace(410.0, 500.0, 10), T)
+        varying = PlantDynamics(mel=mel, sel=np.full(T, 200.0), ramp_up=300.0, ramp_dn=300.0)
+        assert len(set(zip(mel[:-1], mel[1:]))) > 80
+        graphs = [UcGraph(dyn, market.dt, SolverOptions()) for dyn in (flat_dynamics(T), varying)]
+        assert graphs[0].states == graphs[1].states == 24
+        monkeypatch.setattr(uc, "_sweep", lambda graph, market, block: block)
+        flat, dips = ([len(block) for block in solve_uc_blocks(graph, market, [TRUE_PARAMS] * 300)]
+                      for graph in graphs)
+        assert flat == dips
+        assert flat[0] > 100
+
     def test_bad_candidate_fails_alone(self):
         inst, opts = worked_example()
         good, failed = solve_all(graph_of(inst, opts), inst.market, [inst.params, params(eta=0.0)])
