@@ -66,7 +66,6 @@ from .uc import (
     marginal_values,
     schedule_profit,
     solve_uc,
-    solve_uc_blocks,
     validate_schedule,
 )
 
@@ -112,7 +111,6 @@ __all__ = [
     "rms",
     "schedule_profit",
     "solve_uc",
-    "solve_uc_blocks",
     "sse",
     "synthesize",
     "validate_parameters",

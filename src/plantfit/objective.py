@@ -2,11 +2,12 @@
 
 An evaluation solves the inner unit-commitment problem for one candidate
 parameter set and scores the resulting schedule against observed output.
-Evaluations are pure functions of their inputs: a batch of candidates is
-solved against one shared read-only context in blocks of at most
-``uc._BLOCK_BYTES`` of DP state, and each block is scored before the next is
-solved, so a batch's memory does not grow with its width. Scores do not
-depend on how the batch is split.
+Evaluations are pure functions of their inputs. A batch of candidates is
+scored against one shared read-only context in one DP sweep that carries
+each path's squared error and builds no schedule, so its memory is a few
+rows of states per candidate. A score equals, bit for bit, the SSE of the
+candidate's lone-solved schedule, and does not depend on how the batch is
+split.
 """
 from __future__ import annotations
 
@@ -32,8 +33,8 @@ from .uc import (
     SolverOptions,
     UcGraph,
     UcInstance,
+    optimal_sse,
     solve_uc,
-    solve_uc_blocks,
 )
 
 
@@ -43,13 +44,14 @@ def _power_of(series) -> np.ndarray:
 
 
 def sse(predicted, observed) -> float:
-    """Sum of squared per-period differences [MW^2 * periods]."""
+    """Sum of squared per-period differences [MW^2 * periods], added in
+    period order as the DP adds a path's squared error."""
     a = _power_of(predicted)
     b = _power_of(observed)
     if len(a) != len(b):
         raise DataError("predicted and observed length mismatch")
     d = a - b
-    return float(np.dot(d, d))
+    return float(np.add.accumulate(d * d)[-1]) if len(d) else 0.0
 
 
 def rms(predicted, observed) -> float:
@@ -166,7 +168,7 @@ _WORKER: tuple | None = None
 
 
 def _pool_init(context: FitContext, opts: SolverOptions):
-    # the graph is compiled at the first block, so an error building it
+    # the graph is compiled at the first batch, so an error building it
     # reaches the caller as itself rather than as a broken pool
     global _WORKER
     _WORKER = (context, opts)
@@ -174,33 +176,31 @@ def _pool_init(context: FitContext, opts: SolverOptions):
 
 def _pool_score(vecs) -> tuple[list[float], Exception | None]:
     context, opts = _WORKER
-    return _score_block(vecs, context, opts)
+    return _score_vectors(vecs, context, opts)
 
 
-def _score_block(vecs, context: FitContext,
-                 opts: SolverOptions) -> tuple[list[float], Exception | None]:
+def _score_vectors(vecs, context: FitContext,
+                   opts: SolverOptions) -> tuple[list[float], Exception | None]:
     """Scores of parameter vectors (a batch, or one worker's part of it), and
     the first candidate error.
 
-    The parameter sets are solved on the context's graph and market in DP
-    blocks of at most ``uc._BLOCK_BYTES`` of state; each block's schedules
-    become scores before the next block is solved, so one block of schedules
-    is alive at a time. A candidate that fails alone (``CANDIDATE_ERRORS``)
-    scores +inf, and the first such error is returned with the scores.
+    The parameter sets are scored on the context's graph and market in one
+    sweep of ``uc.optimal_sse``, which builds no schedule. A candidate that
+    fails alone (``CANDIDATE_ERRORS``) scores +inf, and the first such error
+    is returned with the scores.
     """
     params = [vector_to_params(v, context.epsilon) for v in vecs]
     scores = []
     error = None
-    for block in solve_uc_blocks(context.graph(opts), context.market, params):
-        for result in block:
-            if isinstance(result, CANDIDATE_ERRORS):
-                # infeasible corners score worst instead of aborting
-                scores.append(math.inf)
-                if error is None:
-                    error = result
-            else:
-                scores.append(sse(result, context.observed))
-        del block  # before the next block is solved
+    for result in optimal_sse(context.graph(opts), context.market, params,
+                              context.observed.power):
+        if isinstance(result, CANDIDATE_ERRORS):
+            # infeasible corners score worst instead of aborting
+            scores.append(math.inf)
+            if error is None:
+                error = result
+        else:
+            scores.append(result)
     return scores, error
 
 
@@ -209,13 +209,12 @@ class CandidateEvaluator:
 
     With ``jobs`` > 1 a batch is cut into that many contiguous parts, one
     per worker process (None runs serially, and a value below 1 is refused).
-    Each part is solved in DP blocks of at most ``uc._BLOCK_BYTES`` of state,
-    each block scored before the next is solved. Expected failures of one
-    candidate (an infeasible parameter set) score +inf, and ``error`` holds
-    the first such failure of the latest batch (None if it had none); an
-    error of the problem every candidate shares, or any other error,
-    propagates.
-    Results come back in submission order and do not depend on the worker
+    Each part is scored in one DP sweep that builds no schedule; a score is
+    the SSE of the candidate's lone-solved schedule, bit for bit. Expected
+    failures of one candidate (an infeasible parameter set) score +inf, and
+    ``error`` holds the first such failure of the latest batch (None if it
+    had none); an error of the problem every candidate shares, or any other
+    error, propagates. Results come back in submission order and do not depend on the worker
     count, so a fixed seed gives identical runs. A vector scored before is
     served from its stored score, not solved again.
     """
@@ -262,7 +261,7 @@ class CandidateEvaluator:
 
     def _solve(self, vecs: np.ndarray) -> list[float]:
         if self._pool is None:
-            parts = [_score_block(vecs, self.context, self.opts)]
+            parts = [_score_vectors(vecs, self.context, self.opts)]
         else:
             size = -(-len(vecs) // self.jobs)
             parts = self._pool.map(_pool_score, [vecs[i:i + size]

@@ -20,6 +20,7 @@ from .domain import (
     FitResult,
     ParameterError,
     SearchBounds,
+    SolverError,
     normalize_costs,
     vector_to_params,
 )
@@ -222,9 +223,10 @@ def fit(
 
     Returns the best parameters with the outer objective re-evaluated at
     them, the schedule that re-evaluation solved, the per-MW(cap) cost
-    report, and the complete evaluation trace. When DE's whole initial
-    population scores +inf, the fit stops there and raises the first
-    candidate's error.
+    report, and the complete evaluation trace. The re-evaluation's SSE must
+    equal the search's best score bit for bit, or ``SolverError`` raises.
+    When DE's whole initial population scores +inf, the fit stops there and
+    raises the first candidate's error.
     """
     opts = opts or SolverOptions()
     de_cfg = de_cfg or DeConfig()
@@ -240,6 +242,10 @@ def fit(
 
     best_params = vector_to_params(local.best, context.epsilon)
     final = evaluate_candidate(best_params, context, opts)
+    # a search score carries no schedule to check, so its fault shows here
+    if final.sse != local.score:
+        raise SolverError(f"the search scored its best parameters {local.score!r}, but "
+                          f"their final solve scores {final.sse!r}")
     trace = tuple(
         (vector_to_params(vec, context.epsilon), score)
         for vec, score in de.trace + local.trace

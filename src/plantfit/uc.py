@@ -18,12 +18,12 @@ band to zero. Dwelling strictly between zero and SEL is infeasible.
 
 A problem is a state graph (``UcGraph``: dynamics, dt, grid options and the
 initial state, checked when it is built) and a market over the same horizon.
-``solve_uc_blocks(graph, market, params)`` solves a list of parameter sets on
-one problem in blocks of at most ``_BLOCK_BYTES`` of DP state, one DP sweep
-per block: each period advances a (candidates, states) stack at once. It
-hands back each block's results as soon as its sweep ends, so a caller that
-consumes a block before asking for the next holds one block at a time.
-``solve_uc`` solves one ``UcInstance`` as a batch of one.
+``solve_uc`` solves one ``UcInstance`` and walks its back-pointers to the
+schedule. ``optimal_sse(graph, market, params, observed)`` scores many
+parameter sets on one problem in one DP sweep, each period advancing a
+(candidates, states) stack at once: each path carries its squared error
+against observed production, so the winning final state holds its
+schedule's SSE, and no back-pointer or schedule is kept.
 Periods with equal (levels, modes) share one state layout, and one table of
 feasible arcs is stored per distinct pair of adjacent layouts; flat dynamics
 need a single table. The initial condition is a source layout before the
@@ -60,8 +60,7 @@ from .domain import (
 # MW slack used when comparing power levels and ramp limits
 _TOL = 1e-9
 
-# States a period may hold: a back-pointer is one byte, as the block budget
-# below counts it
+# States a period may hold, so that a back-pointer fits in one byte
 _MAX_STATES = 256
 
 # state modes
@@ -94,7 +93,14 @@ def marginal_values(params: PlantParameters, market: MarketSeries) -> np.ndarray
     """Clean-spark-spread margin of one MWh produced in each period [pounds/MWh]."""
     if params.eta <= 0:
         raise ParameterError("eta must be positive")
-    return market.w - params.nu - market.f / params.eta - market.e * params.epsilon / params.eta
+    return _margin(market.w, market.f, market.e, params.eta, params.nu, params.epsilon)
+
+
+def _margin(w, f, e, eta, nu, epsilon):
+    """The margin's one formula. It broadcasts, so the sweep gets a chunk of
+    periods for every candidate in one call, each value bit-equal to the
+    candidate's own ``marginal_values``."""
+    return w - nu - f / eta - e * epsilon / eta
 
 
 def _period_levels(mel: float, sel: float, up_step: float, dn_step: float,
@@ -265,12 +271,6 @@ class UcGraph:
 # infeasible horizon. Anything else is a bug and propagates.
 CANDIDATE_ERRORS = (SolverError, ParameterError, DataError)
 
-# Bytes of DP state one block of candidates may hold: per candidate, a
-# back-pointer per (period, state), a few series over the horizon and one
-# period's gather of its feed table. A caller that scores each block before
-# asking for the next holds one block at a time, so this bounds a whole
-# batch's memory.
-_BLOCK_BYTES = 4 * 2**20
 # Bytes of period rewards computed ahead of the sweep.
 _REWARD_BYTES = 2**18
 
@@ -281,8 +281,9 @@ def solve_uc(instance: UcInstance, opts: SolverOptions | None = None,
 
     Ties in profit prefer fewer committed periods, then lower total energy,
     so the result is deterministic. Pass a precompiled ``graph`` to reuse
-    the state graph across many parameter sets on the same context. This is
-    the one-candidate call of :func:`solve_uc_blocks`.
+    the state graph across many parameter sets on the same context. The
+    schedule's profit is derived again from the raw series, and a mismatch
+    with the DP's raises.
     """
     opts = opts or SolverOptions()
     initial = (instance.initial_committed, instance.initial_power)
@@ -291,99 +292,93 @@ def solve_uc(instance: UcInstance, opts: SolverOptions | None = None,
     elif (graph.dynamics is not instance.dynamics or graph.dt != instance.market.dt
           or graph.opts != opts or (graph.initial_committed, graph.initial_power) != initial):
         raise SolverError("the graph was built for other dynamics, dt, initial state or options")
-    ((result,),) = solve_uc_blocks(graph, instance.market, [instance.params])
-    if isinstance(result, Exception):
-        raise result
-    return result
+    market, params = instance.market, instance.params
+    _check_market(graph, market)
+    validate_parameters(params)
+    T, n = market.horizon, graph.states
+    parents = np.empty((T, 1, n), dtype=np.uint8)
+    (last,), (dp_profit,), _ = _forward(graph, market, [params], parents=parents)
+    if not np.isfinite(dp_profit):
+        raise SolverError("no feasible schedule exists for this instance")
+    back = memoryview(parents).cast("B")  # period t's parent of state s at t * n + s
+    path = [int(last)] * T
+    for t in range(T - 1, 0, -1):
+        path[t - 1] = back[t * n + path[t]]
+    periods = np.arange(T)
+    columns = graph._column[path]
+    power = graph._level[periods, columns]
+    committed = graph._on[periods, columns].astype(np.int8)
+    prev = np.concatenate(([1 if graph.initial_committed else 0], committed[:-1]))
+    started = ((committed == 1) & (prev == 0)).astype(np.int8)
+    exact = _profit(power, committed, started, market, params)
+    if abs(exact - dp_profit) > 1e-6 * (1.0 + abs(exact)):
+        raise SolverError("internal profit accounting mismatch")
+    return Schedule(power=power, committed=committed, started=started, profit=exact)
 
 
-def solve_uc_blocks(graph: UcGraph, market: MarketSeries, params):
-    """Optimal schedules for many parameter sets on one problem, block by block.
+def optimal_sse(graph: UcGraph, market: MarketSeries, params, observed) -> list:
+    """SSE against ``observed`` production of each parameter set's optimal
+    schedule, without building the schedule.
 
     The problem is ``graph`` with ``market``, whose horizon and dt must be
-    the graph's; ``params`` is a sequence of ``PlantParameters``. Returns an
-    iterator over contiguous blocks of at most ``_BLOCK_BYTES`` of DP state,
-    each a list holding, in order, each parameter set's schedule or the
-    error from ``CANDIDATE_ERRORS`` that it alone raised. A block is solved
-    in one sweep when it is asked for, so dropping each block before asking
-    for the next keeps one block alive. An error of the shared problem (say,
-    no feasible first-period state) raises at the first block. Each schedule
-    is bit-identical to the one the parameter set gets when solved alone.
+    the graph's; ``params`` is a sequence of ``PlantParameters``. All of
+    them are solved in one DP sweep that carries each path's squared error
+    beside its tie-break tally and keeps no back-pointers, so it holds a few
+    rows of states per candidate whatever the horizon. Returns, in order,
+    each parameter set's SSE or the error from ``CANDIDATE_ERRORS`` that it
+    alone raised; an error of the shared problem (say, no feasible
+    first-period state) raises. Each SSE equals, bit for bit, ``sse`` of the
+    schedule :func:`solve_uc` finds for the set, summed in period order.
     """
-    if market.horizon != len(graph.levels) or market.dt != graph.dt:
-        raise SolverError(f"market and graph mismatch: horizon {market.horizon} and dt "
-                          f"{market.dt:g} h against {len(graph.levels)} and {graph.dt:g} h")
-    params = list(params)
-    n = graph.states
-    per_candidate = market.horizon * (n + 32) + (n + 2) ** 2
-    block = max(1, _BLOCK_BYTES // per_candidate)
-    return (_sweep(graph, market, params[lo:lo + block]) for lo in range(0, len(params), block))
-
-
-def _sweep(graph: UcGraph, market: MarketSeries, params: list) -> list:
-    """Solve a block of candidates at once: check each one's parameters, run
-    the DP forward over the periods, then backtrack every path together.
-
-    A candidate's error is kept without its traceback: the traceback holds
-    this frame, whose ``out`` holds the error, and that cycle would keep the
-    block's arrays alive until the garbage collector ran."""
+    _check_market(graph, market)
+    if len(observed) != market.horizon:
+        raise DataError("observed and market series length mismatch")
     out: list = [None] * len(params)
     live = []
     for i, p in enumerate(params):
         try:
             validate_parameters(p)
             live.append(i)
-        except ParameterError as exc:
+        except ParameterError as exc:  # its traceback would hold this frame, so ``out``
             out[i] = exc.with_traceback(None)
     if not live:
         return out
-    # after the parameters, so a lone solve reports a bad parameter first
-    if not graph._feeds[graph._arc_of[0], :-1].any():
-        raise SolverError("no feasible first-period state from the initial condition")
-    params = [params[i] for i in live]
-    parents, profit, count, energy = _forward(graph, market, params)
-
-    T, P, _ = parents.shape
-    last = np.lexsort((energy, count, -profit))[:, 0]
-    picks = np.arange(P)
-    # (candidate, period): each candidate's row is contiguous, so its profit
-    # sums in the order it does over the Schedule's own copy
-    path = np.empty((P, T), dtype=parents.dtype)
-    path[:, -1] = last
-    for t in range(T - 1, 0, -1):
-        path[:, t - 1] = parents[t, picks, path[:, t]]
-    periods = np.arange(T)
-    columns = graph._column[path]
-    power = graph._level[periods, columns]
-    committed = graph._on[periods, columns].astype(np.int8)
-    dp_profit = profit[picks, last]
-    for p, (i, cand) in enumerate(zip(live, params)):
-        try:
-            out[i] = _checked_schedule(graph, market, cand, power[p], committed[p], dp_profit[p])
-        except CANDIDATE_ERRORS as exc:
-            out[i] = exc.with_traceback(None)
+    _, dp_profit, tally = _forward(graph, market, [params[i] for i in live],
+                                   np.asarray(observed, dtype=float))
+    for i, profit, (_, _, err) in zip(live, dp_profit, tally):
+        out[i] = (float(err) if np.isfinite(profit)
+                  else SolverError("no feasible schedule exists for this instance"))
     return out
 
 
-def _forward(graph: UcGraph, market: MarketSeries, params: list) -> tuple:
-    """The DP's forward pass for a block of valid candidates.
+def _check_market(graph: UcGraph, market: MarketSeries) -> None:
+    if market.horizon != len(graph.levels) or market.dt != graph.dt:
+        raise SolverError(f"market and graph mismatch: horizon {market.horizon} and dt "
+                          f"{market.dt:g} h against {len(graph.levels)} and {graph.dt:g} h")
 
-    Keeps per (candidate, row) the best profit, negated, and for the
-    tie-break the committed-period count and energy of the path reaching it.
+
+def _forward(graph: UcGraph, market: MarketSeries, params: list,
+             observed: np.ndarray | None = None, parents: np.ndarray | None = None) -> tuple:
+    """The DP's forward pass for valid candidates.
+
+    Keeps per (candidate, row) the best profit, negated, and a tally of the
+    path reaching it: the committed-period count and energy, which break
+    ties, and, given ``observed`` production, the squared error against it.
     Each period sorts every candidate's rows once by (negated profit, count,
-    energy, row), and gives each row the first one in that order that feeds
-    it. Returns the back-pointers (periods, candidates, states) and each
-    state's final profit, count and energy; the margins and rewards it builds
-    are freed when it returns, before the backtrack.
+    energy, row), gives each row the first one in that order that feeds it,
+    and gathers the row's value and tally from it; ``parents``, when given,
+    receives each (period, candidate, state)'s parent state. Margins and
+    rewards are built a chunk of periods at a time. Returns each candidate's
+    best final state, by the same order, with its profit and tally.
     """
+    # after the parameters, so a lone solve reports a bad parameter first
+    if not graph._feeds[graph._arc_of[0], :-1].any():
+        raise SolverError("no feasible first-period state from the initial condition")
     P = len(params)
     T, dt, m = market.horizon, market.dt, graph.states + 2
-    mv_dt = np.empty((T, P))
-    for i, p in enumerate(params):
-        mv_dt[:, i] = marginal_values(p, market)
-    mv_dt *= dt
-    sigma = np.array([p.sigma for p in params])
-    phi_dt = np.array([[p.phi * dt] for p in params])
+    eta, nu, epsilon, sigma, phi = (np.array([getattr(p, name) for p in params])
+                                    for name in ("eta", "nu", "epsilon", "sigma", "phi"))
+    phi_dt = (phi * dt)[:, None]
     level, on, feeds = graph._level, graph._on, graph._feeds
     rows = np.arange(P)[:, None] * m  # first row of each candidate
 
@@ -391,43 +386,38 @@ def _forward(graph: UcGraph, market: MarketSeries, params: list) -> tuple:
     nv = np.zeros((P, m))
     nv[:, 1] = sigma
     nv[:, -1] = np.inf
-    tally = np.zeros((P, m, 2))  # committed count, energy
-    parents = np.empty((T, P, graph.states), dtype=np.uint8)
+    tally = np.zeros((P, m, 2 if observed is None else 3))
     chunk = max(1, _REWARD_BYTES // (P * m * 8))
     rewards = np.empty((min(chunk, T), P, m))
     for lo in range(0, T, chunk):
         hi = min(T, lo + chunk)
         # level × margin, less the fixed cost on committed states
-        np.multiply(level[lo:hi, None], mv_dt[lo:hi, :, None], out=rewards[:hi - lo])
+        mv_dt = _margin(market.w[lo:hi, None], market.f[lo:hi, None], market.e[lo:hi, None],
+                        eta, nu, epsilon)
+        mv_dt *= dt
+        np.multiply(level[lo:hi, None], mv_dt[:, :, None], out=rewards[:hi - lo])
         np.subtract(rewards[:hi - lo], phi_dt, out=rewards[:hi - lo], where=on[lo:hi, None])
-        gains = np.stack((on[lo:hi], level[lo:hi] * dt), axis=2)  # to (count, energy)
+        gains = [on[lo:hi], level[lo:hi] * dt]  # to (count, energy[, squared error])
+        if observed is not None:
+            gains.append(np.square(level[lo:hi] - observed[lo:hi, None]))
+        gains = np.stack(gains, axis=2)
         for t, reward, gain in zip(range(lo, hi), rewards, gains):
             order = np.lexsort((tally[..., 1], tally[..., 0], nv))
             first = feeds[graph._arc_of[t]].take(order, axis=0).argmax(axis=1)
             first += rows
             src = order.take(first)
-            graph._state.take(src[:, graph._column], out=parents[t])
+            if parents is not None:
+                graph._state.take(src[:, graph._column], out=parents[t])
             src += rows
             nv = nv.take(src)
             nv -= reward
             nv[:, 1] += sigma
-            tally = tally.reshape(P * m, 2).take(src, axis=0)
+            tally = tally.reshape(P * m, -1).take(src, axis=0)
             tally += gain
-    real = graph._column
-    return parents, -nv[:, real], tally[:, real, 0], tally[:, real, 1]
-
-
-def _checked_schedule(graph: UcGraph, market: MarketSeries, params: PlantParameters,
-                      power: np.ndarray, committed: np.ndarray, dp_profit: float) -> Schedule:
-    """The schedule of one DP path, its profit re-derived from the raw series."""
-    if not np.isfinite(dp_profit):
-        raise SolverError("no feasible schedule exists for this instance")
-    prev = np.concatenate(([1 if graph.initial_committed else 0], committed[:-1]))
-    started = ((committed == 1) & (prev == 0)).astype(np.int8)
-    exact = _profit(power, committed, started, market, params)
-    if abs(exact - dp_profit) > 1e-6 * (1.0 + abs(exact)):
-        raise SolverError("internal profit accounting mismatch")
-    return Schedule(power=power, committed=committed, started=started, profit=exact)
+    nv, tally = nv[:, graph._column], tally[:, graph._column]
+    best = np.lexsort((tally[..., 1], tally[..., 0], nv))[:, 0]
+    picks = np.arange(P)
+    return best, -nv[picks, best], tally[picks, best]
 
 
 def schedule_profit(s: Schedule, instance: UcInstance) -> float:

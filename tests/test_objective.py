@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import plantfit.objective
+import plantfit.search
 import plantfit.uc
 from plantfit import (
     CompassConfig,
@@ -242,7 +243,7 @@ class TestCandidateEvaluator:
                                         SolverOptions())
             assert score == record.sse
 
-    def test_split_across_workers_matches_serial(self, monkeypatch):
+    def test_split_across_workers_matches_serial(self):
         true, ctx = small_context(T=24)
         rng = np.random.default_rng(8)
         bounds = SearchBounds.for_plant(ctx.dynamics.capacity)
@@ -255,11 +256,6 @@ class TestCandidateEvaluator:
             with CandidateEvaluator(ctx, SolverOptions(), jobs=jobs) as ev:
                 assert ev.scores(vecs) == serial
                 assert ev.scores([]) == []
-        # one candidate per DP block: scored block by block, serially and on workers
-        monkeypatch.setattr(plantfit.uc, "_BLOCK_BYTES", 1)
-        for jobs in (None, 2):
-            with CandidateEvaluator(ctx, SolverOptions(), jobs=jobs) as ev:
-                assert ev.scores(vecs) == serial
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_refused(self, jobs):
@@ -303,7 +299,7 @@ def out_of_reach_context(market):
 class TestWideBatchMemory:
     @pytest.mark.parametrize("feasible", [True, False])
     def test_wide_batch_peaks_within_one_block(self, recovery_context, feasible):
-        # the landscape's 25 x 25 grid at T=672: 625 candidates, many DP blocks
+        # the landscape's 25 x 25 grid at T=672: 625 candidates in one sweep
         ctx = recovery_context if feasible else out_of_reach_context(recovery_context.market)
         opts = SolverOptions()
         vecs = [params_to_vector(dataclasses.replace(TRUE_PARAMS, eta=float(eta), sigma=float(sigma)))
@@ -318,32 +314,33 @@ class TestWideBatchMemory:
             finally:
                 tracemalloc.stop()
         assert np.isfinite(scores).all() if feasible else np.isinf(scores).all()
-        # one block of DP state, plus each candidate's vector, memo key and score
-        assert peak <= plantfit.uc._BLOCK_BYTES + len(vecs) * 2**10
+        # the sweep's state, plus each candidate's vector, memo key and score
+        assert peak <= 4 * 2**20 + len(vecs) * 2**10
 
 
 def _count_batches(monkeypatch) -> list:
-    """Count the evaluator's calls of ``solve_uc_blocks``; returns their list."""
+    """Count the evaluator's calls of ``optimal_sse``; returns their list."""
     calls = []
-    blocks = plantfit.objective.solve_uc_blocks
+    sweep = plantfit.objective.optimal_sse
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return blocks(*args, **kwargs)
+        return sweep(*args, **kwargs)
 
-    monkeypatch.setattr(plantfit.objective, "solve_uc_blocks", counted)
+    monkeypatch.setattr(plantfit.objective, "optimal_sse", counted)
     return calls
 
 
 def _break_solver(monkeypatch) -> list:
-    """Make the inner solver raise TypeError; returns the list of its calls."""
+    """Make the margin formula, which both the scoring sweep and a lone solve
+    use, raise TypeError; returns the list of its calls."""
     calls = []
 
-    def broken(params, market):
-        calls.append(params)
+    def broken(*args):
+        calls.append(args)
         raise TypeError("injected bug")
 
-    monkeypatch.setattr(plantfit.uc, "marginal_values", broken)
+    monkeypatch.setattr(plantfit.uc, "_margin", broken)
     return calls
 
 
@@ -363,6 +360,24 @@ class TestProgrammingErrorsPropagate:
             landscape_slice(("eta", np.linspace(0.3, 0.6, 3)),
                             ("sigma", np.linspace(0.0, 1000.0, 3)),
                             true, ctx, SolverOptions())
+
+    def test_final_solve_off_the_search_score_raises(self, monkeypatch):
+        true, ctx = small_context(T=24)
+        real = plantfit.search.evaluate_candidate
+        records = []
+
+        def one_ulp_off(*args):
+            records.append(real(*args))
+            return dataclasses.replace(records[-1], sse=float(np.nextafter(records[-1].sse, 1e300)))
+
+        monkeypatch.setattr(plantfit.search, "evaluate_candidate", one_ulp_off)
+        with pytest.raises(SolverError) as caught:
+            fit(ctx, de_cfg=DeConfig(population=8, generations=3, seed=1),
+                compass_cfg=CompassConfig(max_iterations=2))
+        (record,) = records
+        off = float(np.nextafter(record.sse, 1e300))
+        assert str(caught.value) == (f"the search scored its best parameters {record.sse!r}, "
+                                     f"but their final solve scores {off!r}")
 
     def test_shared_problem_error_ends_the_search(self, monkeypatch):
         true, ctx = small_context()

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plantfit import (
     MarketSeries,
@@ -20,9 +20,10 @@ from plantfit import (
     marginal_values,
     schedule_profit,
     solve_uc,
-    solve_uc_blocks,
+    sse,
     validate_schedule,
 )
+from plantfit.uc import optimal_sse
 from conftest import (
     TRUE_PARAMS,
     flat_dynamics,
@@ -473,117 +474,100 @@ def graph_of(inst: UcInstance, opts: SolverOptions) -> UcGraph:
     return UcGraph(inst.dynamics, inst.market.dt, opts, inst.initial_committed, inst.initial_power)
 
 
-def solve_all(graph: UcGraph, market: MarketSeries, params: list) -> list:
-    """Every block's results of one batch, in order."""
-    return [result for block in solve_uc_blocks(graph, market, params) for result in block]
+def ties_everywhere_problem(committed: bool, power: float):
+    """Margin exactly zero at eta 0.5 but for a few periods, so many paths tie
+    on profit; sigma = 0 ties a start with staying off."""
+    T = 12
+    w = 40.0 + np.array([0, 0, 5, 5, 0, -5, 0, 0, 5, 0, 0, -5], dtype=float)
+    market = toy_market(w, dt=0.5, fuel=20.0)
+    dynamics = flat_dynamics(T, mel=100.0, sel=40.0, ramp_up=120.0, ramp_dn=100.0)
+    candidates = [params(eta=0.5, sigma=sigma, phi=phi)
+                  for sigma in (0.0, 0.0, 250.0, 1e4) for phi in (0.0, 5.0)]
+    return ([UcInstance(params=p, dynamics=dynamics, market=market,
+                        initial_committed=committed, initial_power=power) for p in candidates],
+            SolverOptions(power_levels=4))
+
+
+def committed_start_problem():
+    """Committed at 65 MW: the source holds no off state, so nothing leaves it
+    paying sigma."""
+    market = toy_market([60.0, 10.0, 10.0, 70.0, 80.0, 20.0], dt=1.0, fuel=20.0)
+    dynamics = flat_dynamics(6, mel=100.0, sel=30.0, ramp_up=50.0, ramp_dn=40.0)
+    return ([UcInstance(params=params(eta=0.5, sigma=sigma, phi=2.0), dynamics=dynamics,
+                        market=market, initial_committed=True, initial_power=65.0)
+             for sigma in (0.0, 300.0, 3000.0)],
+            SolverOptions(power_levels=5))
+
+
+# per period, observed production as a share of MEL, over shared_problems'
+# longest horizon
+observed_shares = st.lists(st.floats(0.0, 1.0), min_size=14, max_size=14)
+SHARES = [k / 13 for k in range(14)]
 
 
 class TestBatchedSweep:
     @settings(max_examples=200, deadline=None)
-    @given(shared_problems())
-    def test_batch_matches_single_solves_and_loop_reference(self, problem):
+    @given(shared_problems(), observed_shares)
+    @example(ties_everywhere_problem(False, 0.0), SHARES)
+    @example(ties_everywhere_problem(True, 70.0), SHARES)
+    @example(committed_start_problem(), SHARES)
+    def test_batch_matches_single_solves_and_loop_reference(self, problem, shares):
+        # each score-only SSE is that of the lone-solved schedule, bit for bit,
+        # and each lone schedule that of the loop reference
         instances, opts = problem
         first = instances[0]
+        observed = np.array(shares[:first.market.horizon]) * first.dynamics.mel
         try:
-            batch = solve_all(graph_of(first, opts), first.market,
-                              [inst.params for inst in instances])
+            scores = optimal_sse(graph_of(first, opts), first.market,
+                                 [inst.params for inst in instances], observed)
         except SolverError:  # the shared problem has no feasible start
             for inst in instances:
                 with pytest.raises(SolverError):
                     loop_solve(inst, opts)
             return
-        assert len(batch) == len(instances)
-        for inst, got in zip(instances, batch):
+        assert len(scores) == len(instances)
+        for inst, score in zip(instances, scores):
             try:
                 power, committed = loop_solve(inst, opts)
             except SolverError as exc:
-                assert isinstance(got, SolverError) and str(got) == str(exc)
+                assert type(score) is SolverError and str(score) == str(exc)
+                with pytest.raises(SolverError) as alone:
+                    solve_uc(inst, opts)
+                assert str(alone.value) == str(exc)
                 continue
             alone = solve_uc(inst, opts)
-            for schedule in (got, alone):
-                assert schedule.power.tobytes() == power.tobytes()
-                assert schedule.committed.tobytes() == committed.tobytes()
-            assert got.started.tobytes() == alone.started.tobytes()
-            assert got.profit == alone.profit
-
-    def test_block_size_does_not_change_results(self, monkeypatch):
-        import plantfit.uc as uc
-
-        rng = np.random.default_rng(17)
-        inst, opts = random_small_instance(rng)
-        candidates = [dataclasses.replace(inst.params, sigma=float(s), phi=float(s) / 50.0)
-                      for s in rng.uniform(0.0, 4000.0, 9)]
-        graph = graph_of(inst, opts)
-        (whole,) = solve_uc_blocks(graph, inst.market, candidates)
-        monkeypatch.setattr(uc, "_BLOCK_BYTES", 1)  # one candidate per block
-        blocks = list(solve_uc_blocks(graph, inst.market, candidates))
-        assert [len(block) for block in blocks] == [1] * 9
-        for a, (b,) in zip(whole, blocks):
-            assert a.power.tobytes() == b.power.tobytes()
-            assert a.profit == b.profit
+            assert alone.power.tobytes() == power.tobytes()
+            assert alone.committed.tobytes() == committed.tobytes()
+            assert type(score) is float and score == sse(alone, observed)
 
     @pytest.mark.parametrize("committed,power", [(False, 0.0), (True, 70.0)])
     def test_ties_everywhere_match_loop_reference(self, committed, power):
-        # margin exactly zero at eta 0.5 but for a few periods, so many paths tie
-        # on profit; sigma = 0 ties a start with staying off
-        T = 12
-        w = 40.0 + np.array([0, 0, 5, 5, 0, -5, 0, 0, 5, 0, 0, -5], dtype=float)
-        market = toy_market(w, dt=0.5, fuel=20.0)
-        dynamics = flat_dynamics(T, mel=100.0, sel=40.0, ramp_up=120.0, ramp_dn=100.0)
-        candidates = [params(eta=0.5, sigma=sigma, phi=phi)
-                      for sigma in (0.0, 0.0, 250.0, 1e4) for phi in (0.0, 5.0)]
-        insts = [UcInstance(params=p, dynamics=dynamics, market=market,
-                            initial_committed=committed, initial_power=power)
-                 for p in candidates]
-        opts = SolverOptions(power_levels=4)
-        batch = solve_all(graph_of(insts[0], opts), market, candidates)
-        starts = [bool(s.started.any()) for s in batch]
+        insts, opts = ties_everywhere_problem(committed, power)
+        schedules = [solve_uc(inst, opts, graph=graph_of(insts[0], opts)) for inst in insts]
+        starts = [bool(s.started.any()) for s in schedules]
         assert any(starts) and not all(starts)
-        for inst, got in zip(insts, batch):
+        for inst, got in zip(insts, schedules):
             power_ref, committed_ref = loop_solve(inst, opts)
-            alone = solve_uc(inst, opts)
-            for schedule in (got, alone):
-                assert schedule.power.tobytes() == power_ref.tobytes()
-                assert schedule.committed.tobytes() == committed_ref.tobytes()
-            assert got.profit == alone.profit
+            assert got.power.tobytes() == power_ref.tobytes()
+            assert got.committed.tobytes() == committed_ref.tobytes()
 
     def test_committed_start_has_no_start_row(self):
-        # the source holds no off state, so nothing leaves it paying sigma
-        market = toy_market([60.0, 10.0, 10.0, 70.0, 80.0, 20.0], dt=1.0, fuel=20.0)
-        dynamics = flat_dynamics(6, mel=100.0, sel=30.0, ramp_up=50.0, ramp_dn=40.0)
-        candidates = [params(eta=0.5, sigma=sigma, phi=2.0) for sigma in (0.0, 300.0, 3000.0)]
-        opts = SolverOptions(power_levels=5)
-        graph = UcGraph(dynamics, 1.0, opts, True, 65.0)
+        insts, opts = committed_start_problem()
+        graph = graph_of(insts[0], opts)
         assert graph._feeds[graph._arc_of[0], :-1].any()
         assert not graph._feeds[graph._arc_of[0], 1].any()
-        for p, got in zip(candidates, solve_all(graph, market, candidates)):
-            inst = UcInstance(params=p, dynamics=dynamics, market=market,
-                              initial_committed=True, initial_power=65.0)
+        for inst in insts:
+            got = solve_uc(inst, opts, graph=graph)
             power, committed = loop_solve(inst, opts)
             assert got.power.tobytes() == power.tobytes()
             assert got.committed.tobytes() == committed.tobytes()
 
-    def test_block_width_does_not_depend_on_layout_pairs(self, monkeypatch):
-        import plantfit.uc as uc
-
-        # 24 states a period either way; ten MEL values give about 100 pairs
-        T = 672
-        market = recovery_market(T)
-        mel = np.random.default_rng(7).choice(np.linspace(410.0, 500.0, 10), T)
-        varying = PlantDynamics(mel=mel, sel=np.full(T, 200.0), ramp_up=300.0, ramp_dn=300.0)
-        assert len(set(zip(mel[:-1], mel[1:]))) > 80
-        graphs = [UcGraph(dyn, market.dt, SolverOptions()) for dyn in (flat_dynamics(T), varying)]
-        assert graphs[0].states == graphs[1].states == 24
-        monkeypatch.setattr(uc, "_sweep", lambda graph, market, block: block)
-        flat, dips = ([len(block) for block in solve_uc_blocks(graph, market, [TRUE_PARAMS] * 300)]
-                      for graph in graphs)
-        assert flat == dips
-        assert flat[0] > 100
-
     def test_bad_candidate_fails_alone(self):
         inst, opts = worked_example()
-        good, failed = solve_all(graph_of(inst, opts), inst.market, [inst.params, params(eta=0.0)])
-        assert good.profit == solve_uc(inst, opts).profit
+        observed = np.zeros(inst.market.horizon)
+        good, failed = optimal_sse(graph_of(inst, opts), inst.market,
+                                   [inst.params, params(eta=0.0)], observed)
+        assert good == sse(solve_uc(inst, opts), observed)
         assert isinstance(failed, ParameterError)
 
     @pytest.mark.parametrize("field,value", [
@@ -594,10 +578,11 @@ class TestBatchedSweep:
         bad = dataclasses.replace(inst, params=dataclasses.replace(inst.params, **{field: value}))
         with pytest.raises(ParameterError, match=field):
             solve_uc(bad, opts)
-        good, failed, again = solve_all(graph_of(inst, opts), inst.market,
-                                        [inst.params, bad.params, inst.params])
+        observed = np.zeros(inst.market.horizon)
+        good, failed, again = optimal_sse(graph_of(inst, opts), inst.market,
+                                          [inst.params, bad.params, inst.params], observed)
         assert isinstance(failed, ParameterError) and field in str(failed)
-        assert good.profit == again.profit == solve_uc(inst, opts).profit
+        assert good == again == sse(solve_uc(inst, opts), observed)
 
     @pytest.mark.parametrize("other", ["dynamics", "dt", "initial state", "options"])
     def test_graph_of_another_problem_rejected(self, other):
@@ -626,7 +611,7 @@ class TestBatchedSweep:
         market = {"horizon": toy_market([60.0, 80.0], dt=inst.market.dt, fuel=20.0),
                   "dt": toy_market(inst.market.w, dt=inst.market.dt / 2, fuel=20.0)}[other]
         with pytest.raises(SolverError, match="market and graph mismatch"):
-            solve_uc_blocks(graph_of(inst, opts), market, [inst.params])
+            optimal_sse(graph_of(inst, opts), market, [inst.params], np.zeros(market.horizon))
 
 
 class TestGraphChecks:
@@ -693,22 +678,25 @@ def two_week_batch():
 
 class TestTwoWeekBatch:
     def test_batch_peaks_within_the_block_budget(self, two_week_batch):
-        import plantfit.uc as uc
-
+        # one sweep scores the batch, holding a few rows of states per candidate
         graph, market, candidates = two_week_batch
-        solve_all(graph, market, candidates)
+        observed = solve_uc(UcInstance(params=TRUE_PARAMS, dynamics=graph.dynamics,
+                                       market=market), graph=graph).power
+        optimal_sse(graph, market, candidates, observed)
         tracemalloc.start()
         try:
-            solve_all(graph, market, candidates)
+            scores = optimal_sse(graph, market, candidates, observed)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= uc._BLOCK_BYTES
+        assert all(type(score) is float for score in scores)
+        assert peak <= 4 * 2**20
 
     def test_profits_exactly_those_of_the_schedules(self, two_week_batch):
         graph, market, candidates = two_week_batch
-        schedules = solve_all(graph, market, candidates)
+        instances = [UcInstance(params=p, dynamics=graph.dynamics, market=market)
+                     for p in candidates]
+        schedules = [solve_uc(inst, graph=graph) for inst in instances]
         assert sum(s.started.sum() > 0 for s in schedules) > 16
-        for schedule, p in zip(schedules, candidates):
-            inst = UcInstance(params=p, dynamics=graph.dynamics, market=market)
+        for schedule, inst in zip(schedules, instances):
             assert schedule.profit == schedule_profit(schedule, inst)
