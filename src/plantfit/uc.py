@@ -24,10 +24,11 @@ parameter sets on one problem in one DP sweep, each period advancing a
 (candidates, states) stack at once: each path carries its squared error
 against observed production, so the winning final state holds its
 schedule's SSE, and no back-pointer or schedule is kept.
-Periods with equal (levels, modes) share one state layout, and one table of
-feasible arcs is stored per distinct pair of adjacent layouts; flat dynamics
-need a single table. The initial condition is a source layout before the
-first period, so every period, the first included, takes the same step.
+Periods with equal (levels, modes) share one state layout, whose levels
+are stored once, and one table of arc markers is stored per distinct pair of
+adjacent layouts; flat dynamics need a single layout and table. The initial
+condition is a source layout before the first period, so every period, the
+first included, takes the same step.
 Start-up cost needs no arc of its own: state 0, the off state, has a second
 row that carries its profit less each candidate's sigma, and the arcs from
 off into committed states leave from that row.
@@ -38,7 +39,11 @@ period every candidate's rows are sorted once by (profit descending,
 committed count, energy, index), and each state's parent is the first row in
 that order with a feasible arc into it. A feasible arc adds nothing but the
 start-up cost that the second row already holds, so the parent's profit is
-the state's best, and the order breaks its ties.
+the state's best, and the order breaks its ties. The first feeding position
+comes from one vectorized minimum: the arc markers (0 where a row feeds a
+state, the dtype's maximum where not) are gathered by the sorted order,
+each position k is OR-ed into its slice, and the minimum over the positions
+is the first k that feeds.
 """
 from __future__ import annotations
 
@@ -184,8 +189,13 @@ class UcGraph:
     The sweep works on ``states + 2`` rows: state 0, state 0 again for the
     arcs that pay the start-up cost, states 1 onwards, and a sentinel that is
     never reached and feeds every row, so a state with no feasible parent
-    stays unreachable. ``_feeds[_arc_of[t]]`` is the (from, to) table of the
-    rows feeding each row of period t, from the source when t = 0.
+    stays unreachable. ``_level`` and ``_on`` hold each layout's rows once,
+    and ``_layout_at[t]`` is period t's layout. ``_stops[_arc_of[t]]`` is
+    the (from, to) marker table into period t, from the source when t = 0:
+    0 where the row feeds the column, and where not the maximum of uint8, or
+    of uint16 once ``states + 2`` exceeds 255, so every position in a
+    period's order lies below it. ``nbytes`` gives the graph's size before
+    any solve.
 
     An empty horizon, or an initial power the plant cannot hold in its
     initial state, raises ``SolverError`` here.
@@ -232,10 +242,10 @@ class UcGraph:
         self._column = np.concatenate(([0], np.arange(2, n + 1)))  # of each state
         self._state = np.zeros(m, dtype=np.uint8)                   # of each row
         self._state[self._column] = np.arange(n)
-        level = np.zeros((len(layouts), m))
-        on = np.zeros((len(layouts), m), dtype=bool)
+        level = np.zeros((source, m))
+        on = np.zeros((source, m), dtype=bool)
         committed = []
-        for k, (levels, modes) in enumerate(layouts):
+        for k, (levels, modes) in enumerate(layouts[:source]):
             level[k, self._column[:len(levels)]] = levels
             on[k, self._column[:len(levels)]] = modes != _OFF
             committed.append(modes != _OFF)
@@ -243,28 +253,38 @@ class UcGraph:
         self.modes = [layouts[k][1] for k in layout_at]
         self.committed = [committed[k] for k in layout_at]
         self.states = n
-        self._level = level[layout_at]  # (T, m), zero on padding
-        self._on = on[layout_at]        # (T, m)
+        self._layout_at = np.array(layout_at, dtype=np.min_scalar_type(source - 1))
+        self._level = level  # (layouts, m), zero on padding
+        self._on = on        # (layouts, m)
 
         # per distinct pair of adjacent layouts, which rows feed which columns
         pairs: list[tuple[int, int]] = []
         pair_of: dict = {}
-        self._arc_of = []
+        arc_of = []
         for pair in zip([source] + layout_at, layout_at):
             if pair not in pair_of:
                 pair_of[pair] = len(pairs)
                 pairs.append(pair)
-            self._arc_of.append(pair_of[pair])
-        self._feeds = np.zeros((len(pairs), m, m), dtype=bool)  # [pair, from, to]
-        for feeds, (a, b) in zip(self._feeds, pairs):
+            arc_of.append(pair_of[pair])
+        self._arc_of = np.array(arc_of, dtype=np.min_scalar_type(len(pairs) - 1))
+        feeds = np.zeros((len(pairs), m, m), dtype=bool)  # [pair, from, to]
+        for table, (a, b) in zip(feeds, pairs):
             (levels_a, modes_a), (levels_b, modes_b) = layouts[a], layouts[b]
-            feeds[np.ix_(self._column[:len(levels_a)], self._column[:len(levels_b)])] = (
+            table[np.ix_(self._column[:len(levels_a)], self._column[:len(levels_b)])] = (
                 _transition_mask(levels_a, modes_a, levels_b, modes_b, up_step, dn_step))
             if modes_a[0] == _OFF:  # a start leaves from row 1
-                feeds[1, on[b]] = feeds[0, on[b]]
-                feeds[0, on[b]] = False
-            feeds[:, 1] = feeds[:, 0]
-            feeds[-1] = True
+                table[1, on[b]] = table[0, on[b]]
+                table[0, on[b]] = False
+            table[:, 1] = table[:, 0]
+            table[-1] = True
+        self._stops = _stop_markers(feeds)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays the graph holds, each shared array counted once."""
+        arrays = (self._level, self._on, self._stops, self._column, self._state,
+                  self._layout_at, self._arc_of, *self.levels, *self.modes, *self.committed)
+        return sum({id(a): a.nbytes for a in arrays}.values())
 
 
 # Errors that fail one candidate alone: a parameter out of its range or an
@@ -304,10 +324,9 @@ def solve_uc(instance: UcInstance, opts: SolverOptions | None = None,
     path = [int(last)] * T
     for t in range(T - 1, 0, -1):
         path[t - 1] = back[t * n + path[t]]
-    periods = np.arange(T)
-    columns = graph._column[path]
-    power = graph._level[periods, columns]
-    committed = graph._on[periods, columns].astype(np.int8)
+    layouts, columns = graph._layout_at, graph._column[path]
+    power = graph._level[layouts, columns]
+    committed = graph._on[layouts, columns].astype(np.int8)
     prev = np.concatenate(([1 if graph.initial_committed else 0], committed[:-1]))
     started = ((committed == 1) & (prev == 0)).astype(np.int8)
     exact = _profit(power, committed, started, market, params)
@@ -365,21 +384,24 @@ def _forward(graph: UcGraph, market: MarketSeries, params: list,
     path reaching it: the committed-period count and energy, which break
     ties, and, given ``observed`` production, the squared error against it.
     Each period sorts every candidate's rows once by (negated profit, count,
-    energy, row), gives each row the first one in that order that feeds it,
-    and gathers the row's value and tally from it; ``parents``, when given,
+    energy, row), finds for each row the first one in that order that feeds
+    it (``_first_feeders``, one minimum over the gathered arc markers), and
+    gathers the row's value and tally from it; ``parents``, when given,
     receives each (period, candidate, state)'s parent state. Margins and
-    rewards are built a chunk of periods at a time. Returns each candidate's
-    best final state, by the same order, with its profit and tally.
+    rewards are built a chunk of periods at a time from each period's
+    layout. Returns each candidate's best final state, by the same order,
+    with its profit and tally.
     """
     # after the parameters, so a lone solve reports a bad parameter first
-    if not graph._feeds[graph._arc_of[0], :-1].any():
+    arcs = graph._arc_of.tolist()
+    if graph._stops[arcs[0], :-1].min() != 0:
         raise SolverError("no feasible first-period state from the initial condition")
     P = len(params)
     T, dt, m = market.horizon, market.dt, graph.states + 2
     eta, nu, epsilon, sigma, phi = (np.array([getattr(p, name) for p in params])
                                     for name in ("eta", "nu", "epsilon", "sigma", "phi"))
     phi_dt = (phi * dt)[:, None]
-    level, on, feeds = graph._level, graph._on, graph._feeds
+    stops, layout_at = graph._stops, graph._layout_at
     rows = np.arange(P)[:, None] * m  # first row of each candidate
 
     # the source's rows; row 1 is state 0 less sigma, row m-1 the sentinel
@@ -395,17 +417,17 @@ def _forward(graph: UcGraph, market: MarketSeries, params: list,
         mv_dt = _margin(market.w[lo:hi, None], market.f[lo:hi, None], market.e[lo:hi, None],
                         eta, nu, epsilon)
         mv_dt *= dt
-        np.multiply(level[lo:hi, None], mv_dt[:, :, None], out=rewards[:hi - lo])
-        np.subtract(rewards[:hi - lo], phi_dt, out=rewards[:hi - lo], where=on[lo:hi, None])
-        gains = [on[lo:hi], level[lo:hi] * dt]  # to (count, energy[, squared error])
+        level = graph._level.take(layout_at[lo:hi], axis=0)
+        on = graph._on.take(layout_at[lo:hi], axis=0)
+        np.multiply(level[:, None], mv_dt[:, :, None], out=rewards[:hi - lo])
+        np.subtract(rewards[:hi - lo], phi_dt, out=rewards[:hi - lo], where=on[:, None])
+        gains = [on, level * dt]  # to (count, energy[, squared error])
         if observed is not None:
-            gains.append(np.square(level[lo:hi] - observed[lo:hi, None]))
+            gains.append(np.square(level - observed[lo:hi, None]))
         gains = np.stack(gains, axis=2)
-        for t, reward, gain in zip(range(lo, hi), rewards, gains):
+        for t, arc, reward, gain in zip(range(lo, hi), arcs[lo:hi], rewards, gains):
             order = np.lexsort((tally[..., 1], tally[..., 0], nv))
-            first = feeds[graph._arc_of[t]].take(order, axis=0).argmax(axis=1)
-            first += rows
-            src = order.take(first)
+            src = order.take(_first_feeders(stops[arc], order) + rows)
             if parents is not None:
                 graph._state.take(src[:, graph._column], out=parents[t])
             src += rows
@@ -418,6 +440,29 @@ def _forward(graph: UcGraph, market: MarketSeries, params: list,
     best = np.lexsort((tally[..., 1], tally[..., 0], nv))[:, 0]
     picks = np.arange(P)
     return best, -nv[picks, best], tally[picks, best]
+
+
+def _stop_markers(feeds: np.ndarray) -> np.ndarray:
+    """Marker tables of bool (..., m, m) arc tables: 0 where a row feeds, and
+    where not the dtype's maximum, which lies above every position 0..m-1."""
+    m = feeds.shape[-1]
+    marker = np.uint8 if m <= 255 else np.uint16
+    return np.where(feeds, 0, np.iinfo(marker).max).astype(marker)
+
+
+def _first_feeders(stops: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Position in ``order`` of the first row that feeds each column.
+
+    ``stops`` is an (m, m) [from, to] marker table: 0 where the row feeds the
+    column, the dtype's maximum where not; ``order`` holds a permutation of
+    the m rows per candidate, (P, m). Gathering the markers by the
+    transposed order puts position k's rows in slice k, and OR-ing slice k
+    with k leaves k where the row feeds and the maximum where not, so the
+    minimum over the slices is the first feeding position, (P, m).
+    """
+    marks = stops.take(order.T, axis=0)
+    marks |= np.arange(len(stops), dtype=stops.dtype)[:, None, None]
+    return marks.min(axis=0)
 
 
 def schedule_profit(s: Schedule, instance: UcInstance) -> float:

@@ -23,7 +23,7 @@ from plantfit import (
     sse,
     validate_schedule,
 )
-from plantfit.uc import optimal_sse
+from plantfit.uc import _first_feeders, _stop_markers, optimal_sse
 from conftest import (
     TRUE_PARAMS,
     flat_dynamics,
@@ -554,8 +554,9 @@ class TestBatchedSweep:
     def test_committed_start_has_no_start_row(self):
         insts, opts = committed_start_problem()
         graph = graph_of(insts[0], opts)
-        assert graph._feeds[graph._arc_of[0], :-1].any()
-        assert not graph._feeds[graph._arc_of[0], 1].any()
+        feeds = graph._stops[graph._arc_of[0]] == 0  # [from, to]
+        assert feeds[:-1].any()
+        assert not feeds[1].any()
         for inst in insts:
             got = solve_uc(inst, opts, graph=graph)
             power, committed = loop_solve(inst, opts)
@@ -661,6 +662,57 @@ class TestStateBound:
         schedule = solve_uc(inst, opts)
         assert schedule.power.tobytes() == power.tobytes()
         assert schedule.committed.tobytes() == committed.tobytes()
+
+    @pytest.mark.parametrize("sel,power_levels,ramp,T", [
+        (117.5, 21, 2.0, 130), (0.0, 255, 2000.0, 6)])
+    def test_batch_at_the_limit_matches_lone_solves(self, sel, power_levels, ramp, T):
+        # 256 states are 258 sweep rows, whose positions need 16-bit markers;
+        # a start climbs 1 MW rungs for 118 periods, or jumps to any level
+        dynamics = flat_dynamics(T, mel=450.0, sel=sel, ramp_up=ramp, ramp_dn=ramp)
+        opts = SolverOptions(power_levels=power_levels)
+        graph = UcGraph(dynamics, 0.5, opts)
+        assert graph.states == 256 and graph._stops.dtype == np.uint16
+        market = toy_market(np.where(np.arange(T) % 5 < 3, 90.0, 30.0), dt=0.5, fuel=20.0)
+        candidates = [params(eta=eta, sigma=sigma, phi=phi)
+                      for eta, sigma, phi in [(0.5, 500.0, 10.0), (0.5, 1e6, 0.0),
+                                              (0.3, 500.0, 10.0), (0.6, 1e4, 50.0)]]
+        observed = np.linspace(0.0, 450.0, T)
+        scores = optimal_sse(graph, market, candidates, observed)
+        for p, score in zip(candidates, scores):
+            inst = UcInstance(params=p, dynamics=dynamics, market=market)
+            power, committed = loop_solve(inst, opts)
+            alone = solve_uc(inst, opts, graph=graph)
+            assert alone.power.tobytes() == power.tobytes()
+            assert alone.committed.tobytes() == committed.tobytes()
+            assert type(score) is float and score == sse(alone, observed)
+        assert len(set(scores)) > 1  # some candidates start, some stay off
+
+
+def scan_first_feeders(feeds, order):
+    """For each candidate and target, the first k in ``order`` whose row
+    feeds the target, by a plain scan."""
+    return [[next(k for k, row in enumerate(ranked) if feeds[row][to])
+             for to in range(len(feeds))] for ranked in order.tolist()]
+
+
+class TestParentSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 258), st.integers(1, 40), st.floats(0.0, 1.0),
+           st.integers(0, 2**32 - 1))
+    @example(255, 3, 0.0, 1)
+    @example(256, 3, 0.0, 2)
+    @example(258, 40, 0.02, 3)
+    @example(24, 1, 1.0, 4)
+    def test_first_feeders_match_a_plain_scan(self, m, width, density, seed):
+        rng = np.random.default_rng(seed)
+        feeds = rng.random((m, m)) < density
+        feeds[-1] = True  # the sentinel feeds every row
+        order = rng.permuted(np.tile(np.arange(m), (width, 1)), axis=1)
+        stops = _stop_markers(feeds)
+        assert stops.dtype == (np.uint8 if m <= 255 else np.uint16)
+        got = _first_feeders(stops, order)
+        assert got.shape == (width, m)
+        assert got.tolist() == scan_first_feeders(feeds.tolist(), order)
 
 
 @pytest.fixture(scope="module")
