@@ -191,11 +191,9 @@ class UcGraph:
     never reached and feeds every row, so a state with no feasible parent
     stays unreachable. ``_level`` and ``_on`` hold each layout's rows once,
     and ``_layout_at[t]`` is period t's layout. ``_stops[_arc_of[t]]`` is
-    the (from, to) marker table into period t, from the source when t = 0:
-    0 where the row feeds the column, and where not the maximum of uint8, or
-    of uint16 once ``states + 2`` exceeds 255, so every position in a
-    period's order lies below it. ``nbytes`` gives the graph's size before
-    any solve.
+    the (from, to) table of markers (``_stop_markers``) of the rows feeding
+    each row of period t, from the source when t = 0. ``nbytes`` gives the
+    graph's size before any solve.
 
     An empty horizon, or an initial power the plant cannot hold in its
     initial state, raises ``SolverError`` here.
@@ -443,8 +441,9 @@ def _forward(graph: UcGraph, market: MarketSeries, params: list,
 
 
 def _stop_markers(feeds: np.ndarray) -> np.ndarray:
-    """Marker tables of bool (..., m, m) arc tables: 0 where a row feeds, and
-    where not the dtype's maximum, which lies above every position 0..m-1."""
+    """Marker tables of bool (..., m, m) [from, to] arc tables: 0 where a row
+    feeds, and where not the dtype's maximum, which lies above every
+    position 0..m-1: uint8 up to 255 rows, uint16 above."""
     m = feeds.shape[-1]
     marker = np.uint8 if m <= 255 else np.uint16
     return np.where(feeds, 0, np.iinfo(marker).max).astype(marker)
@@ -453,12 +452,12 @@ def _stop_markers(feeds: np.ndarray) -> np.ndarray:
 def _first_feeders(stops: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Position in ``order`` of the first row that feeds each column.
 
-    ``stops`` is an (m, m) [from, to] marker table: 0 where the row feeds the
-    column, the dtype's maximum where not; ``order`` holds a permutation of
-    the m rows per candidate, (P, m). Gathering the markers by the
-    transposed order puts position k's rows in slice k, and OR-ing slice k
-    with k leaves k where the row feeds and the maximum where not, so the
-    minimum over the slices is the first feeding position, (P, m).
+    ``stops`` is an (m, m) [from, to] table from ``_stop_markers``; ``order``
+    holds a permutation of the m rows per candidate, (P, m). Gathering the
+    markers by the transposed order puts position k's rows in slice k, and
+    OR-ing slice k with k leaves k where the row feeds and the maximum where
+    not, so the minimum over the slices is the first feeding position,
+    (P, m).
     """
     marks = stops.take(order.T, axis=0)
     marks |= np.arange(len(stops), dtype=stops.dtype)[:, None, None]
