@@ -13,6 +13,7 @@ from plantfit import (
     PlantDynamics,
     PlantParameters,
     SolverOptions,
+    UcGraph,
     UcInstance,
     make_grid,
     marginal_values,
@@ -47,8 +48,12 @@ params = PlantParameters(eta=0.5, sigma=12000.0, phi=900.0, nu=1.5, epsilon=0.18
 margins = marginal_values(params, market)
 print(f"margin range over the horizon: {margins.min():.1f} .. {margins.max():.1f} GBP/MWh")
 
+# The state graph holds the plant's dynamics and its state before the first
+# period; with the prices it is the problem, solved here for one parameter set.
+graph = UcGraph(dynamics, market.dt, SolverOptions())
+schedule = solve_uc(graph, market, params)
+# The independent check takes the whole instance and reads the raw series.
 instance = UcInstance(params=params, dynamics=dynamics, market=market)
-schedule = solve_uc(instance, SolverOptions())
 
 print(f"profit over two days: {schedule.profit:,.0f} GBP")
 print(f"periods committed:    {int(schedule.committed.sum())} of {T}")

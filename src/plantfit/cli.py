@@ -237,10 +237,11 @@ class Run:
 
 
 def _prepare(args) -> Run:
-    """Read the config, aligned dataset and plant; build the fit context.
+    """Read the config, aligned dataset and plant; build the fit context and
+    its state graph.
 
-    Every section of the config is checked, whichever command reads it, so
-    validate fails wherever fit would.
+    Every section of the config is checked, and the graph is built,
+    whichever command reads them, so validate fails wherever fit would.
     """
     cfg = _load_config(args.config)
     base = Path(args.config).parent
@@ -261,6 +262,7 @@ def _prepare(args) -> Run:
         dataset.dynamics, dataset.market, dataset.observed,
         epsilon=plant["epsilon_tco2_per_mwh_fuel"],
     )
+    context.graph(opts)  # kept by the context for the command's solves
     out = getattr(args, "out", None)  # validate writes nothing
     out_dir = Path(out if out is not None else cfg.get("out", "out"))
     return Run(cfg, dataset, plant, opts, bounds, de_cfg, compass_cfg, context, out_dir, params)
@@ -305,9 +307,8 @@ def cmd_fit(args) -> int:
 
 def cmd_simulate(args) -> int:
     run = _prepare(args)
-    instance = run.context.instance(run.params)
-    schedule = solve_uc(instance, run.opts)
-    violations = validate_schedule(schedule, instance)
+    schedule = solve_uc(run.context.graph(run.opts), run.dataset.market, run.params)
+    violations = validate_schedule(schedule, run.context.instance(run.params))
     if violations:
         raise SolverError(f"simulated schedule is infeasible: {violations[0]}")
 

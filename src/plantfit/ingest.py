@@ -31,7 +31,7 @@ from .domain import (
     PlantDynamics,
     PlantParameters,
 )
-from .uc import SolverOptions, UcInstance, solve_uc
+from .uc import SolverOptions, UcGraph, solve_uc
 
 # finest first: a file takes the first resolution its smallest row spacing fits
 RESOLUTION_HOURS = {"half-hourly": 0.5, "hourly": 1.0, "daily": 24.0}
@@ -127,8 +127,9 @@ class SeriesTable:
         return RawSeries(self.timestamps, self.values[column], self.resolution)
 
 
-def load_series(path, columns, timestamp: str = "timestamp_utc") -> SeriesTable:
-    """Read the named value columns of a CSV file in one pass.
+def load_series(path, columns) -> SeriesTable:
+    """Read the named value columns of a CSV file in one pass, on its
+    ``timestamp_utc`` column.
 
     A column that is read must appear once in the header. A malformed row is
     rejected with its line: a missing, extra or unparseable field, a
@@ -147,12 +148,12 @@ def load_series(path, columns, timestamp: str = "timestamp_utc") -> SeriesTable:
         if header is None:
             raise DataError(f"{path}: missing header row")
         position = {name: i for i, name in enumerate(header)}
-        for col in (timestamp, *columns):
+        for col in ("timestamp_utc", *columns):
             if col not in position:
                 raise DataError(f"{path}: missing column {col!r}")
             if header.count(col) > 1:
                 raise DataError(f"{path}: column {col!r} appears twice in the header")
-        stamp_at = position[timestamp]
+        stamp_at = position["timestamp_utc"]
         value_at = [(col, position[col]) for col in columns]
         for row in reader:
             if not row:
@@ -233,14 +234,14 @@ def align(
     dt: float,
     start,
     end,
-    max_price_gap_hours: float = MAX_PRICE_GAP_HOURS,
 ) -> AlignedDataset:
     """Project raw series onto one uniform grid covering [start, end).
 
     ``series`` must provide electricity, fuel, carbon, production, mel, sel,
-    ramp_up, and ramp_dn. Prices may be forward-filled across short gaps;
-    production and dynamic data must cover every period. The single ramp
-    rate the model uses is the most restrictive value over the horizon.
+    ramp_up, and ramp_dn. Prices are forward-filled across gaps of up to
+    ``MAX_PRICE_GAP_HOURS``; production and dynamic data must cover every
+    period. The single ramp rate the model uses is the most restrictive
+    value over the horizon.
     """
     _check_dt(dt)
     required = ("electricity", "fuel", "carbon", "production",
@@ -259,9 +260,9 @@ def align(
         raise DataError("horizon is not a whole number of dt steps")
     grid = make_grid(t0, periods, dt)
 
-    w = _resample(series["electricity"], grid, "electricity prices", max_price_gap_hours)
-    f = _resample(series["fuel"], grid, "fuel prices", max_price_gap_hours)
-    e = _resample(series["carbon"], grid, "carbon prices", max_price_gap_hours)
+    w = _resample(series["electricity"], grid, "electricity prices", MAX_PRICE_GAP_HOURS)
+    f = _resample(series["fuel"], grid, "fuel prices", MAX_PRICE_GAP_HOURS)
+    e = _resample(series["carbon"], grid, "carbon prices", MAX_PRICE_GAP_HOURS)
     production = _resample(series["production"], grid, "observed production", 0.0)
     mel = _resample(series["mel"], grid, "MEL", 0.0)
     sel = _resample(series["sel"], grid, "SEL", 0.0)
@@ -294,11 +295,9 @@ def synthesize(
     """
     if noise < 0:
         raise DataError("noise must be non-negative")
-    instance = UcInstance(
-        params=params, dynamics=dynamics, market=market,
-        initial_committed=initial_committed, initial_power=initial_power,
-    )
-    schedule = solve_uc(instance, opts or SolverOptions())
+    graph = UcGraph(dynamics, market.dt, opts or SolverOptions(),
+                    initial_committed, initial_power)
+    schedule = solve_uc(graph, market, params)
     power = np.asarray(schedule.power, dtype=float)
     if noise > 0:
         rng = np.random.default_rng(seed)

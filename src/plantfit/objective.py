@@ -152,7 +152,7 @@ def evaluate_candidate(params: PlantParameters, context: FitContext,
                        opts: SolverOptions | None = None) -> FitnessRecord:
     """Solve the inner problem at ``params`` and score it against observed."""
     opts = opts or SolverOptions()
-    schedule = solve_uc(context.instance(params), opts, graph=context.graph(opts))
+    schedule = solve_uc(context.graph(opts), context.market, params)
     err = sse(schedule, context.observed)
     return FitnessRecord(
         params=params,
@@ -174,34 +174,22 @@ def _pool_init(context: FitContext, opts: SolverOptions):
     _WORKER = (context, opts)
 
 
-def _pool_score(vecs) -> tuple[list[float], Exception | None]:
+def _pool_score(vecs) -> list[float]:
     context, opts = _WORKER
     return _score_vectors(vecs, context, opts)
 
 
-def _score_vectors(vecs, context: FitContext,
-                   opts: SolverOptions) -> tuple[list[float], Exception | None]:
-    """Scores of parameter vectors (a batch, or one worker's part of it), and
-    the first candidate error.
+def _score_vectors(vecs, context: FitContext, opts: SolverOptions) -> list[float]:
+    """Scores of parameter vectors (a batch, or one worker's part of it).
 
     The parameter sets are scored on the context's graph and market in one
     sweep of ``uc.optimal_sse``, which builds no schedule. A candidate that
-    fails alone (``CANDIDATE_ERRORS``) scores +inf, and the first such error
-    is returned with the scores.
+    fails alone (``CANDIDATE_ERRORS``) scores +inf.
     """
     params = [vector_to_params(v, context.epsilon) for v in vecs]
-    scores = []
-    error = None
-    for result in optimal_sse(context.graph(opts), context.market, params,
-                              context.observed.power):
-        if isinstance(result, CANDIDATE_ERRORS):
-            # infeasible corners score worst instead of aborting
-            scores.append(math.inf)
-            if error is None:
-                error = result
-        else:
-            scores.append(result)
-    return scores, error
+    results = optimal_sse(context.graph(opts), context.market, params, context.observed.power)
+    # infeasible corners score worst instead of aborting
+    return [math.inf if isinstance(r, CANDIDATE_ERRORS) else r for r in results]
 
 
 class CandidateEvaluator:
@@ -211,12 +199,11 @@ class CandidateEvaluator:
     per worker process (None runs serially, and a value below 1 is refused).
     Each part is scored in one DP sweep that builds no schedule; a score is
     the SSE of the candidate's lone-solved schedule, bit for bit. Expected
-    failures of one candidate (an infeasible parameter set) score +inf, and
-    ``error`` holds the first such failure of the latest batch (None if it
-    had none); an error of the problem every candidate shares, or any other
-    error, propagates. Results come back in submission order and do not depend on the worker
-    count, so a fixed seed gives identical runs. A vector scored before is
-    served from its stored score, not solved again.
+    failures of one candidate (an infeasible parameter set) score +inf; an
+    error of the problem every candidate shares, or any other error,
+    propagates. Results come back in submission order and do not depend on
+    the worker count, so a fixed seed gives identical runs. A vector scored
+    before is served from its stored score, not solved again.
     """
 
     def __init__(self, context: FitContext, opts: SolverOptions, jobs: int | None = None):
@@ -227,7 +214,6 @@ class CandidateEvaluator:
         self.jobs = jobs or 1
         self._pool = None
         self._scored: dict[bytes, float] = {}  # float64 vector bytes -> score
-        self.error: Exception | None = None
 
     def __enter__(self):
         if self.jobs > 1:
@@ -248,7 +234,6 @@ class CandidateEvaluator:
         return False
 
     def scores(self, vecs) -> list[float]:
-        self.error = None
         vecs = np.array(vecs, dtype=float)
         keys = [vec.tobytes() for vec in vecs]
         new = {}  # each vector not scored before, in first-seen order
@@ -261,17 +246,10 @@ class CandidateEvaluator:
 
     def _solve(self, vecs: np.ndarray) -> list[float]:
         if self._pool is None:
-            parts = [_score_vectors(vecs, self.context, self.opts)]
-        else:
-            size = -(-len(vecs) // self.jobs)
-            parts = self._pool.map(_pool_score, [vecs[i:i + size]
-                                                 for i in range(0, len(vecs), size)])
-        scores = []
-        for part, error in parts:
-            scores.extend(part)
-            if self.error is None:
-                self.error = error
-        return scores
+            return _score_vectors(vecs, self.context, self.opts)
+        size = -(-len(vecs) // self.jobs)
+        parts = self._pool.map(_pool_score, [vecs[i:i + size] for i in range(0, len(vecs), size)])
+        return [score for part in parts for score in part]
 
 
 def landscape_slice(

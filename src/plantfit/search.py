@@ -54,9 +54,9 @@ class DeConfig:
 
 @dataclass(frozen=True)
 class CompassConfig:
-    """Coordinate-polling settings; None steps default to fractions of the box."""
+    """Coordinate-polling settings. The first step is 10% of the box along
+    each coordinate; a None minimum step defaults to 0.1% of it."""
 
-    initial_step: tuple | None = None  # per-dimension; default 10% of range
     contraction: float = 0.5
     min_step: tuple | None = None      # per-dimension; default 1e-3 of range
     max_iterations: int = 150
@@ -157,7 +157,7 @@ def compass_search(score, start, bounds: SearchBounds,
         raise ParameterError("start point lies outside the bounds")
 
     span = upper - lower
-    step = np.array(cfg.initial_step, dtype=float) if cfg.initial_step is not None else 0.1 * span
+    step = 0.1 * span
     min_step = np.array(cfg.min_step, dtype=float) if cfg.min_step is not None else 1e-3 * span
     if np.any(step <= 0) or np.any(min_step <= 0):
         raise ParameterError("steps must be positive")
@@ -194,17 +194,17 @@ def compass_search(score, start, bounds: SearchBounds,
 
 def _feasible_start(ev: CandidateEvaluator):
     """``ev.scores``, except that a first batch (DE's initial population)
-    with no finite score raises the error of its first candidate. A wholly
-    infeasible population almost always means no candidate is feasible, and
-    the search would spend every generation scoring +inf, to fail only at
-    its final re-evaluation."""
+    with no finite score raises the error of its first candidate, which is
+    solved alone for it. A wholly infeasible population almost always means
+    no candidate is feasible, and the search would spend every generation
+    scoring +inf, to fail only at its final re-evaluation."""
     first = True
 
     def score(vecs):
         nonlocal first
         scores = ev.scores(vecs)
         if first and not np.isfinite(scores).any():
-            raise ev.error
+            evaluate_candidate(vector_to_params(vecs[0], ev.context.epsilon), ev.context, ev.opts)
         first = False
         return scores
 

@@ -18,12 +18,12 @@ band to zero. Dwelling strictly between zero and SEL is infeasible.
 
 A problem is a state graph (``UcGraph``: dynamics, dt, grid options and the
 initial state, checked when it is built) and a market over the same horizon.
-``solve_uc`` solves one ``UcInstance`` and walks its back-pointers to the
-schedule. ``optimal_sse(graph, market, params, observed)`` scores many
-parameter sets on one problem in one DP sweep, each period advancing a
-(candidates, states) stack at once: each path carries its squared error
-against observed production, so the winning final state holds its
-schedule's SSE, and no back-pointer or schedule is kept.
+``solve_uc(graph, market, params)`` solves it for one parameter set and walks
+its back-pointers to the schedule. ``optimal_sse(graph, market, params,
+observed)`` scores many parameter sets on one problem in one DP sweep, each
+period advancing a (candidates, states) stack at once: each path carries its
+squared error against observed production, so the winning final state holds
+its schedule's SSE, and no back-pointer or schedule is kept.
 Periods with equal (levels, modes) share one state layout, whose levels
 are stored once, and one table of arc markers is stored per distinct pair of
 adjacent layouts; flat dynamics need a single layout and table. The initial
@@ -85,7 +85,8 @@ class SolverOptions:
 
 @dataclass(frozen=True, eq=False)
 class UcInstance:
-    """One plant, one horizon, one candidate parameter set."""
+    """One plant, one horizon, one candidate parameter set: the input of the
+    independent checks, ``validate_schedule`` and ``schedule_profit``."""
 
     params: PlantParameters
     dynamics: PlantDynamics
@@ -175,9 +176,10 @@ class UcGraph:
 
     Building the graph is independent of the candidate cost parameters, so
     one graph serves every parameter set evaluated against the same problem.
-    ``levels``, ``modes`` and ``committed`` hold one array per period; periods
-    with equal layouts share it. For the sweep, layouts are padded with
-    unreachable states to a common count, ``states``.
+    Periods with equal (MEL, SEL) share one state layout: ``levels`` and
+    ``modes`` hold one array per distinct layout, and ``_layout_at[t]`` is
+    period t's, so the horizon is ``len(_layout_at)``. For the sweep, layouts
+    are padded with unreachable states to a common count, ``states``.
 
     The initial condition is one more layout, the source: ``(0, off)``, or
     ``(p, up)``, ``(p, down)``, ``(p, stable)`` for a plant committed at
@@ -189,11 +191,10 @@ class UcGraph:
     The sweep works on ``states + 2`` rows: state 0, state 0 again for the
     arcs that pay the start-up cost, states 1 onwards, and a sentinel that is
     never reached and feeds every row, so a state with no feasible parent
-    stays unreachable. ``_level`` and ``_on`` hold each layout's rows once,
-    and ``_layout_at[t]`` is period t's layout. ``_stops[_arc_of[t]]`` is
-    the (from, to) table of markers (``_stop_markers``) of the rows feeding
-    each row of period t, from the source when t = 0. ``nbytes`` gives the
-    graph's size before any solve.
+    stays unreachable. ``_level`` and ``_on`` hold each layout's rows once.
+    ``_stops[_arc_of[t]]`` is the (from, to) table of markers
+    (``_stop_markers``) of the rows feeding each row of period t, from the
+    source when t = 0. ``nbytes`` gives the graph's size before any solve.
 
     An empty horizon, or an initial power the plant cannot hold in its
     initial state, raises ``SolverError`` here.
@@ -212,11 +213,8 @@ class UcGraph:
             raise SolverError("initial power must be zero while not committed")
         self.dynamics = dynamics
         self.dt = dt
-        self.opts = opts
         self.initial_committed = initial_committed
-        self.initial_power = initial_power
-        self.up_step = up_step = dynamics.ramp_up * dt
-        self.dn_step = dn_step = dynamics.ramp_dn * dt
+        up_step, dn_step = dynamics.ramp_up * dt, dynamics.ramp_dn * dt
         # a period's (levels, modes) depend on nothing but its (mel, sel)
         layouts: list[tuple[np.ndarray, np.ndarray]] = []
         layout_of: dict = {}  # (mel, sel) -> layout index
@@ -242,14 +240,11 @@ class UcGraph:
         self._state[self._column] = np.arange(n)
         level = np.zeros((source, m))
         on = np.zeros((source, m), dtype=bool)
-        committed = []
         for k, (levels, modes) in enumerate(layouts[:source]):
             level[k, self._column[:len(levels)]] = levels
             on[k, self._column[:len(levels)]] = modes != _OFF
-            committed.append(modes != _OFF)
-        self.levels = [layouts[k][0] for k in layout_at]
-        self.modes = [layouts[k][1] for k in layout_at]
-        self.committed = [committed[k] for k in layout_at]
+        self.levels = [levels for levels, _ in layouts[:source]]
+        self.modes = [modes for _, modes in layouts[:source]]
         self.states = n
         self._layout_at = np.array(layout_at, dtype=np.min_scalar_type(source - 1))
         self._level = level  # (layouts, m), zero on padding
@@ -279,10 +274,10 @@ class UcGraph:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the arrays the graph holds, each shared array counted once."""
+        """Bytes of the arrays the graph holds."""
         arrays = (self._level, self._on, self._stops, self._column, self._state,
-                  self._layout_at, self._arc_of, *self.levels, *self.modes, *self.committed)
-        return sum({id(a): a.nbytes for a in arrays}.values())
+                  self._layout_at, self._arc_of, *self.levels, *self.modes)
+        return sum(a.nbytes for a in arrays)
 
 
 # Errors that fail one candidate alone: a parameter out of its range or an
@@ -293,24 +288,16 @@ CANDIDATE_ERRORS = (SolverError, ParameterError, DataError)
 _REWARD_BYTES = 2**18
 
 
-def solve_uc(instance: UcInstance, opts: SolverOptions | None = None,
-             graph: UcGraph | None = None) -> Schedule:
-    """Profit-maximal feasible schedule over the discretized power grid.
+def solve_uc(graph: UcGraph, market: MarketSeries, params: PlantParameters) -> Schedule:
+    """Profit-maximal feasible schedule for one parameter set, over the
+    discretized power grid.
 
-    Ties in profit prefer fewer committed periods, then lower total energy,
-    so the result is deterministic. Pass a precompiled ``graph`` to reuse
-    the state graph across many parameter sets on the same context. The
-    schedule's profit is derived again from the raw series, and a mismatch
-    with the DP's raises.
+    The problem is ``graph`` with ``market``, whose horizon and dt must be
+    the graph's, as for :func:`optimal_sse`; one graph serves every
+    parameter set. Ties in profit prefer fewer committed periods, then lower
+    total energy, so the result is deterministic. The schedule's profit is
+    derived again from the raw series, and a mismatch with the DP's raises.
     """
-    opts = opts or SolverOptions()
-    initial = (instance.initial_committed, instance.initial_power)
-    if graph is None:
-        graph = UcGraph(instance.dynamics, instance.market.dt, opts, *initial)
-    elif (graph.dynamics is not instance.dynamics or graph.dt != instance.market.dt
-          or graph.opts != opts or (graph.initial_committed, graph.initial_power) != initial):
-        raise SolverError("the graph was built for other dynamics, dt, initial state or options")
-    market, params = instance.market, instance.params
     _check_market(graph, market)
     validate_parameters(params)
     T, n = market.horizon, graph.states
@@ -369,9 +356,10 @@ def optimal_sse(graph: UcGraph, market: MarketSeries, params, observed) -> list:
 
 
 def _check_market(graph: UcGraph, market: MarketSeries) -> None:
-    if market.horizon != len(graph.levels) or market.dt != graph.dt:
+    horizon = len(graph._layout_at)
+    if market.horizon != horizon or market.dt != graph.dt:
         raise SolverError(f"market and graph mismatch: horizon {market.horizon} and dt "
-                          f"{market.dt:g} h against {len(graph.levels)} and {graph.dt:g} h")
+                          f"{market.dt:g} h against {horizon} and {graph.dt:g} h")
 
 
 def _forward(graph: UcGraph, market: MarketSeries, params: list,

@@ -9,8 +9,10 @@ from plantfit import (
     PlantParameters,
     SolverError,
     SolverOptions,
+    UcGraph,
     UcInstance,
     make_grid,
+    solve_uc,
     synthesize,
 )
 
@@ -33,6 +35,17 @@ def toy_market(w, dt=1.0, fuel=20.0, carbon=0.0, start="2018-01-01T00:00:00Z"):
     grid = make_grid(start, T, dt)
     return MarketSeries(grid=grid, w=w, f=np.full(T, fuel),
                         e=np.full(T, carbon), dt=dt)
+
+
+def graph_of(instance: UcInstance, opts: SolverOptions | None = None) -> UcGraph:
+    """The state graph of an instance's problem."""
+    return UcGraph(instance.dynamics, instance.market.dt, opts or SolverOptions(),
+                   instance.initial_committed, instance.initial_power)
+
+
+def solve(instance: UcInstance, opts: SolverOptions | None = None):
+    """``solve_uc`` of an instance, on its own graph."""
+    return solve_uc(graph_of(instance, opts), instance.market, instance.params)
 
 
 def worked_example():
@@ -223,16 +236,15 @@ def noisy_recovery_context():
                                     initial_committed=False, initial_power=0.0)
 
 
-def _first_period_arcs(graph, initial_committed, initial_power):
+def _first_period_arcs(levels0, modes0, up_step, dn_step, initial_committed, initial_power):
     """Feasible first-period states and their start flags, from the initial condition."""
     OFF, RUN, UP, DOWN = 0, 1, 2, 3
     TOL = 1e-9
-    levels0, modes0 = graph.levels[0], graph.modes[0]
     delta = levels0 - initial_power
-    ramp_ok = (delta <= graph.up_step + TOL) & (delta >= -(graph.dn_step + TOL))
+    ramp_ok = (delta <= up_step + TOL) & (delta >= -(dn_step + TOL))
     if not initial_committed:
         feas = ramp_ok & (modes0 != DOWN)
-        starts = graph.committed[0].copy()
+        starts = modes0 != OFF
     else:
         feas = ramp_ok & (
             (modes0 == RUN)
@@ -247,25 +259,30 @@ def _first_period_arcs(graph, initial_committed, initial_power):
 def loop_solve(instance, opts):
     """Reference DP: one candidate, one Python loop over the periods.
 
-    This is the solver's original per-candidate form. It builds a separate
-    arc matrix for every period and breaks ties in profit with three masked
-    passes (fewer committed periods, then less energy, then lowest state
-    index). It states the rules for leaving the initial condition on its
-    own, not through the graph's source states. The batched sweep must
-    reproduce its schedules bit for bit.
+    This is the solver's original per-candidate form. It builds every
+    period's levels with ``_period_levels`` and a separate arc matrix for
+    every period, and breaks ties in profit with three masked passes (fewer
+    committed periods, then less energy, then lowest state index). It states
+    the rules for leaving the initial condition on its own, not through the
+    graph's source states, and shares no layout between periods. The batched
+    sweep must reproduce its schedules bit for bit.
     """
-    from plantfit.uc import UcGraph, _transition_mask, marginal_values
+    from plantfit.uc import _period_levels, _transition_mask, marginal_values
 
-    graph = UcGraph(instance.dynamics, instance.market.dt, opts,
-                    instance.initial_committed, instance.initial_power)
+    graph_of(instance, opts)  # the checks of the initial state
+    dyn = instance.dynamics
     T = instance.market.horizon
     dt = instance.market.dt
     p = instance.params
+    up_step, dn_step = dyn.ramp_up * dt, dyn.ramp_dn * dt
+    hold = instance.initial_power if instance.initial_committed else None
+    levels, modes = zip(*(_period_levels(mel, sel, up_step, dn_step, opts.power_levels, hold)
+                          for mel, sel in zip(dyn.mel.tolist(), dyn.sel.tolist())))
+    on = [m != 0 for m in modes]
     mv = marginal_values(p, instance.market)
-    levels = graph.levels
-    com = [c.astype(float) for c in graph.committed]
-    feas0, starts0 = _first_period_arcs(graph, instance.initial_committed,
-                                        instance.initial_power)
+    com = [c.astype(float) for c in on]
+    feas0, starts0 = _first_period_arcs(levels[0], modes[0], up_step, dn_step,
+                                        instance.initial_committed, instance.initial_power)
     if not feas0.any():
         raise SolverError("no feasible first-period state from the initial condition")
 
@@ -286,9 +303,9 @@ def loop_solve(instance, opts):
     nenergy = np.where(feas0, -levels[0] * dt, -np.inf)
     parents = []
     for t in range(1, T):
-        mask = _transition_mask(levels[t - 1], graph.modes[t - 1], levels[t],
-                                graph.modes[t], graph.up_step, graph.dn_step)
-        start = (graph.modes[t - 1] == 0)[:, None] & graph.committed[t][None, :]
+        mask = _transition_mask(levels[t - 1], modes[t - 1], levels[t], modes[t],
+                                up_step, dn_step)
+        start = (modes[t - 1] == 0)[:, None] & on[t][None, :]
         arc = np.where(mask, 0.0, -np.inf) - start.astype(float) * p.sigma
         best1, best2, best3, parent = lex_best(profit[:, None] + arc,
                                                ncom[:, None], nenergy[:, None])
@@ -306,5 +323,5 @@ def loop_solve(instance, opts):
         idx.append(int(parents[t - 1][idx[-1]]))
     idx.reverse()
     power = np.array([levels[t][i] for t, i in enumerate(idx)])
-    committed = np.array([graph.committed[t][i] for t, i in enumerate(idx)], dtype=np.int8)
+    committed = np.array([on[t][i] for t, i in enumerate(idx)], dtype=np.int8)
     return power, committed

@@ -1,7 +1,8 @@
 """Exhaustive reference optimum of the unit-commitment problem, for tests.
 
-Of the solver it checks, the oracle takes only the level grid
-(``UcGraph.levels``) and the checks that building a ``UcGraph`` makes.
+Of the solver it checks, the oracle takes only the level grid, built per
+period by ``uc._period_levels``, and the checks that building a ``UcGraph``
+makes.
 Feasibility is decided by rules written against the raw series, not by the
 solver's transition tables, and each schedule is scored with
 ``schedule_profit``.
@@ -20,14 +21,14 @@ from plantfit import (
     schedule_profit,
     validate_schedule,
 )
-from plantfit.uc import _TOL
+from plantfit.uc import _TOL, _period_levels
 
 
-def _period_options(graph: UcGraph, t: int) -> list[tuple[float, int]]:
+def _period_options(levels: np.ndarray, modes: np.ndarray) -> list[tuple[float, int]]:
     """Distinct (power, committed) choices for one period, in a fixed order."""
     pairs = {(0.0, 0)}
-    for lvl, com in zip(graph.levels[t], graph.committed[t]):
-        if com:
+    for lvl, mode in zip(levels, modes):
+        if mode != 0:  # committed
             pairs.add((float(lvl), 1))
     return sorted(pairs)
 
@@ -44,7 +45,7 @@ def enumerate_uc_oracle(instance: UcInstance, opts: SolverOptions | None = None)
     opts = opts or SolverOptions()
     dyn = instance.dynamics
     dt = instance.market.dt
-    graph = UcGraph(dyn, dt, opts, instance.initial_committed, instance.initial_power)
+    UcGraph(dyn, dt, opts, instance.initial_committed, instance.initial_power)  # its checks
     T = instance.market.horizon
     if T != len(dyn.mel):
         raise SolverError("dynamics and market series length mismatch")
@@ -52,9 +53,12 @@ def enumerate_uc_oracle(instance: UcInstance, opts: SolverOptions | None = None)
         raise SolverError("instance too large to enumerate")
     p = instance.params
     mv = marginal_values(p, instance.market)
-    options = [_period_options(graph, t) for t in range(T)]
     up_step = dyn.ramp_up * dt
     dn_step = dyn.ramp_dn * dt
+    hold = instance.initial_power if instance.initial_committed else None
+    options = [_period_options(*_period_levels(mel, sel_t, up_step, dn_step,
+                                               opts.power_levels, hold))
+               for mel, sel_t in zip(dyn.mel.tolist(), dyn.sel.tolist())]
     sel = dyn.sel
 
     best: tuple[float, float, float] | None = None

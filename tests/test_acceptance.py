@@ -20,7 +20,6 @@ from plantfit import (
     SearchBounds,
     SolverOptions,
     UcGraph,
-    UcInstance,
     compass_search,
     differential_evolution,
     evaluate_candidate,
@@ -39,6 +38,7 @@ from conftest import (
     random_dispatch_instance,
     random_small_instance,
     recovery_market,
+    solve,
     toy_market,
 )
 from oracle import enumerate_uc_oracle
@@ -74,7 +74,7 @@ def test_criterion_1_oracle_equivalence():
     for _ in range(100):
         instance, opts = random_small_instance(rng)
         oracle = enumerate_uc_oracle(instance, opts)
-        solved = solve_uc(instance, opts)
+        solved = solve(instance, opts)
         scale = max(1.0, abs(oracle.profit))
         worst = max(worst, abs(solved.profit - oracle.profit) / scale)
     elapsed = time.perf_counter() - start
@@ -92,19 +92,14 @@ def test_criterion_2_feasibility_and_cost_monotonicity():
         instance = random_dispatch_instance(rng, T=336)
         graph = UcGraph(instance.dynamics, instance.market.dt, opts,
                         instance.initial_committed, instance.initial_power)
-        base = solve_uc(instance, opts, graph=graph)
+        base = solve_uc(graph, instance.market, instance.params)
         if validate_schedule(base, instance):
             violations += 1
         tol = 1e-9 * (1.0 + abs(base.profit))
         for field in ("sigma", "phi", "nu"):
             bumped = dataclasses.replace(
                 instance.params, **{field: getattr(instance.params, field) * 1.1})
-            worse = solve_uc(
-                UcInstance(params=bumped, dynamics=instance.dynamics,
-                           market=instance.market,
-                           initial_committed=instance.initial_committed,
-                           initial_power=instance.initial_power),
-                opts, graph=graph)
+            worse = solve_uc(graph, instance.market, bumped)
             if worse.profit > base.profit + tol:
                 increases += 1
     elapsed = time.perf_counter() - start

@@ -320,6 +320,23 @@ class TestValidate:
         assert main(["fit", "--config", config, "--out", str(tmp_path / "out")]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("problem,message", [
+        ("power_levels", "a period would hold more than 256 states"),
+        ("initial_power", "initial power exceeds the first-period export limit"),
+    ])
+    def test_problem_fit_cannot_solve_exits_3(self, fixture_dir, tmp_path, capsys,
+                                              problem, message):
+        # the state graph is built: 300 stable levels, or a first output above MEL 100
+        if problem == "power_levels":
+            config = with_config(fixture_dir, tmp_path, solver={"power_levels": 300})
+        else:
+            config = with_production(fixture_dir, tmp_path, lambda rows: [
+                rows[0], rows[1].split(",")[0] + ",150.0", *rows[2:]])
+        assert main(["validate", "--config", config]) == 3
+        assert message in capsys.readouterr().err
+        assert main(["fit", "--config", config, "--out", str(tmp_path / "out")]) == 3
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("bounds,message", [
         ({"eta": [0.3]}, "plant bounds for eta must be a [low, high] pair"),
         ({"nu_per_cap": [0, 1]}, "unknown key 'nu_per_cap' in plant bounds"),

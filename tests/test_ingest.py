@@ -14,12 +14,11 @@ from plantfit import (
     align,
     load_series,
     make_grid,
-    solve_uc,
     synthesize,
 )
 from plantfit.ingest import _epoch_seconds, format_timestamp, parse_timestamp
 from plantfit.uc import UcInstance
-from conftest import EPSILON, flat_dynamics, toy_market
+from conftest import EPSILON, flat_dynamics, solve, toy_market
 
 
 
@@ -347,8 +346,7 @@ class TestSynthesize:
     def test_noiseless_matches_solver(self):
         params, dynamics, market = self._setup()
         observed = synthesize(params, dynamics, market, SolverOptions())
-        schedule = solve_uc(UcInstance(params=params, dynamics=dynamics, market=market),
-                            SolverOptions())
+        schedule = solve(UcInstance(params=params, dynamics=dynamics, market=market))
         assert np.array_equal(observed.power, schedule.power)
 
     def test_noise_statistics(self):

@@ -28,13 +28,12 @@ from plantfit import (
     make_grid,
     params_to_vector,
     rms,
-    solve_uc,
     sse,
     synthesize,
     vector_to_params,
 )
 from plantfit.objective import CandidateEvaluator
-from conftest import EPSILON, TRUE_PARAMS, flat_dynamics, toy_market
+from conftest import EPSILON, TRUE_PARAMS, flat_dynamics, solve, toy_market
 
 
 def observed_of(values, dt=1.0):
@@ -124,7 +123,7 @@ class TestEvaluateCandidate:
     def test_profit_matches_solver(self):
         true, ctx = small_context()
         record = evaluate_candidate(true, ctx, SolverOptions())
-        schedule = solve_uc(ctx.instance(true), SolverOptions())
+        schedule = solve(ctx.instance(true), SolverOptions())
         assert record.schedule.profit == schedule.profit
         assert record.schedule.power.tobytes() == schedule.power.tobytes()
 

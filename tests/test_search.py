@@ -16,8 +16,8 @@ from plantfit import (
     evaluate_candidate,
     fit,
 )
-from plantfit import SolverOptions, solve_uc
-from conftest import EPSILON
+from plantfit import SolverOptions
+from conftest import EPSILON, solve
 from test_objective import small_context
 
 
@@ -185,7 +185,7 @@ class TestFit:
         true, ctx = small_context(T=24)
         result = fit(ctx, de_cfg=DeConfig(population=8, generations=10, seed=1),
                      compass_cfg=CompassConfig(max_iterations=10))
-        alone = solve_uc(ctx.instance(result.best), SolverOptions())
+        alone = solve(ctx.instance(result.best))
         for name in ("power", "committed", "started"):
             assert getattr(result.schedule, name).tobytes() == getattr(alone, name).tobytes()
         assert result.schedule.profit == alone.profit

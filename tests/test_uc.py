@@ -23,13 +23,15 @@ from plantfit import (
     sse,
     validate_schedule,
 )
-from plantfit.uc import _first_feeders, _stop_markers, optimal_sse
+from plantfit.uc import _first_feeders, _period_levels, _stop_markers, optimal_sse
 from conftest import (
     TRUE_PARAMS,
     flat_dynamics,
+    graph_of,
     loop_solve,
     random_small_instance,
     recovery_market,
+    solve,
     toy_market,
     worked_example,
 )
@@ -76,14 +78,14 @@ class TestSolveUc:
                           dynamics=flat_dynamics(4, mel=100.0, sel=0.0,
                                                  ramp_up=200.0, ramp_dn=200.0),
                           market=market)
-        schedule = solve_uc(inst, SolverOptions(power_levels=5))
+        schedule = solve(inst, SolverOptions(power_levels=5))
         assert schedule.power.tolist() == [0.0] * 4
         assert schedule.profit == 0.0
 
     def test_worked_example_matches_oracle(self):
         inst, opts = worked_example()
         oracle = enumerate_uc_oracle(inst, opts)
-        schedule = solve_uc(inst, opts)
+        schedule = solve(inst, opts)
         assert oracle.profit == pytest.approx(3000.0)
         assert schedule.power.tolist() == [100.0, 100.0, 0.0]
         assert schedule.profit == pytest.approx(3000.0, rel=1e-9)
@@ -94,7 +96,7 @@ class TestSolveUc:
                             sel=np.zeros(4), ramp_up=1000.0, ramp_dn=1000.0)
         inst = UcInstance(params=params(eta=0.5), dynamics=dyn, market=market,
                           initial_committed=True, initial_power=100.0)
-        schedule = solve_uc(inst, SolverOptions(power_levels=7))
+        schedule = solve(inst, SolverOptions(power_levels=7))
         assert schedule.power.tolist() == dyn.mel.tolist()
 
     def test_profit_ties_prefer_less_energy(self):
@@ -106,7 +108,7 @@ class TestSolveUc:
         inst = UcInstance(params=params(eta=0.5), dynamics=dyn, market=market,
                           initial_committed=True, initial_power=90.0)
         opts = SolverOptions(power_levels=3)
-        schedule = solve_uc(inst, opts)
+        schedule = solve(inst, opts)
         assert schedule.power.tolist() == [90.0, 90.0]
         assert schedule.power.tobytes() == loop_solve(inst, opts)[0].tobytes()
 
@@ -118,13 +120,13 @@ class TestSolveUc:
         inst = UcInstance(params=params(eta=0.5, sigma=1e5), dynamics=dyn, market=market,
                           initial_committed=True, initial_power=10.0)
         opts = SolverOptions(power_levels=3)
-        schedule = solve_uc(inst, opts)
+        schedule = solve(inst, opts)
         assert schedule.power.tolist() == [30.0, 60.0, 90.0, 100.0]
         assert schedule.profit == pytest.approx(enumerate_uc_oracle(inst, opts).profit)
 
     def test_profit_matches_schedule_profit_exactly(self):
         inst, opts = worked_example()
-        schedule = solve_uc(inst, opts)
+        schedule = solve(inst, opts)
         assert schedule.profit == schedule_profit(schedule, inst)
 
     def test_empty_horizon_rejected(self):
@@ -132,20 +134,20 @@ class TestSolveUc:
                               w=np.array([]), f=np.array([]), e=np.array([]), dt=1.0)
         inst = UcInstance(params=params(), dynamics=flat_dynamics(0), market=market)
         with pytest.raises(SolverError, match="empty"):
-            solve_uc(inst)
+            solve(inst)
 
     def test_length_mismatch_rejected(self):
         inst = UcInstance(params=params(), dynamics=flat_dynamics(5),
                           market=toy_market([50.0, 60.0]))
         with pytest.raises(SolverError, match="mismatch"):
-            solve_uc(inst)
+            solve(inst)
 
     def test_initial_power_needs_commitment(self):
         inst = UcInstance(params=params(), dynamics=flat_dynamics(2),
                           market=toy_market([50.0, 60.0]),
                           initial_committed=False, initial_power=50.0)
         with pytest.raises(SolverError):
-            solve_uc(inst)
+            solve(inst)
 
 
 class TestScheduleProfit:
@@ -167,7 +169,7 @@ class TestScheduleProfit:
 
     def test_solver_output_cross_checks_oracle(self):
         inst, opts = worked_example()
-        schedule = solve_uc(inst, opts)
+        schedule = solve(inst, opts)
         oracle = enumerate_uc_oracle(inst, opts)
         assert schedule_profit(schedule, inst) == pytest.approx(oracle.profit, rel=1e-9)
 
@@ -182,7 +184,7 @@ class TestScheduleProfit:
 class TestValidateSchedule:
     def test_solver_output_is_feasible(self):
         inst, opts = worked_example()
-        assert validate_schedule(solve_uc(inst, opts), inst) == []
+        assert validate_schedule(solve(inst, opts), inst) == []
 
     def test_power_while_off_flagged(self):
         inst, _ = worked_example()
@@ -230,7 +232,7 @@ class TestValidateSchedule:
 
     def test_missing_start_flag_flagged(self):
         inst, opts = worked_example()
-        good = solve_uc(inst, opts)
+        good = solve(inst, opts)
         s = Schedule(power=good.power, committed=good.committed,
                      started=np.zeros(3, dtype=int), profit=0.0)
         assert any(v.kind == "start" for v in validate_schedule(s, inst))
@@ -264,7 +266,7 @@ class TestOracle:
         for _ in range(40):
             inst, opts = random_small_instance(rng)
             oracle = enumerate_uc_oracle(inst, opts)
-            schedule = solve_uc(inst, opts)
+            schedule = solve(inst, opts)
             scale = max(1.0, abs(oracle.profit))
             assert abs(schedule.profit - oracle.profit) <= 1e-6 * scale
 
@@ -274,7 +276,7 @@ class TestProperties:
         rng = np.random.default_rng(11)
         for _ in range(40):
             inst, opts = random_small_instance(rng)
-            assert validate_schedule(solve_uc(inst, opts), inst) == []
+            assert validate_schedule(solve(inst, opts), inst) == []
 
     def test_profit_nonnegative_from_off(self):
         rng = np.random.default_rng(12)
@@ -283,7 +285,7 @@ class TestProperties:
             inst = UcInstance(params=inst.params, dynamics=inst.dynamics,
                               market=inst.market, initial_committed=False,
                               initial_power=0.0)
-            assert solve_uc(inst, opts).profit >= -1e-9
+            assert solve(inst, opts).profit >= -1e-9
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(13)
@@ -303,8 +305,8 @@ class TestProperties:
                                 market=scaled_market,
                                 initial_committed=inst.initial_committed,
                                 initial_power=inst.initial_power)
-            base = solve_uc(inst, opts)
-            other = solve_uc(scaled, opts)
+            base = solve(inst, opts)
+            other = solve(scaled, opts)
             scale = max(1.0, abs(base.profit))
             assert abs(other.profit - lam * base.profit) <= 1e-6 * lam * scale
             assert validate_schedule(other, inst) == []
@@ -313,52 +315,40 @@ class TestProperties:
         rng = np.random.default_rng(14)
         for _ in range(15):
             inst, opts = random_small_instance(rng)
-            base = solve_uc(inst, opts).profit
+            base = solve(inst, opts).profit
             tol = 1e-9 * (1.0 + abs(base))
             for field in ("sigma", "phi", "nu"):
                 bumped = dataclasses.replace(
                     inst.params, **{field: getattr(inst.params, field) * 1.1 + 1.0})
-                worse = solve_uc(UcInstance(params=bumped, dynamics=inst.dynamics,
-                                            market=inst.market,
-                                            initial_committed=inst.initial_committed,
-                                            initial_power=inst.initial_power), opts)
+                worse = solve(dataclasses.replace(inst, params=bumped), opts)
                 assert worse.profit <= base + tol
             richer = dataclasses.replace(inst.params,
                                          eta=min(1.0, inst.params.eta * 1.1))
-            better = solve_uc(UcInstance(params=richer, dynamics=inst.dynamics,
-                                         market=inst.market,
-                                         initial_committed=inst.initial_committed,
-                                         initial_power=inst.initial_power), opts)
+            better = solve(dataclasses.replace(inst, params=richer), opts)
             assert better.profit >= base - tol
 
     def test_price_monotonicity(self):
         rng = np.random.default_rng(15)
         for _ in range(10):
             inst, opts = random_small_instance(rng)
-            base = solve_uc(inst, opts).profit
+            base = solve(inst, opts).profit
             tol = 1e-9 * (1.0 + abs(base))
             dearer_power = MarketSeries(grid=inst.market.grid, w=inst.market.w + 5.0,
                                         f=inst.market.f, e=inst.market.e,
                                         dt=inst.market.dt)
-            up = solve_uc(UcInstance(params=inst.params, dynamics=inst.dynamics,
-                                     market=dearer_power,
-                                     initial_committed=inst.initial_committed,
-                                     initial_power=inst.initial_power), opts)
+            up = solve(dataclasses.replace(inst, market=dearer_power), opts)
             assert up.profit >= base - tol
             dearer_fuel = MarketSeries(grid=inst.market.grid, w=inst.market.w,
                                        f=inst.market.f + 5.0, e=inst.market.e,
                                        dt=inst.market.dt)
-            down = solve_uc(UcInstance(params=inst.params, dynamics=inst.dynamics,
-                                       market=dearer_fuel,
-                                       initial_committed=inst.initial_committed,
-                                       initial_power=inst.initial_power), opts)
+            down = solve(dataclasses.replace(inst, market=dearer_fuel), opts)
             assert down.profit <= base + tol
 
     def test_deterministic_output(self):
         rng = np.random.default_rng(16)
         inst, opts = random_small_instance(rng)
-        a = solve_uc(inst, opts)
-        b = solve_uc(inst, opts)
+        a = solve(inst, opts)
+        b = solve(inst, opts)
         assert a.power.tolist() == b.power.tolist()
         assert a.profit == b.profit
 
@@ -425,9 +415,9 @@ class TestOracleProperty:
             oracle = enumerate_uc_oracle(inst, opts)
         except SolverError:  # no feasible schedule from this initial condition
             with pytest.raises(SolverError):
-                solve_uc(inst, opts)
+                solve(inst, opts)
             return
-        schedule = solve_uc(inst, opts)
+        schedule = solve(inst, opts)
         assert abs(schedule.profit - oracle.profit) <= 1e-6 * max(1.0, abs(oracle.profit))
         assert validate_schedule(schedule, inst) == []
 
@@ -436,13 +426,13 @@ def assert_profit_order(low, high, opts):
     """``low`` solves to no more profit than ``high``, within 1e-9 relative;
     a problem with no feasible schedule raises on both sides."""
     try:
-        bound = solve_uc(high, opts).profit
+        bound = solve(high, opts).profit
     except SolverError as exc:
         assert "no feasible" in str(exc)
         with pytest.raises(SolverError, match="no feasible"):
-            solve_uc(low, opts)
+            solve(low, opts)
         return
-    assert solve_uc(low, opts).profit <= bound + 1e-9 * (1.0 + abs(bound))
+    assert solve(low, opts).profit <= bound + 1e-9 * (1.0 + abs(bound))
 
 
 class TestMonotonicityProperty:
@@ -468,10 +458,6 @@ class TestMonotonicityProperty:
         richer = dataclasses.replace(market, w=market.w + np.array(rise))
         for inst in instances:
             assert_profit_order(inst, dataclasses.replace(inst, market=richer), opts)
-
-
-def graph_of(inst: UcInstance, opts: SolverOptions) -> UcGraph:
-    return UcGraph(inst.dynamics, inst.market.dt, opts, inst.initial_committed, inst.initial_power)
 
 
 def ties_everywhere_problem(committed: bool, power: float):
@@ -532,10 +518,10 @@ class TestBatchedSweep:
             except SolverError as exc:
                 assert type(score) is SolverError and str(score) == str(exc)
                 with pytest.raises(SolverError) as alone:
-                    solve_uc(inst, opts)
+                    solve(inst, opts)
                 assert str(alone.value) == str(exc)
                 continue
-            alone = solve_uc(inst, opts)
+            alone = solve(inst, opts)
             assert alone.power.tobytes() == power.tobytes()
             assert alone.committed.tobytes() == committed.tobytes()
             assert type(score) is float and score == sse(alone, observed)
@@ -543,7 +529,8 @@ class TestBatchedSweep:
     @pytest.mark.parametrize("committed,power", [(False, 0.0), (True, 70.0)])
     def test_ties_everywhere_match_loop_reference(self, committed, power):
         insts, opts = ties_everywhere_problem(committed, power)
-        schedules = [solve_uc(inst, opts, graph=graph_of(insts[0], opts)) for inst in insts]
+        graph = graph_of(insts[0], opts)
+        schedules = [solve_uc(graph, inst.market, inst.params) for inst in insts]
         starts = [bool(s.started.any()) for s in schedules]
         assert any(starts) and not all(starts)
         for inst, got in zip(insts, schedules):
@@ -558,7 +545,7 @@ class TestBatchedSweep:
         assert feeds[:-1].any()
         assert not feeds[1].any()
         for inst in insts:
-            got = solve_uc(inst, opts, graph=graph)
+            got = solve_uc(graph, inst.market, inst.params)
             power, committed = loop_solve(inst, opts)
             assert got.power.tobytes() == power.tobytes()
             assert got.committed.tobytes() == committed.tobytes()
@@ -568,7 +555,7 @@ class TestBatchedSweep:
         observed = np.zeros(inst.market.horizon)
         good, failed = optimal_sse(graph_of(inst, opts), inst.market,
                                    [inst.params, params(eta=0.0)], observed)
-        assert good == sse(solve_uc(inst, opts), observed)
+        assert good == sse(solve(inst, opts), observed)
         assert isinstance(failed, ParameterError)
 
     @pytest.mark.parametrize("field,value", [
@@ -578,33 +565,12 @@ class TestBatchedSweep:
         inst, opts = worked_example()
         bad = dataclasses.replace(inst, params=dataclasses.replace(inst.params, **{field: value}))
         with pytest.raises(ParameterError, match=field):
-            solve_uc(bad, opts)
+            solve(bad, opts)
         observed = np.zeros(inst.market.horizon)
         good, failed, again = optimal_sse(graph_of(inst, opts), inst.market,
                                           [inst.params, bad.params, inst.params], observed)
         assert isinstance(failed, ParameterError) and field in str(failed)
-        assert good == again == sse(solve_uc(inst, opts), observed)
-
-    @pytest.mark.parametrize("other", ["dynamics", "dt", "initial state", "options"])
-    def test_graph_of_another_problem_rejected(self, other):
-        # a graph for MEL 250 would solve this MEL 400 instance over the wrong levels
-        T = 6
-        market = toy_market([60.0, 80.0, 90.0, 85.0, 70.0, 50.0], dt=1.0, fuel=20.0)
-        dynamics = flat_dynamics(T, mel=400.0, sel=100.0, ramp_up=500.0, ramp_dn=500.0)
-        inst = UcInstance(params=params(eta=0.5, sigma=5000.0, phi=100.0),
-                          dynamics=dynamics, market=market)
-        opts = SolverOptions(power_levels=5)
-        graph_args = {
-            "dynamics": (flat_dynamics(T, mel=250.0, sel=100.0, ramp_up=500.0, ramp_dn=500.0),
-                         1.0, opts),
-            "dt": (dynamics, 0.5, opts),
-            "initial state": (dynamics, 1.0, opts, True, 300.0),
-            "options": (dynamics, 1.0, SolverOptions(power_levels=6)),
-        }[other]
-        with pytest.raises(SolverError, match="graph was built for other"):
-            solve_uc(inst, opts, graph=UcGraph(*graph_args))
-        own = solve_uc(inst, opts, graph=UcGraph(dynamics, 1.0, opts))
-        assert own.profit == solve_uc(inst, opts).profit
+        assert good == again == sse(solve(inst, opts), observed)
 
     @pytest.mark.parametrize("other", ["horizon", "dt"])
     def test_market_of_another_problem_rejected(self, other):
@@ -628,6 +594,31 @@ class TestGraphChecks:
     def test_bad_problem_rejected_at_construction(self, T, committed, power, message):
         with pytest.raises(SolverError, match=message):
             UcGraph(flat_dynamics(T, mel=400.0), 1.0, SolverOptions(), committed, power)
+
+
+class TestGraphSize:
+    """Periods with equal (MEL, SEL) share one state layout, held once."""
+
+    def test_year_of_flat_dynamics_holds_one_layout(self):
+        graph = UcGraph(flat_dynamics(17520), 0.5, SolverOptions())
+        assert len(graph.levels) == len(graph.modes) == 1
+        assert graph.nbytes < 64 * 2**10
+
+    def test_shared_layout_counted_once(self):
+        # a period adds only its one-byte layout and arc-table indices
+        short, year = (UcGraph(flat_dynamics(T), 0.5, SolverOptions()) for T in (48, 17520))
+        assert year.nbytes - short.nbytes == 2 * (17520 - 48)
+
+    def test_one_layout_per_distinct_limits(self):
+        mel = np.tile(np.repeat(np.linspace(300.0, 500.0, 10), 3), 2)
+        dynamics = PlantDynamics(mel=mel, sel=np.full(60, 200.0), ramp_up=300.0, ramp_dn=300.0)
+        graph = UcGraph(dynamics, 0.5, SolverOptions())
+        assert len(graph.levels) == len(graph.modes) == 10
+        for t, limit in enumerate(mel.tolist()):
+            levels, modes = _period_levels(limit, 200.0, 150.0, 150.0, 21, None)
+            k = graph._layout_at[t]
+            assert graph.levels[k].tobytes() == levels.tobytes()
+            assert graph.modes[k].tobytes() == modes.tobytes()
 
 
 class TestStateBound:
@@ -659,7 +650,7 @@ class TestStateBound:
         inst = UcInstance(params=params(eta=0.5, sigma=500.0, phi=10.0),
                           dynamics=dynamics, market=market)
         power, committed = loop_solve(inst, opts)
-        schedule = solve_uc(inst, opts)
+        schedule = solve(inst, opts)
         assert schedule.power.tobytes() == power.tobytes()
         assert schedule.committed.tobytes() == committed.tobytes()
 
@@ -681,7 +672,7 @@ class TestStateBound:
         for p, score in zip(candidates, scores):
             inst = UcInstance(params=p, dynamics=dynamics, market=market)
             power, committed = loop_solve(inst, opts)
-            alone = solve_uc(inst, opts, graph=graph)
+            alone = solve_uc(graph, market, p)
             assert alone.power.tobytes() == power.tobytes()
             assert alone.committed.tobytes() == committed.tobytes()
             assert type(score) is float and score == sse(alone, observed)
@@ -732,8 +723,7 @@ class TestTwoWeekBatch:
     def test_batch_peaks_within_the_block_budget(self, two_week_batch):
         # one sweep scores the batch, holding a few rows of states per candidate
         graph, market, candidates = two_week_batch
-        observed = solve_uc(UcInstance(params=TRUE_PARAMS, dynamics=graph.dynamics,
-                                       market=market), graph=graph).power
+        observed = solve_uc(graph, market, TRUE_PARAMS).power
         optimal_sse(graph, market, candidates, observed)
         tracemalloc.start()
         try:
@@ -748,7 +738,7 @@ class TestTwoWeekBatch:
         graph, market, candidates = two_week_batch
         instances = [UcInstance(params=p, dynamics=graph.dynamics, market=market)
                      for p in candidates]
-        schedules = [solve_uc(inst, graph=graph) for inst in instances]
+        schedules = [solve_uc(graph, market, inst.params) for inst in instances]
         assert sum(s.started.sum() > 0 for s in schedules) > 16
         for schedule, inst in zip(schedules, instances):
             assert schedule.profit == schedule_profit(schedule, inst)
