@@ -2,12 +2,13 @@
 
 Differential evolution explores the parameter box globally; compass search
 refines the best member locally. Both treat the objective as a black box:
-a batch scorer, ``score(vecs) -> scores``, called once per generation or
-poll. A score of +inf marks an infeasible candidate, which loses to every
-finite one. An exception from the scorer propagates, and a NaN score raises
-``ValueError``. The drivers own all mutable state and are bit-reproducible
-for a fixed seed, so results do not depend on how the scorer spreads a
-batch over workers.
+a batch scorer, ``score(vecs) -> scores``, called once per DE generation and
+once per batch of compass polls, which may hold the polls of several coming
+contraction levels. A score of +inf marks an infeasible candidate, which
+loses to every finite one. An exception from the scorer propagates, and a
+NaN score raises ``ValueError``. The drivers own all mutable state and are
+bit-reproducible for a fixed seed, so results do not depend on how the
+scorer spreads a batch over workers.
 """
 from __future__ import annotations
 
@@ -66,6 +67,11 @@ class CompassConfig:
             raise ParameterError("contraction must be in (0, 1)")
         if self.max_iterations < 0:
             raise ParameterError("max_iterations must be non-negative")
+
+
+# Polls that one compass batch may hold: one DE generation's width, at which
+# a sweep costs little more than one of a single level's polls
+_LOOKAHEAD_POLLS = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,6 +154,11 @@ def compass_search(score, start, bounds: SearchBounds,
     the first improving poll; when none improves, every step contracts. Stops
     once all steps fall below the minimum step. Never returns a point scoring
     worse than the start.
+
+    Unless the last iteration moved, one scorer call also takes the polls of
+    the contractions that may follow, up to ``_LOOKAHEAD_POLLS`` polls; a
+    move drops those left. The result, trace included, is that of one call
+    per iteration.
     """
     cfg = cfg or CompassConfig()
     lower, upper = bounds.lower, bounds.upper
@@ -158,7 +169,11 @@ def compass_search(score, start, bounds: SearchBounds,
 
     span = upper - lower
     step = 0.1 * span
-    min_step = np.array(cfg.min_step, dtype=float) if cfg.min_step is not None else 1e-3 * span
+    min_step = (np.array(cfg.min_step, dtype=float).ravel() if cfg.min_step is not None
+                else 1e-3 * span)
+    if len(min_step) != dim:
+        raise ParameterError(f"min_step has {len(min_step)} entries, but the box has "
+                             f"{dim} dimensions")
     if np.any(step <= 0) or np.any(min_step <= 0):
         raise ParameterError("steps must be positive")
 
@@ -166,30 +181,50 @@ def compass_search(score, start, bounds: SearchBounds,
     trace = [(x.copy(), float(fx))]
     history = [float(fx)]
 
-    for _ in range(cfg.max_iterations):
+    levels: list = []  # (polls, scores) of the coming contraction levels
+    moved = False
+    for i in range(cfg.max_iterations):
         if np.all(step < min_step):
             break
-        polls = []
-        for d in range(dim):
-            for sign in (1.0, -1.0):
-                cand = x.copy()
-                cand[d] = min(max(cand[d] + sign * step[d], lower[d]), upper[d])
-                if abs(cand[d] - x[d]) > 0.0:
-                    polls.append(cand)
-        poll_scores = _scores(score, polls)
-        trace.extend((polls[i].copy(), float(poll_scores[i])) for i in range(len(polls)))
+        if not levels:  # this step's polls, and those of the steps it may contract to
+            batch, ahead = [_polls(x, step, lower, upper)], step * cfg.contraction
+            while not (moved or len(batch) == cfg.max_iterations - i or np.all(ahead < min_step)):
+                polls = _polls(x, ahead, lower, upper)
+                if sum(map(len, batch)) + len(polls) > _LOOKAHEAD_POLLS:
+                    break
+                batch.append(polls)
+                ahead = ahead * cfg.contraction
+            scores = iter(_scores(score, [poll for polls in batch for poll in polls]))
+            levels = [(polls, [next(scores) for _ in polls]) for polls in batch]
+        polls, poll_scores = levels.pop(0)
+        trace.extend((poll.copy(), float(value)) for poll, value in zip(polls, poll_scores))
         moved = False
         for cand, value in zip(polls, poll_scores):
             if value < fx:
                 x, fx = cand, value
                 moved = True
                 break
-        if not moved:
+        if moved:
+            levels = []  # polled around the point just left
+        else:
             step = step * cfg.contraction
         history.append(float(fx))
 
     return SearchResult(best=x.copy(), score=float(fx), history=history,
                         trace=trace, evaluations=len(trace))
+
+
+def _polls(x, step, lower, upper) -> list:
+    """+/-step along each coordinate from ``x``, clipped to the bounds; a
+    poll that clipping leaves at ``x`` is dropped."""
+    polls = []
+    for d in range(len(x)):
+        for sign in (1.0, -1.0):
+            cand = x.copy()
+            cand[d] = min(max(cand[d] + sign * step[d], lower[d]), upper[d])
+            if abs(cand[d] - x[d]) > 0.0:
+                polls.append(cand)
+    return polls
 
 
 def _feasible_start(ev: CandidateEvaluator):

@@ -194,7 +194,8 @@ class UcGraph:
     stays unreachable. ``_level`` and ``_on`` hold each layout's rows once.
     ``_stops[_arc_of[t]]`` is the (from, to) table of markers
     (``_stop_markers``) of the rows feeding each row of period t, from the
-    source when t = 0. ``nbytes`` gives the graph's size before any solve.
+    source when t = 0, and ``_positions`` the row positions they are OR-ed
+    with. ``nbytes`` gives the graph's size before any solve.
 
     An empty horizon, or an initial power the plant cannot hold in its
     initial state, raises ``SolverError`` here.
@@ -271,12 +272,13 @@ class UcGraph:
             table[:, 1] = table[:, 0]
             table[-1] = True
         self._stops = _stop_markers(feeds)
+        self._positions = np.arange(m, dtype=self._stops.dtype)[:, None, None]
 
     @property
     def nbytes(self) -> int:
         """Bytes of the arrays the graph holds."""
-        arrays = (self._level, self._on, self._stops, self._column, self._state,
-                  self._layout_at, self._arc_of, *self.levels, *self.modes)
+        arrays = (self._level, self._on, self._stops, self._positions, self._column,
+                  self._state, self._layout_at, self._arc_of, *self.levels, *self.modes)
         return sum(a.nbytes for a in arrays)
 
 
@@ -302,7 +304,7 @@ def solve_uc(graph: UcGraph, market: MarketSeries, params: PlantParameters) -> S
     validate_parameters(params)
     T, n = market.horizon, graph.states
     parents = np.empty((T, 1, n), dtype=np.uint8)
-    (last,), (dp_profit,), _ = _forward(graph, market, [params], parents=parents)
+    (last,), (dp_profit,), _, _ = _forward(graph, market, [params], parents=parents)
     if not np.isfinite(dp_profit):
         raise SolverError("no feasible schedule exists for this instance")
     back = memoryview(parents).cast("B")  # period t's parent of state s at t * n + s
@@ -347,9 +349,9 @@ def optimal_sse(graph: UcGraph, market: MarketSeries, params, observed) -> list:
             out[i] = exc.with_traceback(None)
     if not live:
         return out
-    _, dp_profit, tally = _forward(graph, market, [params[i] for i in live],
-                                   np.asarray(observed, dtype=float))
-    for i, profit, (_, _, err) in zip(live, dp_profit, tally):
+    _, dp_profit, _, (_, errs) = _forward(graph, market, [params[i] for i in live],
+                                          np.asarray(observed, dtype=float))
+    for i, profit, err in zip(live, dp_profit, errs):
         out[i] = (float(err) if np.isfinite(profit)
                   else SolverError("no feasible schedule exists for this instance"))
     return out
@@ -366,9 +368,10 @@ def _forward(graph: UcGraph, market: MarketSeries, params: list,
              observed: np.ndarray | None = None, parents: np.ndarray | None = None) -> tuple:
     """The DP's forward pass for valid candidates.
 
-    Keeps per (candidate, row) the best profit, negated, and a tally of the
-    path reaching it: the committed-period count and energy, which break
-    ties, and, given ``observed`` production, the squared error against it.
+    Keeps per (candidate, row) the best profit, negated, and for the path
+    reaching it the committed-period count and a float tally: its energy
+    and, given ``observed`` production, its squared error against it. Count
+    and energy break ties.
     Each period sorts every candidate's rows once by (negated profit, count,
     energy, row), finds for each row the first one in that order that feeds
     it (``_first_feeders``, one minimum over the gathered arc markers), and
@@ -376,25 +379,27 @@ def _forward(graph: UcGraph, market: MarketSeries, params: list,
     receives each (period, candidate, state)'s parent state. Margins and
     rewards are built a chunk of periods at a time from each period's
     layout. Returns each candidate's best final state, by the same order,
-    with its profit and tally.
+    with its profit, count and tally, (1 or 2, candidates).
     """
     # after the parameters, so a lone solve reports a bad parameter first
-    arcs = graph._arc_of.tolist()
-    if graph._stops[arcs[0], :-1].min() != 0:
+    arcs, stops = graph._arc_of.tolist(), list(graph._stops)
+    if stops[arcs[0]][:-1].min() != 0:
         raise SolverError("no feasible first-period state from the initial condition")
     P = len(params)
     T, dt, m = market.horizon, market.dt, graph.states + 2
     eta, nu, epsilon, sigma, phi = (np.array([getattr(p, name) for p in params])
                                     for name in ("eta", "nu", "epsilon", "sigma", "phi"))
     phi_dt = (phi * dt)[:, None]
-    stops, layout_at = graph._stops, graph._layout_at
+    layout_at, positions = graph._layout_at, graph._positions
     rows = np.arange(P)[:, None] * m  # first row of each candidate
 
     # the source's rows; row 1 is state 0 less sigma, row m-1 the sentinel
     nv = np.zeros((P, m))
     nv[:, 1] = sigma
     nv[:, -1] = np.inf
-    tally = np.zeros((P, m, 2 if observed is None else 3))
+    # a contiguous key of the fewest bytes that hold T, which lexsort radix-sorts
+    count = np.zeros((P, m), dtype=np.min_scalar_type(T))
+    tally = np.zeros((1 if observed is None else 2, P, m))
     chunk = max(1, _REWARD_BYTES // (P * m * 8))
     rewards = np.empty((min(chunk, T), P, m))
     for lo in range(0, T, chunk):
@@ -407,25 +412,28 @@ def _forward(graph: UcGraph, market: MarketSeries, params: list,
         on = graph._on.take(layout_at[lo:hi], axis=0)
         np.multiply(level[:, None], mv_dt[:, :, None], out=rewards[:hi - lo])
         np.subtract(rewards[:hi - lo], phi_dt, out=rewards[:hi - lo], where=on[:, None])
-        gains = [on, level * dt]  # to (count, energy[, squared error])
+        gains = [level * dt]  # to (energy[, squared error])
         if observed is not None:
             gains.append(np.square(level - observed[lo:hi, None]))
-        gains = np.stack(gains, axis=2)
-        for t, arc, reward, gain in zip(range(lo, hi), arcs[lo:hi], rewards, gains):
-            order = np.lexsort((tally[..., 1], tally[..., 0], nv))
-            src = order.take(_first_feeders(stops[arc], order) + rows)
+        gains = np.stack(gains, axis=1)[:, :, None]
+        ons = on.astype(count.dtype)
+        for t, arc, reward, gain, on_t in zip(range(lo, hi), arcs[lo:hi], rewards, gains, ons):
+            order = np.lexsort((tally[0], count, nv))
+            src = order.take(_first_feeders(stops[arc], order, positions) + rows)
             if parents is not None:
                 graph._state.take(src[:, graph._column], out=parents[t])
             src += rows
             nv = nv.take(src)
             nv -= reward
             nv[:, 1] += sigma
-            tally = tally.reshape(P * m, -1).take(src, axis=0)
+            count = count.take(src)
+            count += on_t
+            tally = tally.reshape(len(tally), P * m).take(src, axis=1)
             tally += gain
-    nv, tally = nv[:, graph._column], tally[:, graph._column]
-    best = np.lexsort((tally[..., 1], tally[..., 0], nv))[:, 0]
+    nv, count, tally = nv[:, graph._column], count[:, graph._column], tally[..., graph._column]
+    best = np.lexsort((tally[0], count, nv))[:, 0]
     picks = np.arange(P)
-    return best, -nv[picks, best], tally[picks, best]
+    return best, -nv[picks, best], count[picks, best], tally[:, picks, best]
 
 
 def _stop_markers(feeds: np.ndarray) -> np.ndarray:
@@ -437,19 +445,19 @@ def _stop_markers(feeds: np.ndarray) -> np.ndarray:
     return np.where(feeds, 0, np.iinfo(marker).max).astype(marker)
 
 
-def _first_feeders(stops: np.ndarray, order: np.ndarray) -> np.ndarray:
+def _first_feeders(stops: np.ndarray, order: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """Position in ``order`` of the first row that feeds each column.
 
     ``stops`` is an (m, m) [from, to] table from ``_stop_markers``; ``order``
-    holds a permutation of the m rows per candidate, (P, m). Gathering the
-    markers by the transposed order puts position k's rows in slice k, and
-    OR-ing slice k with k leaves k where the row feeds and the maximum where
-    not, so the minimum over the slices is the first feeding position,
-    (P, m).
+    holds a permutation of the m rows per candidate, (P, m); ``positions`` is
+    0..m-1 in the markers' dtype, shaped (m, 1, 1). Gathering the markers by
+    the transposed order puts position k's rows in slice k, and OR-ing slice
+    k with k leaves k where the row feeds and the maximum where not, so the
+    minimum over the slices is the first feeding position, (P, m).
     """
     marks = stops.take(order.T, axis=0)
-    marks |= np.arange(len(stops), dtype=stops.dtype)[:, None, None]
-    return marks.min(axis=0)
+    marks |= positions
+    return np.minimum.reduce(marks, axis=0)
 
 
 def schedule_profit(s: Schedule, instance: UcInstance) -> float:

@@ -280,9 +280,10 @@ class TestCandidateEvaluator:
         # a negative target keeps DE from stopping early on a perfect score
         fit(ctx, de_cfg=DeConfig(population=8, generations=3, seed=1, target=-1.0),
             compass_cfg=CompassConfig(max_iterations=2))
-        # the first population, three generations and two rounds of polls:
-        # compass search starts from DE's best, which DE already scored
-        assert len(calls) == 1 + 3 + 2
+        # the first population, three generations and one sweep for both
+        # rounds of polls, none of which moves: compass search starts from
+        # DE's best, which DE already scored
+        assert len(calls) == 1 + 3 + 1
 
 
 def out_of_reach_context(market):

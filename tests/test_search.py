@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plantfit import (
     CompassConfig,
@@ -17,6 +18,7 @@ from plantfit import (
     fit,
 )
 from plantfit import SolverOptions
+from plantfit.search import _LOOKAHEAD_POLLS, _scores
 from conftest import EPSILON, solve
 from test_objective import small_context
 
@@ -119,7 +121,7 @@ class TestScorerContract:
 
         with pytest.raises(ValueError, match="NaN for candidate 2 "):
             differential_evolution(nan_third, box(-5, 5, 2), DeConfig(population=8, seed=2))
-        # the start is scored alone; the first poll of 4 has a third
+        # the start is scored alone; the first batch of polls has a third
         with pytest.raises(ValueError, match="NaN for candidate 2 "):
             compass_search(nan_third, np.ones(2), box(-5, 5, 2))
 
@@ -159,6 +161,133 @@ class TestCompassSearch:
     def test_contraction_must_shrink(self):
         with pytest.raises(ParameterError):
             CompassConfig(contraction=1.0)
+
+
+def reference_compass_search(score, start, bounds, cfg):
+    """Compass search as one scorer call per iteration: the loop the
+    lookahead must reproduce, trace and all."""
+    lower, upper = bounds.lower, bounds.upper
+    x = np.asarray(start, dtype=float).copy()
+    span = upper - lower
+    step = 0.1 * span
+    min_step = np.array(cfg.min_step, dtype=float) if cfg.min_step is not None else 1e-3 * span
+    fx = _scores(score, [x])[0]
+    trace = [(x.copy(), float(fx))]
+    history = [float(fx)]
+    for _ in range(cfg.max_iterations):
+        if np.all(step < min_step):
+            break
+        polls = []
+        for d in range(bounds.dim):
+            for sign in (1.0, -1.0):
+                cand = x.copy()
+                cand[d] = min(max(cand[d] + sign * step[d], lower[d]), upper[d])
+                if abs(cand[d] - x[d]) > 0.0:
+                    polls.append(cand)
+        poll_scores = _scores(score, polls)
+        trace.extend((polls[i].copy(), float(poll_scores[i])) for i in range(len(polls)))
+        moved = False
+        for cand, value in zip(polls, poll_scores):
+            if value < fx:
+                x, fx = cand, value
+                moved = True
+                break
+        if not moved:
+            step = step * cfg.contraction
+        history.append(float(fx))
+    return x, float(fx), history, trace
+
+
+def recorded(f):
+    """The batch scorer of ``f`` and the list of the batches it was given."""
+    calls = []
+
+    def score(vecs):
+        calls.append([np.array(v, dtype=float) for v in vecs])
+        return [f(v) for v in vecs]
+
+    return score, calls
+
+
+@st.composite
+def plateau_problems(draw):
+    """A floored quadratic (flat plateaus, so most polls tie) on a random box,
+    a start inside it or on its faces, and compass settings."""
+    dim = draw(st.integers(1, 4))
+    lower = np.array(draw(st.lists(st.floats(-100.0, 100.0), min_size=dim, max_size=dim)))
+    span = np.array(draw(st.lists(st.floats(1e-2, 100.0), min_size=dim, max_size=dim)))
+    upper = lower + span
+    where = draw(st.lists(st.sampled_from([0.0, 1.0, None]), min_size=dim, max_size=dim))
+    start = np.array([draw(st.floats(0.0, 1.0)) if w is None else w for w in where])
+    start = np.clip(lower + start * span, lower, upper)
+    # the minimum may lie outside the box, so polls press against its faces
+    centre = lower + span * np.array(draw(st.lists(st.floats(-0.5, 1.5), min_size=dim,
+                                                   max_size=dim)))
+    weight = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=dim, max_size=dim)))
+    quantum = 10.0 ** draw(st.floats(-6.0, 0.0)) * float(np.dot(weight, span ** 2))
+    min_step = draw(st.none() | st.lists(st.floats(1e-6, 0.2), min_size=dim, max_size=dim))
+    cfg = CompassConfig(
+        contraction=draw(st.floats(0.05, 0.95)),
+        min_step=None if min_step is None else tuple(np.array(min_step) * span),
+        max_iterations=draw(st.integers(0, 60)))
+
+    def f(x):
+        return math.floor(float(np.dot(weight, (x - centre) ** 2)) / quantum)
+
+    return f, start, SearchBounds(lower, upper), cfg
+
+
+class TestCompassLookahead:
+    @settings(max_examples=150, deadline=None)
+    @given(plateau_problems())
+    def test_matches_one_call_per_iteration(self, problem):
+        f, start, bounds, cfg = problem
+        ref_score, ref_calls = recorded(f)
+        best, score, history, trace = reference_compass_search(ref_score, start, bounds, cfg)
+        new_score, calls = recorded(f)
+        got = compass_search(new_score, start, bounds, cfg)
+
+        assert np.array_equal(got.best, best) and got.score == score
+        assert got.history == history
+        assert len(got.trace) == len(trace) == got.evaluations
+        for (vec, value), (ref_vec, ref_value) in zip(got.trace, trace):
+            assert np.array_equal(vec, ref_vec) and value == ref_value
+
+        # the reference's calls are the start, then one level per iteration
+        levels = ref_calls[1:]
+        moved = [b < a for a, b in zip(history, history[1:])]
+        assert all(levels) and len(calls[0]) == 1
+        assert all(len(batch) <= _LOOKAHEAD_POLLS for batch in calls)
+        # each iteration's level is the next slice of the current batch; a new
+        # batch starts after a move, holding that level alone, or once used up
+        call, used = 0, 0
+        for k, level in enumerate(levels):
+            if k == 0 or moved[k - 1] or used == len(calls[call]):
+                call, used = call + 1, 0
+            if k > 0 and moved[k - 1]:
+                assert len(calls[call]) == len(level)
+            batch = calls[call][used:used + len(level)]
+            assert len(batch) == len(level)
+            assert all(np.array_equal(a, b) for a, b in zip(batch, level))
+            used += len(level)
+        assert call == len(calls) - 1
+
+    @pytest.mark.parametrize("iterations,sizes", [(0, [1]), (1, [1, 8]), (4, [1, 32]),
+                                                  (5, [1, 32, 8]), (9, [1, 32, 32, 8])])
+    def test_flat_objective_scores_four_levels_a_call(self, iterations, sizes):
+        # no poll moves; eight polls a level on the 4-D box
+        score, calls = recorded(lambda x: 1.0)
+        cfg = CompassConfig(contraction=0.8, max_iterations=iterations)
+        result = compass_search(score, np.full(4, 0.5), box(0, 1, 4), cfg)
+        assert [len(batch) for batch in calls] == sizes
+        assert result.evaluations == 1 + 8 * iterations
+
+    @pytest.mark.parametrize("min_step", [(1e9,), (1.0, 1.0, 1.0)])
+    def test_min_step_of_another_length_rejected(self, min_step):
+        with pytest.raises(ParameterError,
+                           match=f"min_step has {len(min_step)} entries, but the box has 4 "):
+            compass_search(batched(sphere), np.zeros(4), box(-5, 5, 4),
+                           CompassConfig(min_step=min_step))
 
 
 class TestFit:

@@ -23,7 +23,7 @@ from plantfit import (
     sse,
     validate_schedule,
 )
-from plantfit.uc import _first_feeders, _period_levels, _stop_markers, optimal_sse
+from plantfit.uc import _first_feeders, _forward, _period_levels, _stop_markers, optimal_sse
 from conftest import (
     TRUE_PARAMS,
     flat_dynamics,
@@ -701,9 +701,21 @@ class TestParentSearch:
         order = rng.permuted(np.tile(np.arange(m), (width, 1)), axis=1)
         stops = _stop_markers(feeds)
         assert stops.dtype == (np.uint8 if m <= 255 else np.uint16)
-        got = _first_feeders(stops, order)
+        got = _first_feeders(stops, order, np.arange(m, dtype=stops.dtype)[:, None, None])
         assert got.shape == (width, m)
         assert got.tolist() == scan_first_feeders(feeds.tolist(), order)
+
+
+class TestCommittedCount:
+    def test_count_holds_every_committed_period(self):
+        # committed in all 300 periods, more than a byte counts: 300 % 256 is 44
+        T = 300
+        graph = UcGraph(flat_dynamics(T), 1.0, SolverOptions(), initial_committed=True,
+                        initial_power=500.0)
+        market = toy_market(np.full(T, 90.0), fuel=20.0)
+        _, (profit,), (count,), _ = _forward(graph, market, [params(phi=1.0)])
+        assert np.isfinite(profit)
+        assert count == T
 
 
 @pytest.fixture(scope="module")
