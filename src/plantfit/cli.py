@@ -118,12 +118,15 @@ def _known_keys(section, known, where: str) -> dict:
     return section
 
 
-# an absolute range per parameter, or sigma and phi per MW of capacity
+# an absolute range per parameter, or sigma and phi per MW of capacity, not both
 _BOUND_KEYS = PARAM_NAMES + ("sigma_per_cap", "phi_per_cap")
 
 
 def _bounds_from_plant(plant: dict, capacity: float) -> SearchBounds:
     overrides = _known_keys(plant.get("bounds", {}), _BOUND_KEYS, "plant bounds")
+    for name in ("sigma", "phi"):
+        if {name, f"{name}_per_cap"} <= overrides.keys():
+            raise ConfigError(f"plant bounds give both {name} and {name}_per_cap; give one")
     kwargs = {}
     try:
         for name in PARAM_NAMES:
@@ -209,13 +212,15 @@ def _params_json(params: PlantParameters, capacity: float) -> dict:
 
 def _cli_params(args, plant: dict, capacity: float) -> PlantParameters:
     """The fixed parameters simulate and landscape take from their flags, checked."""
-    def cost(absolute, per_cap):
+    def cost(name):
+        absolute, per_cap = getattr(args, name), getattr(args, f"{name}_per_cap")
+        if absolute is not None and per_cap is not None:
+            raise ConfigError(f"give --{name} or --{name}-per-cap, not both")
         if absolute is not None:
             return absolute
         return per_cap * capacity if per_cap is not None else 0.0
 
-    params = PlantParameters(eta=args.eta, sigma=cost(args.sigma, args.sigma_per_cap),
-                             phi=cost(args.phi, args.phi_per_cap), nu=args.nu,
+    params = PlantParameters(eta=args.eta, sigma=cost("sigma"), phi=cost("phi"), nu=args.nu,
                              epsilon=plant["epsilon_tco2_per_mwh_fuel"])
     return validate_parameters(params)
 

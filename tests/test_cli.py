@@ -209,6 +209,16 @@ class TestSimulate:
         series = load_series(out / "schedule.csv", ["mw"])["mw"]
         assert len(series) == T
 
+    @pytest.mark.parametrize("cost", ["sigma", "phi"])
+    def test_absolute_and_per_capacity_cost_together_exit_1(self, fixture_dir, tmp_path,
+                                                             capsys, cost):
+        code = main(["simulate", "--config", str(fixture_dir / "config.json"),
+                     "--out", str(tmp_path / "out"), "--eta", "0.58",
+                     f"--{cost}", "100", f"--{cost}-per-cap", "62"])
+        assert code == 1
+        assert f"give --{cost} or --{cost}-per-cap, not both" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unprofitable_prices_stay_off(self, fixture_dir, tmp_path):
         out = tmp_path / "out"
         code = main(["simulate", "--config", str(fixture_dir / "config.json"),
@@ -340,6 +350,10 @@ class TestValidate:
     @pytest.mark.parametrize("bounds,message", [
         ({"eta": [0.3]}, "plant bounds for eta must be a [low, high] pair"),
         ({"nu_per_cap": [0, 1]}, "unknown key 'nu_per_cap' in plant bounds"),
+        ({"sigma": [0, 500], "sigma_per_cap": [0, 120]},
+         "plant bounds give both sigma and sigma_per_cap"),
+        ({"phi_per_cap": [0, 20], "phi": [0, 500]},
+         "plant bounds give both phi and phi_per_cap"),
     ])
     def test_plant_bounds_checked(self, fixture_dir, tmp_path, capsys, bounds, message):
         config = with_plant(fixture_dir, tmp_path, bounds=bounds)

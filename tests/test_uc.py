@@ -23,7 +23,7 @@ from plantfit import (
     sse,
     validate_schedule,
 )
-from plantfit.uc import _first_feeders, _forward, _period_levels, _stop_markers, optimal_sse
+from plantfit.uc import _first_feeders, _period_levels, _stop_markers, optimal_sse
 from conftest import (
     TRUE_PARAMS,
     flat_dynamics,
@@ -491,6 +491,95 @@ observed_shares = st.lists(st.floats(0.0, 1.0), min_size=14, max_size=14)
 SHARES = [k / 13 for k in range(14)]
 
 
+@st.composite
+def tie_heavy_problems(draw):
+    """Several parameter sets on one small problem built so that many
+    schedules tie in profit, exactly, in floating point.
+
+    Margins are w - f at eta 1 with no variable or carbon cost: zero where
+    w = f (break-even), or c where a committed level L earns L*c = phi, the
+    fixed cost (coincident break-even at SEL or MEL); sigma and phi are often
+    zero, or a start costs exactly what L earns in a period. MEL, SEL, prices
+    and costs are small multiples of powers of two, so those ties hold in
+    floating point. Covers committed starts (on the grid, off it, so that
+    the held level sits out of level order in the state indices, and below
+    SEL), MEL and SEL dips, and ramps slow enough to need transit rungs.
+    """
+    T = draw(st.integers(3, 13))
+    dt = draw(st.sampled_from([0.5, 1.0]))
+    mel_val = draw(st.sampled_from([64.0, 96.0, 128.0]))
+    mel = np.full(T, mel_val)
+    sel = np.full(T, draw(st.sampled_from([0.0, 0.25, 0.5])) * mel_val)
+    if draw(st.booleans()):  # a dip of MEL, and of SEL with it or not
+        a = draw(st.integers(0, T - 1))
+        b = draw(st.integers(a + 1, T))
+        mel[a:b] *= 0.75
+        sel[a:b] *= draw(st.sampled_from([1.0, 0.5, 0.0]))
+    rung = sel.max() if sel.max() > 0 else mel_val
+    ramp_up, ramp_dn = (draw(st.sampled_from([0.25, 0.5, 1.0, 2.0])) * rung / dt
+                        for _ in range(2))
+    dynamics = PlantDynamics(mel=mel, sel=sel, ramp_up=ramp_up, ramp_dn=ramp_dn)
+    c = draw(st.sampled_from([1.0, 2.0, 4.0]))
+    at = draw(st.sampled_from([mel_val, sel.max() or mel_val]))  # L of L*c = phi
+    f = np.full(T, 16.0)
+    margins = st.sampled_from([0.0, 0.0, c, c, -c, 2 * c])
+    w = f + np.array(draw(st.lists(margins, min_size=T, max_size=T)))
+    market = MarketSeries(grid=toy_market(np.zeros(T), dt=dt).grid, w=w, f=f,
+                          e=np.zeros(T), dt=dt)
+    committed = draw(st.booleans())
+    share = draw(st.sampled_from([0.0, 0.375, 0.5, 0.625, 1.0, sel[0] / mel[0] / 2]))
+    p0 = share * mel[0] if committed else 0.0
+    candidates = [params(eta=1.0, sigma=draw(st.sampled_from([0.0, 0.0, at * c * dt])),
+                         phi=draw(st.sampled_from([0.0, at * c])))
+                  for _ in range(draw(st.integers(1, 4)))]
+    instances = [UcInstance(params=p, dynamics=dynamics, market=market,
+                            initial_committed=committed, initial_power=p0)
+                 for p in candidates]
+    return instances, SolverOptions(power_levels=draw(st.integers(2, 6)))
+
+
+def held_level_problem():
+    """Committed at 48 MW, off the grid, whose held level is the last state:
+    a climb to MEL by period 4 passes below 48 in index order but not in
+    energy. With margins at break-even, paths through 48 and 51.2 MW tie."""
+    market = toy_market(16.0 + np.array([0, 0, 0, 0, 2, 0, -1, 2], dtype=float), dt=0.5,
+                        fuel=16.0)
+    dynamics = flat_dynamics(8, mel=128.0, sel=0.0, ramp_up=64.0, ramp_dn=64.0)
+    return ([UcInstance(params=params(eta=1.0, sigma=sigma), dynamics=dynamics,
+                        market=market, initial_committed=True, initial_power=48.0)
+             for sigma in (0.0, 64.0)],
+            SolverOptions(power_levels=6))
+
+
+def assert_matches_loop_reference(instances, opts, observed):
+    """Each score-only SSE of a batch on one problem is that of the
+    lone-solved schedule, bit for bit, and each lone schedule that of the
+    loop reference; an infeasible candidate or problem fails alike."""
+    first = instances[0]
+    try:
+        scores = optimal_sse(graph_of(first, opts), first.market,
+                             [inst.params for inst in instances], observed)
+    except SolverError:  # the shared problem has no feasible start
+        for inst in instances:
+            with pytest.raises(SolverError):
+                loop_solve(inst, opts)
+        return
+    assert len(scores) == len(instances)
+    for inst, score in zip(instances, scores):
+        try:
+            power, committed = loop_solve(inst, opts)
+        except SolverError as exc:
+            assert type(score) is SolverError and str(score) == str(exc)
+            with pytest.raises(SolverError) as alone:
+                solve(inst, opts)
+            assert str(alone.value) == str(exc)
+            continue
+        alone = solve(inst, opts)
+        assert alone.power.tobytes() == power.tobytes()
+        assert alone.committed.tobytes() == committed.tobytes()
+        assert type(score) is float and score == sse(alone, observed)
+
+
 class TestBatchedSweep:
     @settings(max_examples=200, deadline=None)
     @given(shared_problems(), observed_shares)
@@ -498,33 +587,19 @@ class TestBatchedSweep:
     @example(ties_everywhere_problem(True, 70.0), SHARES)
     @example(committed_start_problem(), SHARES)
     def test_batch_matches_single_solves_and_loop_reference(self, problem, shares):
-        # each score-only SSE is that of the lone-solved schedule, bit for bit,
-        # and each lone schedule that of the loop reference
         instances, opts = problem
-        first = instances[0]
-        observed = np.array(shares[:first.market.horizon]) * first.dynamics.mel
-        try:
-            scores = optimal_sse(graph_of(first, opts), first.market,
-                                 [inst.params for inst in instances], observed)
-        except SolverError:  # the shared problem has no feasible start
-            for inst in instances:
-                with pytest.raises(SolverError):
-                    loop_solve(inst, opts)
-            return
-        assert len(scores) == len(instances)
-        for inst, score in zip(instances, scores):
-            try:
-                power, committed = loop_solve(inst, opts)
-            except SolverError as exc:
-                assert type(score) is SolverError and str(score) == str(exc)
-                with pytest.raises(SolverError) as alone:
-                    solve(inst, opts)
-                assert str(alone.value) == str(exc)
-                continue
-            alone = solve(inst, opts)
-            assert alone.power.tobytes() == power.tobytes()
-            assert alone.committed.tobytes() == committed.tobytes()
-            assert type(score) is float and score == sse(alone, observed)
+        observed = np.array(shares[:instances[0].market.horizon]) * instances[0].dynamics.mel
+        assert_matches_loop_reference(instances, opts, observed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_problems(), observed_shares)
+    @example(held_level_problem(), SHARES)
+    def test_tie_heavy_problems_match_the_two_tier_reference(self, problem, shares):
+        # the sweep breaks ties on energy alone, the reference on committed
+        # periods first: the schedules and their scores must not differ
+        instances, opts = problem
+        observed = np.array(shares[:instances[0].market.horizon]) * instances[0].dynamics.mel
+        assert_matches_loop_reference(instances, opts, observed)
 
     @pytest.mark.parametrize("committed,power", [(False, 0.0), (True, 70.0)])
     def test_ties_everywhere_match_loop_reference(self, committed, power):
@@ -704,18 +779,6 @@ class TestParentSearch:
         got = _first_feeders(stops, order, np.arange(m, dtype=stops.dtype)[:, None, None])
         assert got.shape == (width, m)
         assert got.tolist() == scan_first_feeders(feeds.tolist(), order)
-
-
-class TestCommittedCount:
-    def test_count_holds_every_committed_period(self):
-        # committed in all 300 periods, more than a byte counts: 300 % 256 is 44
-        T = 300
-        graph = UcGraph(flat_dynamics(T), 1.0, SolverOptions(), initial_committed=True,
-                        initial_power=500.0)
-        market = toy_market(np.full(T, 90.0), fuel=20.0)
-        _, (profit,), (count,), _ = _forward(graph, market, [params(phi=1.0)])
-        assert np.isfinite(profit)
-        assert count == T
 
 
 @pytest.fixture(scope="module")

@@ -14,8 +14,11 @@ one per pair, workload after workload.
 
 The record holds, per workload and end-to-end metric of ``BENCHMARK.json``,
 each side's value per pair, its quartiles (the middle one is the median),
-the pairs the change wins and the ties, and the failed and attempted runs
-of each side; besides the environment, both commits and the command. It is
+each pair's ratio (change over parent) and the ratios' quartiles, the pairs
+the change wins and the ties, and the failed and attempted runs of each
+side; besides the environment, both commits and the command. A drift of the
+host's speed during a run widens each side's quartiles, but moves both runs
+of a pair alike, so the ratios read the pairs without it. It is
 written again after every pair, so an interrupted run keeps what it
 measured. It records only: no gate, no bound.
 """
@@ -74,13 +77,17 @@ def quartiles(values: list[float]) -> list[float]:
 
 
 def summary(metrics: list[dict], pairs: list[dict]) -> dict:
-    """Per metric: each side's values, quartiles, the change's wins and the ties."""
+    """Per metric: each side's values and quartiles, each pair's ratio
+    (change over parent, None where the parent's value is 0) and the
+    quartiles of the ratios, the change's wins and the ties."""
     out = {}
     for spec in metrics:
         name = spec["name"]
         parent = [round(p["parent"]["metrics"][name]["value"], 4) for p in pairs]
         change = [round(p["change"]["metrics"][name]["value"], 4) for p in pairs]
         sign = -1 if spec["better"] == "lower" else 1
+        ratios = [round(c / p, 4) if p else None for p, c in zip(parent, change)]
+        defined = [r for r in ratios if r is not None]
         out[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
@@ -88,6 +95,8 @@ def summary(metrics: list[dict], pairs: list[dict]) -> dict:
             "change": change,
             "parent_quartiles": quartiles(parent),
             "change_quartiles": quartiles(change),
+            "ratios": ratios,
+            "ratio_quartiles": quartiles(defined) if defined else None,
             "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
             "ties": sum(c == p for p, c in zip(parent, change)),
         }
