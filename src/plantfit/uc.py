@@ -28,26 +28,27 @@ period takes the same step. Start-up cost needs no arc of its own: state 0,
 the off state, has a second row that carries its profit less each
 candidate's sigma, and the arcs from off into committed states leave from it.
 
-Ties in profit go to the path with less energy, then the lowest state index,
-at every step and at the end: each period every candidate's rows are sorted
-once by (profit descending, energy, index), and each state's parent is the
-first row in that order with a feasible arc into it (``_first_feeders``). A
-feasible arc adds nothing but the start-up cost that the second row already
-holds, so the parent's profit is the state's best; the order breaks ties.
+Ties in profit go to the path with fewer committed periods, then less
+energy, then the lowest state index, at every step and at the end: each
+period every candidate's rows are sorted once by (profit descending,
+committed count, energy, index), and each state's parent is the first row in
+that order with a feasible arc into it (``_first_feeders``). A feasible arc
+adds nothing but the start-up cost that the second row already holds, so the
+parent's profit is the state's best; the order breaks ties.
 
-Fewer committed periods need no tier of their own. In exact arithmetic and
-without transit rungs (SEL = 0, or ramp×dt ≥ SEL both ways), the feasible
-prefixes into a state are closed under pointwise min and max of (level,
-committed): ramp bounds, MEL, the level grid and the fixed source level
-survive both. Profit is supermodular (energy linear, committed count
+Energy alone would choose the same paths on plants without transit rungs
+(SEL = 0, or ramp×dt ≥ SEL both ways), in exact arithmetic. There the
+feasible prefixes into a state are closed under pointwise min and max of
+(level, committed): ramp bounds, MEL, the level grid and the fixed source
+level survive both. Profit is supermodular (energy linear, committed count
 modular, start count submodular), so the max-profit prefixes into a state
 have a least element, with the fewest committed periods and the least
 energy at once; any other of least energy differs from it only by being
 committed at level 0 where it is off, and off is state 0, the lowest index.
-So both tier orders keep it, period by period. With transit rungs the SEL
-rule breaks the closure under min, and the evidence is empirical: the
-tests' two-tier reference DP and this sweep agreed in about 90 000
-tie-heavy random instances, and a property test keeps drawing them.
+With transit rungs the SEL rule breaks the closure under min, and the count
+decides: a plant committed at 24 MW, SEL 16 MW and 8 MW rungs has two
+optimal schedules of equal energy, committed 6 and 7 periods (the test
+``test_profit_ties_prefer_fewer_committed_periods``). So the tier stays.
 """
 from __future__ import annotations
 
@@ -298,15 +299,15 @@ def solve_uc(graph: UcGraph, market: MarketSeries, params: PlantParameters) -> S
     """Profit-maximal feasible schedule for one parameter set, over the
     discretized power grid of ``graph``, with ``market`` of its horizon and dt.
 
-    Ties in profit prefer lower total energy, then the lowest state index, so
-    the result is deterministic. The schedule's profit is derived again from
+    Ties in profit prefer fewer committed periods, then lower total energy,
+    then the lowest state index, so the result is deterministic. The schedule's profit is derived again from
     the raw series, and a mismatch with the DP's raises.
     """
     _check_market(graph, market)
     validate_parameters(params)
     T, n = market.horizon, graph.states
     parents = np.empty((T, 1, n), dtype=np.uint8)
-    (last,), (dp_profit,), _ = _forward(graph, market, [params], parents=parents)
+    (last,), (dp_profit,), _, _ = _forward(graph, market, [params], parents=parents)
     if not np.isfinite(dp_profit):
         raise SolverError("no feasible schedule exists for this instance")
     back = memoryview(parents).cast("B")  # period t's parent of state s at t * n + s
@@ -331,7 +332,7 @@ def optimal_sse(graph: UcGraph, market: MarketSeries, params, observed) -> list:
     The problem is ``graph`` with ``market``, whose horizon and dt must be
     the graph's; ``params`` is a sequence of ``PlantParameters``. All of
     them are solved in one DP sweep that carries each path's squared error
-    beside its energy and keeps no back-pointers, so it holds a few
+    beside its tie-break tally and keeps no back-pointers, so it holds a few
     rows of states per candidate whatever the horizon. Returns, in order,
     each parameter set's SSE or the error from ``CANDIDATE_ERRORS`` that it
     alone raised; an error of the shared problem (say, no feasible
@@ -351,8 +352,8 @@ def optimal_sse(graph: UcGraph, market: MarketSeries, params, observed) -> list:
             out[i] = exc.with_traceback(None)
     if not live:
         return out
-    _, dp_profit, (_, errs) = _forward(graph, market, [params[i] for i in live],
-                                       np.asarray(observed, dtype=float))
+    _, dp_profit, _, (_, errs) = _forward(graph, market, [params[i] for i in live],
+                                          np.asarray(observed, dtype=float))
     for i, profit, err in zip(live, dp_profit, errs):
         out[i] = (float(err) if np.isfinite(profit)
                   else SolverError("no feasible schedule exists for this instance"))
@@ -371,14 +372,15 @@ def _forward(graph: UcGraph, market: MarketSeries, params: list,
     """The DP's forward pass for valid candidates.
 
     Keeps per (candidate, row) the best profit, negated, and for the path
-    reaching it a float tally: its energy, which breaks ties, and, given
-    ``observed`` production, its squared error against it. Each period sorts
-    every candidate's rows once by (negated profit, energy, row), takes each
-    row's first feeder in that order (``_first_feeders``) and gathers its
-    value and tally; ``parents``, when given, receives each (period,
-    candidate, state)'s parent state. Margins and rewards are built a chunk
-    of periods at a time. Returns each candidate's best final state, by the
-    same order, with its profit and tally, (1 or 2, candidates).
+    reaching it the committed-period count and a float tally: its energy
+    and, given ``observed`` production, its squared error against it. Count
+    and energy break ties. Each period sorts every candidate's rows once by
+    (negated profit, count, energy, row), takes each row's first feeder in
+    that order (``_first_feeders``) and gathers its value, count and tally;
+    ``parents``, when given, receives each (period, candidate, state)'s
+    parent state. Margins and rewards are built a chunk of periods at a
+    time. Returns each candidate's best final state, by the same order, with
+    its profit, count and tally, (1 or 2, candidates).
     """
     # after the parameters, so a lone solve reports a bad parameter first
     arcs, stops = graph._arc_of.tolist(), list(graph._stops)
@@ -396,6 +398,8 @@ def _forward(graph: UcGraph, market: MarketSeries, params: list,
     nv = np.zeros((P, m))
     nv[:, 1] = sigma
     nv[:, -1] = np.inf
+    # a contiguous key of the fewest bytes that hold T, which lexsort radix-sorts
+    count = np.zeros((P, m), dtype=np.min_scalar_type(T))
     tally = np.zeros((1 if observed is None else 2, P, m))
     chunk = max(1, _REWARD_BYTES // (P * m * 8))
     rewards = np.empty((min(chunk, T), P, m))
@@ -413,8 +417,9 @@ def _forward(graph: UcGraph, market: MarketSeries, params: list,
         if observed is not None:
             gains.append(np.square(level - observed[lo:hi, None]))
         gains = np.stack(gains, axis=1)[:, :, None]
-        for t, arc, reward, gain in zip(range(lo, hi), arcs[lo:hi], rewards, gains):
-            order = np.lexsort((tally[0], nv))
+        ons = on.astype(count.dtype)
+        for t, arc, reward, gain, on_t in zip(range(lo, hi), arcs[lo:hi], rewards, gains, ons):
+            order = np.lexsort((tally[0], count, nv))
             src = order.take(_first_feeders(stops[arc], order, positions) + rows)
             if parents is not None:
                 graph._state.take(src[:, graph._column], out=parents[t])
@@ -422,12 +427,14 @@ def _forward(graph: UcGraph, market: MarketSeries, params: list,
             nv = nv.take(src)
             nv -= reward
             nv[:, 1] += sigma
+            count = count.take(src)
+            count += on_t
             tally = tally.reshape(len(tally), P * m).take(src, axis=1)
             tally += gain
-    nv, tally = nv[:, graph._column], tally[..., graph._column]
-    best = np.lexsort((tally[0], nv))[:, 0]
+    nv, count, tally = nv[:, graph._column], count[:, graph._column], tally[..., graph._column]
+    best = np.lexsort((tally[0], count, nv))[:, 0]
     picks = np.arange(P)
-    return best, -nv[picks, best], tally[:, picks, best]
+    return best, -nv[picks, best], count[picks, best], tally[:, picks, best]
 
 
 def _stop_markers(feeds: np.ndarray) -> np.ndarray:

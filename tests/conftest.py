@@ -265,9 +265,9 @@ def loop_solve(instance, opts):
     committed periods, then less energy, then lowest state index). It states
     the rules for leaving the initial condition on its own, not through the
     graph's source states, and shares no layout between periods. The batched
-    sweep must reproduce its schedules bit for bit. Its passes are the
-    two-tier policy the sweep, which breaks ties on energy alone, is checked
-    against: the ``uc`` module docstring says why the two agree.
+    sweep must reproduce its schedules bit for bit. Its three passes state,
+    apart from the sweep's one sort, the two-tier policy the sweep is checked
+    against.
     """
     from plantfit.uc import _period_levels, _transition_mask, marginal_values
 

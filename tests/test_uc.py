@@ -23,7 +23,7 @@ from plantfit import (
     sse,
     validate_schedule,
 )
-from plantfit.uc import _first_feeders, _period_levels, _stop_markers, optimal_sse
+from plantfit.uc import _first_feeders, _forward, _period_levels, _stop_markers, optimal_sse
 from conftest import (
     TRUE_PARAMS,
     flat_dynamics,
@@ -110,6 +110,20 @@ class TestSolveUc:
         opts = SolverOptions(power_levels=3)
         schedule = solve(inst, opts)
         assert schedule.power.tolist() == [90.0, 90.0]
+        assert schedule.power.tobytes() == loop_solve(inst, opts)[0].tobytes()
+
+    def test_profit_ties_prefer_fewer_committed_periods(self):
+        # committed at 24 MW over 8 MW rungs up to SEL 16: schedules committed
+        # for 6 and for 7 periods tie on profit (192) and on energy (80 MWh)
+        market = toy_market(16.0 + np.array([-4, 0, 0, 4, -4, 4, 0, -4, 0, 8], dtype=float),
+                            fuel=16.0)
+        dyn = flat_dynamics(10, mel=64.0, sel=16.0, ramp_up=8.0, ramp_dn=16.0)
+        inst = UcInstance(params=params(eta=1.0), dynamics=dyn, market=market,
+                          initial_committed=True, initial_power=24.0)
+        opts = SolverOptions(power_levels=2)
+        schedule = solve(inst, opts)
+        assert schedule.power.tolist() == [8.0, 0.0, 8.0, 16.0, 0.0, 0.0, 0.0, 8.0, 16.0, 24.0]
+        assert schedule.committed.sum() == 6 and schedule.profit == 192.0
         assert schedule.power.tobytes() == loop_solve(inst, opts)[0].tobytes()
 
     def test_committed_start_below_sel_keeps_climbing(self):
@@ -595,8 +609,8 @@ class TestBatchedSweep:
     @given(tie_heavy_problems(), observed_shares)
     @example(held_level_problem(), SHARES)
     def test_tie_heavy_problems_match_the_two_tier_reference(self, problem, shares):
-        # the sweep breaks ties on energy alone, the reference on committed
-        # periods first: the schedules and their scores must not differ
+        # ties in profit decide most schedules here, so the sweep's tie tiers
+        # must choose as the reference's three masked passes do
         instances, opts = problem
         observed = np.array(shares[:instances[0].market.horizon]) * instances[0].dynamics.mel
         assert_matches_loop_reference(instances, opts, observed)
@@ -779,6 +793,18 @@ class TestParentSearch:
         got = _first_feeders(stops, order, np.arange(m, dtype=stops.dtype)[:, None, None])
         assert got.shape == (width, m)
         assert got.tolist() == scan_first_feeders(feeds.tolist(), order)
+
+
+class TestCommittedCount:
+    def test_count_holds_every_committed_period(self):
+        # committed in all 300 periods, more than a byte counts: 300 % 256 is 44
+        T = 300
+        graph = UcGraph(flat_dynamics(T), 1.0, SolverOptions(), initial_committed=True,
+                        initial_power=500.0)
+        market = toy_market(np.full(T, 90.0), fuel=20.0)
+        _, (profit,), (count,), _ = _forward(graph, market, [params(phi=1.0)])
+        assert np.isfinite(profit)
+        assert count == T
 
 
 @pytest.fixture(scope="module")

@@ -78,16 +78,14 @@ def quartiles(values: list[float]) -> list[float]:
 
 def summary(metrics: list[dict], pairs: list[dict]) -> dict:
     """Per metric: each side's values and quartiles, each pair's ratio
-    (change over parent, None where the parent's value is 0) and the
-    quartiles of the ratios, the change's wins and the ties."""
+    (change over parent) and their quartiles, the change's wins and the ties."""
     out = {}
     for spec in metrics:
         name = spec["name"]
         parent = [round(p["parent"]["metrics"][name]["value"], 4) for p in pairs]
         change = [round(p["change"]["metrics"][name]["value"], 4) for p in pairs]
         sign = -1 if spec["better"] == "lower" else 1
-        ratios = [round(c / p, 4) if p else None for p, c in zip(parent, change)]
-        defined = [r for r in ratios if r is not None]
+        ratios = [round(c / p, 4) for p, c in zip(parent, change)]
         out[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
@@ -96,7 +94,7 @@ def summary(metrics: list[dict], pairs: list[dict]) -> dict:
             "parent_quartiles": quartiles(parent),
             "change_quartiles": quartiles(change),
             "ratios": ratios,
-            "ratio_quartiles": quartiles(defined) if defined else None,
+            "ratio_quartiles": quartiles(ratios),
             "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
             "ties": sum(c == p for p, c in zip(parent, change)),
         }
