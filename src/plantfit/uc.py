@@ -17,24 +17,33 @@ band without pausing or turning back, a stop descends from the stable
 band to zero. Dwelling strictly between zero and SEL is infeasible.
 
 A problem is a state graph (``UcGraph``: dynamics, dt, grid options and the
-initial state, checked when it is built) and a market over its horizon.
-``solve_uc`` solves it for one parameter set and walks its back-pointers to
-the schedule. ``optimal_sse`` scores many parameter sets in one DP sweep,
-each period advancing a (candidates, states) stack at once; each path
-carries its squared error against observed production, so the winning final
-state holds its schedule's SSE, and no back-pointer or schedule is kept. The
-initial condition is a source layout before the first period, so every
-period takes the same step. Start-up cost needs no arc of its own: state 0,
-the off state, has a second row that carries its profit less each
-candidate's sigma, and the arcs from off into committed states leave from it.
+initial state, checked when it is built) and a market over the same horizon.
+``solve_uc(graph, market, params)`` solves it for one parameter set and walks
+its back-pointers to the schedule. ``optimal_sse(graph, market, params,
+observed)`` scores many parameter sets on one problem in one DP sweep, each
+period advancing a (candidates, states) stack at once: each path carries its
+squared error against observed production, so the winning final state holds
+its schedule's SSE, and no back-pointer or schedule is kept.
+Periods with equal (levels, modes) share one state layout, whose levels
+are stored once, and one table of arc markers is stored per distinct pair of
+adjacent layouts; flat dynamics need a single layout and table. The initial
+condition is a source layout before the first period, so every period, the
+first included, takes the same step.
+Start-up cost needs no arc of its own: state 0, the off state, has a second
+row that carries its profit less each candidate's sigma, and the arcs from
+off into committed states leave from that row.
 
 Ties in profit go to the path with fewer committed periods, then less
-energy, then the lowest state index, at every step and at the end: each
+energy, then the lowest state index, at every step and at the end. Each
 period every candidate's rows are sorted once by (profit descending,
 committed count, energy, index), and each state's parent is the first row in
-that order with a feasible arc into it (``_first_feeders``). A feasible arc
-adds nothing but the start-up cost that the second row already holds, so the
-parent's profit is the state's best; the order breaks ties.
+that order with a feasible arc into it. A feasible arc adds nothing but the
+start-up cost that the second row already holds, so the parent's profit is
+the state's best, and the order breaks its ties. The first feeding position
+comes from one vectorized minimum: the arc markers (0 where a row feeds a
+state, the dtype's maximum where not) are gathered by the sorted order,
+each position k is OR-ed into its slice, and the minimum over the positions
+is the first k that feeds.
 
 Energy alone would choose the same paths on plants without transit rungs
 (SEL = 0, or ramp×dt ≥ SEL both ways), in exact arithmetic. There the
@@ -297,11 +306,13 @@ _REWARD_BYTES = 2**18
 
 def solve_uc(graph: UcGraph, market: MarketSeries, params: PlantParameters) -> Schedule:
     """Profit-maximal feasible schedule for one parameter set, over the
-    discretized power grid of ``graph``, with ``market`` of its horizon and dt.
+    discretized power grid.
 
-    Ties in profit prefer fewer committed periods, then lower total energy,
-    then the lowest state index, so the result is deterministic. The schedule's profit is derived again from
-    the raw series, and a mismatch with the DP's raises.
+    The problem is ``graph`` with ``market``, whose horizon and dt must be
+    the graph's, as for :func:`optimal_sse`; one graph serves every
+    parameter set. Ties in profit prefer fewer committed periods, then lower
+    total energy, so the result is deterministic. The schedule's profit is
+    derived again from the raw series, and a mismatch with the DP's raises.
     """
     _check_market(graph, market)
     validate_parameters(params)
@@ -374,13 +385,15 @@ def _forward(graph: UcGraph, market: MarketSeries, params: list,
     Keeps per (candidate, row) the best profit, negated, and for the path
     reaching it the committed-period count and a float tally: its energy
     and, given ``observed`` production, its squared error against it. Count
-    and energy break ties. Each period sorts every candidate's rows once by
-    (negated profit, count, energy, row), takes each row's first feeder in
-    that order (``_first_feeders``) and gathers its value, count and tally;
-    ``parents``, when given, receives each (period, candidate, state)'s
-    parent state. Margins and rewards are built a chunk of periods at a
-    time. Returns each candidate's best final state, by the same order, with
-    its profit, count and tally, (1 or 2, candidates).
+    and energy break ties.
+    Each period sorts every candidate's rows once by (negated profit, count,
+    energy, row), finds for each row the first one in that order that feeds
+    it (``_first_feeders``, one minimum over the gathered arc markers), and
+    gathers the row's value and tally from it; ``parents``, when given,
+    receives each (period, candidate, state)'s parent state. Margins and
+    rewards are built a chunk of periods at a time from each period's
+    layout. Returns each candidate's best final state, by the same order,
+    with its profit, count and tally, (1 or 2, candidates).
     """
     # after the parameters, so a lone solve reports a bad parameter first
     arcs, stops = graph._arc_of.tolist(), list(graph._stops)
