@@ -128,16 +128,16 @@ def _bounds_from_plant(plant: dict, capacity: float) -> SearchBounds:
         if {name, f"{name}_per_cap"} <= overrides.keys():
             raise ConfigError(f"plant bounds give both {name} and {name}_per_cap; give one")
     kwargs = {}
-    try:
-        for name in PARAM_NAMES:
-            if name in overrides:
-                lo, hi = overrides[name]
-                kwargs[name] = (float(lo), float(hi))
-            elif f"{name}_per_cap" in overrides:
-                lo, hi = overrides[f"{name}_per_cap"]
-                kwargs[name] = (float(lo) * capacity, float(hi) * capacity)
-    except (TypeError, ValueError):
-        raise ConfigError(f"plant bounds for {name} must be a [low, high] pair") from None
+    for name in PARAM_NAMES:
+        for key, scale in ((name, 1.0), (f"{name}_per_cap", capacity)):
+            if key in overrides:
+                try:
+                    lo, hi = overrides[key]
+                except (TypeError, ValueError):
+                    raise ConfigError(f"plant bounds for {name} must be a [low, high] "
+                                      f"pair") from None
+                kwargs[name] = tuple(_number(f"plant bounds {key}", value, float) * scale
+                                     for value in (lo, hi))
     return SearchBounds.for_plant(capacity, **kwargs)
 
 
@@ -152,8 +152,11 @@ _SECTION_KEYS = {
 
 
 def _number(name: str, value, kind):
-    """A config value converted to ``kind``, or a ConfigError naming its key."""
+    """A config value converted to ``kind``, or a ConfigError naming its key.
+    A JSON boolean is not a number, though Python would convert it."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
@@ -229,7 +232,6 @@ def _cli_params(args, plant: dict, capacity: float) -> PlantParameters:
 class Run:
     """What every command reads before it does its own work."""
 
-    cfg: dict
     dataset: AlignedDataset
     plant: dict
     opts: SolverOptions
@@ -270,7 +272,7 @@ def _prepare(args) -> Run:
     context.graph(opts)  # kept by the context for the command's solves
     out = getattr(args, "out", None)  # validate writes nothing
     out_dir = Path(out if out is not None else cfg.get("out", "out"))
-    return Run(cfg, dataset, plant, opts, bounds, de_cfg, compass_cfg, context, out_dir, params)
+    return Run(dataset, plant, opts, bounds, de_cfg, compass_cfg, context, out_dir, params)
 
 
 def cmd_fit(args) -> int:
@@ -381,7 +383,7 @@ def cmd_validate(args) -> int:
     grid = dataset.market.grid
     print(f"plant:     {run.plant.get('plant_id', '(unnamed)')}")
     print(f"horizon:   {format_timestamp(grid[0])} .. {format_timestamp(grid[-1])} "
-          f"({dataset.market.horizon} periods, dt {dataset.dt} h)")
+          f"({dataset.market.horizon} periods, dt {dataset.market.dt} h)")
     print(f"capacity:  {dataset.dynamics.capacity:.1f} MW (max MEL)")
     print(f"sel range: {dataset.dynamics.sel.min():.1f} .. {dataset.dynamics.sel.max():.1f} MW")
     print(f"ramps:     +{dataset.dynamics.ramp_up:.1f} / -{dataset.dynamics.ramp_dn:.1f} MW/h")

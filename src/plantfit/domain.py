@@ -81,10 +81,13 @@ class SearchBounds:
             raise ParameterError("bounds lower/upper length mismatch")
         if self.names and len(self.names) != len(self.lower):
             raise ParameterError("bounds names length mismatch")
-        if not np.all(np.isfinite(self.lower)) or not np.all(np.isfinite(self.upper)):
-            raise ParameterError("bounds must be finite")
-        if not np.all(self.lower < self.upper):
-            raise ParameterError("each lower bound must be below its upper bound")
+        for i, (lo, hi) in enumerate(zip(self.lower.tolist(), self.upper.tolist())):
+            dim = self.names[i] if self.names else f"dimension {i}"
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ParameterError(f"bounds of {dim} must be finite, got [{lo}, {hi}]")
+            if not lo < hi:
+                raise ParameterError(f"lower bound of {dim} must be below its upper bound, "
+                                     f"got [{lo}, {hi}]")
         if "eta" in self.names:
             lo, hi = self.range("eta")
             if not (0.0 < lo < hi <= 1.0):
@@ -240,7 +243,6 @@ class FitResult:
     rms: float                 # MW
     evaluations: int           # inner UC solves spent
     trace: tuple               # (PlantParameters, sse) per evaluation, in order
-    normalized_report: NormalizedCosts
     schedule: Schedule         # inner optimum at best, the one scored as sse
 
 

@@ -198,7 +198,6 @@ class AlignedDataset:
     market: MarketSeries
     dynamics: PlantDynamics
     observed: ObservedProduction
-    dt: float  # hours
 
 
 def _resample(series: RawSeries, grid: np.ndarray, name: str,
@@ -275,7 +274,7 @@ def align(
         ramp_up=float(ramp_up.min()), ramp_dn=float(ramp_dn.min()),
     )
     observed = ObservedProduction(grid=grid, power=production)
-    return AlignedDataset(market=market, dynamics=dynamics, observed=observed, dt=dt)
+    return AlignedDataset(market=market, dynamics=dynamics, observed=observed)
 
 
 def synthesize(

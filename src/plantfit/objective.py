@@ -7,7 +7,7 @@ scored against one shared read-only context in one DP sweep that carries
 each path's squared error and builds no schedule, so its memory is a few
 rows of states per candidate. A score equals, bit for bit, the SSE of the
 candidate's lone-solved schedule, and does not depend on how the batch is
-split.
+split; a candidate that is invalid or has no feasible schedule scores +inf.
 """
 from __future__ import annotations
 
@@ -28,14 +28,7 @@ from .domain import (
     params_to_vector,
     vector_to_params,
 )
-from .uc import (
-    CANDIDATE_ERRORS,
-    SolverOptions,
-    UcGraph,
-    UcInstance,
-    optimal_sse,
-    solve_uc,
-)
+from .uc import SolverOptions, UcGraph, UcInstance, optimal_sse, solve_uc
 
 
 def _power_of(series) -> np.ndarray:
@@ -66,7 +59,6 @@ def rms(predicted, observed) -> float:
 class FitnessRecord:
     """One outer-objective evaluation."""
 
-    params: PlantParameters
     sse: float          # MW^2 * periods
     rms: float          # MW
     schedule: Schedule  # inner optimum at these parameters
@@ -80,7 +72,6 @@ class LandscapeSlice:
     axis1_values: np.ndarray
     axis2_name: str
     axis2_values: np.ndarray
-    fixed: PlantParameters      # supplies the two non-axis parameters
     errors: np.ndarray          # rms [MW], shape (len(axis1), len(axis2))
 
 
@@ -155,7 +146,6 @@ def evaluate_candidate(params: PlantParameters, context: FitContext,
     schedule = solve_uc(context.graph(opts), context.market, params)
     err = sse(schedule, context.observed)
     return FitnessRecord(
-        params=params,
         sse=err,
         rms=math.sqrt(err / context.market.horizon),
         schedule=schedule,
@@ -183,13 +173,11 @@ def _score_vectors(vecs, context: FitContext, opts: SolverOptions) -> list[float
     """Scores of parameter vectors (a batch, or one worker's part of it).
 
     The parameter sets are scored on the context's graph and market in one
-    sweep of ``uc.optimal_sse``, which builds no schedule. A candidate that
-    fails alone (``CANDIDATE_ERRORS``) scores +inf.
+    sweep of ``uc.optimal_sse``, which builds no schedule and scores +inf a
+    set that is invalid or has no feasible schedule.
     """
     params = [vector_to_params(v, context.epsilon) for v in vecs]
-    results = optimal_sse(context.graph(opts), context.market, params, context.observed.power)
-    # infeasible corners score worst instead of aborting
-    return [math.inf if isinstance(r, CANDIDATE_ERRORS) else r for r in results]
+    return optimal_sse(context.graph(opts), context.market, params, context.observed.power)
 
 
 class CandidateEvaluator:
@@ -291,6 +279,5 @@ def landscape_slice(
         axis1_values=values1,
         axis2_name=name2,
         axis2_values=values2,
-        fixed=fixed,
         errors=errors,
     )

@@ -22,7 +22,6 @@ from .domain import (
     ParameterError,
     SearchBounds,
     SolverError,
-    normalize_costs,
     vector_to_params,
 )
 from .objective import CandidateEvaluator, FitContext, evaluate_candidate
@@ -257,9 +256,9 @@ def fit(
     """Full bilevel fit: DE exploration, compass refinement, one verification.
 
     Returns the best parameters with the outer objective re-evaluated at
-    them, the schedule that re-evaluation solved, the per-MW(cap) cost
-    report, and the complete evaluation trace. The re-evaluation's SSE must
-    equal the search's best score bit for bit, or ``SolverError`` raises.
+    them, the schedule that re-evaluation solved, and the complete
+    evaluation trace. The re-evaluation's SSE must equal the search's best
+    score bit for bit, or ``SolverError`` raises.
     When DE's whole initial population scores +inf, the fit stops there and
     raises the first candidate's error.
     """
@@ -268,8 +267,7 @@ def fit(
     compass_cfg = compass_cfg or CompassConfig()
     if context.observed.horizon == 0:
         raise DataError("observed series is empty")
-    capacity = context.dynamics.capacity
-    bounds = bounds or SearchBounds.for_plant(capacity)
+    bounds = bounds or SearchBounds.for_plant(context.dynamics.capacity)
 
     with CandidateEvaluator(context, opts, jobs) as ev:
         de = differential_evolution(_feasible_start(ev), bounds, de_cfg)
@@ -291,6 +289,5 @@ def fit(
         rms=final.rms,
         evaluations=len(trace),
         trace=trace,
-        normalized_report=normalize_costs(best_params, capacity),
         schedule=final.schedule,
     )

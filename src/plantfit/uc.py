@@ -19,11 +19,13 @@ band to zero. Dwelling strictly between zero and SEL is infeasible.
 A problem is a state graph (``UcGraph``: dynamics, dt, grid options and the
 initial state, checked when it is built) and a market over the same horizon.
 ``solve_uc(graph, market, params)`` solves it for one parameter set and walks
-its back-pointers to the schedule. ``optimal_sse(graph, market, params,
-observed)`` scores many parameter sets on one problem in one DP sweep, each
-period advancing a (candidates, states) stack at once: each path carries its
-squared error against observed production, so the winning final state holds
-its schedule's SSE, and no back-pointer or schedule is kept.
+its back-pointers to the schedule, or raises the set's own error.
+``optimal_sse(graph, market, params, observed)`` scores many parameter sets
+on one problem in one DP sweep, each period advancing a (candidates, states)
+stack at once: each path carries its squared error against observed
+production, so the winning final state holds its schedule's SSE, and no
+back-pointer or schedule is kept. A set that is invalid or has no feasible
+schedule scores +inf.
 Periods with equal (levels, modes) share one state layout, whose levels
 are stored once, and one table of arc markers is stored per distinct pair of
 adjacent layouts; flat dynamics need a single layout and table. The initial
@@ -61,6 +63,7 @@ optimal schedules of equal energy, committed 6 and 7 periods (the test
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,10 +299,6 @@ class UcGraph:
         return sum(a.nbytes for a in arrays)
 
 
-# Errors that fail one candidate alone: a parameter out of its range or an
-# infeasible horizon. Anything else is a bug and propagates.
-CANDIDATE_ERRORS = (SolverError, ParameterError, DataError)
-
 # Bytes of period rewards computed ahead of the sweep.
 _REWARD_BYTES = 2**18
 
@@ -336,7 +335,7 @@ def solve_uc(graph: UcGraph, market: MarketSeries, params: PlantParameters) -> S
     return Schedule(power=power, committed=committed, started=started, profit=exact)
 
 
-def optimal_sse(graph: UcGraph, market: MarketSeries, params, observed) -> list:
+def optimal_sse(graph: UcGraph, market: MarketSeries, params, observed) -> list[float]:
     """SSE against ``observed`` production of each parameter set's optimal
     schedule, without building the schedule.
 
@@ -345,29 +344,30 @@ def optimal_sse(graph: UcGraph, market: MarketSeries, params, observed) -> list:
     them are solved in one DP sweep that carries each path's squared error
     beside its tie-break tally and keeps no back-pointers, so it holds a few
     rows of states per candidate whatever the horizon. Returns, in order,
-    each parameter set's SSE or the error from ``CANDIDATE_ERRORS`` that it
-    alone raised; an error of the shared problem (say, no feasible
+    each parameter set's SSE, or +inf for a set that fails
+    ``validate_parameters`` or has no feasible schedule: :func:`solve_uc`
+    names its error. An error of the shared problem (a market of another
+    horizon or dt, observed production of another length, no feasible
     first-period state) raises. Each SSE equals, bit for bit, ``sse`` of the
     schedule :func:`solve_uc` finds for the set, summed in period order.
     """
     _check_market(graph, market)
     if len(observed) != market.horizon:
         raise DataError("observed and market series length mismatch")
-    out: list = [None] * len(params)
+    out = [math.inf] * len(params)
     live = []
     for i, p in enumerate(params):
         try:
             validate_parameters(p)
-            live.append(i)
-        except ParameterError as exc:  # its traceback would hold this frame, so ``out``
-            out[i] = exc.with_traceback(None)
-    if not live:
-        return out
-    _, dp_profit, _, (_, errs) = _forward(graph, market, [params[i] for i in live],
-                                          np.asarray(observed, dtype=float))
-    for i, profit, err in zip(live, dp_profit, errs):
-        out[i] = (float(err) if np.isfinite(profit)
-                  else SolverError("no feasible schedule exists for this instance"))
+        except ParameterError:
+            continue
+        live.append(i)
+    if live:
+        _, dp_profit, _, (_, errs) = _forward(graph, market, [params[i] for i in live],
+                                              np.asarray(observed, dtype=float))
+        for i, profit, err in zip(live, dp_profit, errs):
+            if np.isfinite(profit):
+                out[i] = float(err)
     return out
 
 

@@ -107,6 +107,10 @@ class TestFit:
         assert result["rms_mw"] <= 1.0
         assert result["plant_id"] == "DEMO-1"
         assert 0.2 <= result["parameters"]["eta"] <= 0.65
+        per_cap, cap = result["parameters_per_mw_cap"], result["capacity_mw"]
+        assert cap == 100.0
+        assert per_cap["sigma_gbp_per_mw"] == result["parameters"]["sigma_gbp"] / cap
+        assert per_cap["phi_gbp_per_h_per_mw"] == result["parameters"]["phi_gbp_per_h"] / cap
 
         header, *rows = (out / "trace.csv").read_text().strip().splitlines()
         assert header == "evaluation,eta,sigma,phi,nu,sse"
@@ -244,6 +248,20 @@ class TestLandscape:
         assert header == "eta,sigma,rms_mw"
         assert len(rows) == 20
 
+    def test_invalid_cells_read_inf(self, fixture_dir, tmp_path):
+        # eta 0 and eta above 1 fail validation: those cells, and only those, are inf
+        out = tmp_path / "out"
+        code = main(["landscape", "--config", str(fixture_dir / "config.json"),
+                     "--out", str(out), "--eta", "0.45", "--sigma", "500",
+                     "--phi", "50", "--nu", "1.0", "--axes", "eta,sigma",
+                     "--grid1", "0:1.2:7", "--grid2", "0:1000:3"])
+        assert code == 0
+        rows = [line.split(",") for line in
+                (out / "landscape.csv").read_text().strip().splitlines()[1:]]
+        assert len(rows) == 21
+        for eta, _, rms in rows:
+            assert (rms == "inf") == (not 0.0 < float(eta) <= 1.0)
+
     @pytest.mark.parametrize("bound", ["nan", "inf", "-inf"])
     def test_non_finite_grid_bound_exits_1(self, fixture_dir, tmp_path, capsys, bound):
         code = main(["landscape", "--config", str(fixture_dir / "config.json"),
@@ -354,13 +372,17 @@ class TestValidate:
          "plant bounds give both sigma and sigma_per_cap"),
         ({"phi_per_cap": [0, 20], "phi": [0, 500]},
          "plant bounds give both phi and phi_per_cap"),
+        ({"phi_per_cap": [True, 3]}, "plant bounds phi_per_cap must be a number, got True"),
+        ({"eta": [0.3, 0.2]},
+         "lower bound of eta must be below its upper bound, got [0.3, 0.2]"),
+        ({"nu": [0, "nan"]}, "bounds of nu must be finite, got [0.0, nan]"),
     ])
     def test_plant_bounds_checked(self, fixture_dir, tmp_path, capsys, bounds, message):
         config = with_plant(fixture_dir, tmp_path, bounds=bounds)
         assert main(["validate", "--config", config]) == 1
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("epsilon", ["abc", None])
+    @pytest.mark.parametrize("epsilon", ["abc", None, True])
     def test_plant_epsilon_that_is_not_a_number_exits_1(self, fixture_dir, tmp_path, capsys,
                                                         epsilon):
         config = with_plant(fixture_dir, tmp_path, epsilon_tco2_per_mwh_fuel=epsilon)
@@ -433,7 +455,8 @@ class TestConfigKeys:
         assert b'"seed": 3,' in outputs[1][0]
 
     @pytest.mark.parametrize("key,value", [
-        ("seed", "x"), ("seed", math.inf), ("dt", "half"), ("dt", None)])
+        ("seed", "x"), ("seed", math.inf), ("dt", "half"), ("dt", None),
+        ("seed", True), ("dt", False)])
     def test_top_level_value_of_the_wrong_type_exits_1(self, fixture_dir, tmp_path, capsys,
                                                        key, value):
         config = with_config(fixture_dir, tmp_path, **{key: value})

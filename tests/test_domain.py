@@ -84,7 +84,8 @@ class TestSearchBounds:
         assert b.range("nu") == (0.0, 20.0)
 
     def test_lower_must_be_below_upper(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"lower bound of dimension 0 must be below "
+                                                 r"its upper bound, got \[1.0, 1.0\]"):
             SearchBounds(np.array([1.0, 0.0]), np.array([1.0, 2.0]))
 
     def test_eta_bounds_constrained_to_unit_interval(self):

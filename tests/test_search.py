@@ -350,16 +350,6 @@ class TestFit:
         assert serial.evaluations == parallel.evaluations
         assert serial.trace == parallel.trace  # every vector and score, in order
 
-    def test_normalized_report_consistent(self):
-        true, ctx = small_context(T=24)
-        result = fit(ctx, de_cfg=DeConfig(population=8, generations=5, seed=6),
-                     compass_cfg=CompassConfig(max_iterations=5))
-        cap = ctx.dynamics.capacity
-        assert result.normalized_report.sigma_per_cap == pytest.approx(
-            result.best.sigma / cap)
-        assert result.normalized_report.phi_per_cap == pytest.approx(
-            result.best.phi / cap)
-
     def test_empty_observed_rejected(self):
         import numpy as np
         from plantfit import MarketSeries, ObservedProduction, PlantDynamics

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from plantfit import (
+    DataError,
     MarketSeries,
     ParameterError,
     PlantDynamics,
@@ -568,7 +569,8 @@ def held_level_problem():
 def assert_matches_loop_reference(instances, opts, observed):
     """Each score-only SSE of a batch on one problem is that of the
     lone-solved schedule, bit for bit, and each lone schedule that of the
-    loop reference; an infeasible candidate or problem fails alike."""
+    loop reference; an infeasible candidate scores +inf and fails alone as
+    in the reference, and an infeasible problem fails alike."""
     first = instances[0]
     try:
         scores = optimal_sse(graph_of(first, opts), first.market,
@@ -583,7 +585,7 @@ def assert_matches_loop_reference(instances, opts, observed):
         try:
             power, committed = loop_solve(inst, opts)
         except SolverError as exc:
-            assert type(score) is SolverError and str(score) == str(exc)
+            assert score == math.inf
             with pytest.raises(SolverError) as alone:
                 solve(inst, opts)
             assert str(alone.value) == str(exc)
@@ -645,7 +647,9 @@ class TestBatchedSweep:
         good, failed = optimal_sse(graph_of(inst, opts), inst.market,
                                    [inst.params, params(eta=0.0)], observed)
         assert good == sse(solve(inst, opts), observed)
-        assert isinstance(failed, ParameterError)
+        assert failed == math.inf
+        with pytest.raises(ParameterError, match="eta"):  # alone, it names its error
+            solve(dataclasses.replace(inst, params=params(eta=0.0)), opts)
 
     @pytest.mark.parametrize("field,value", [
         ("sigma", math.nan), ("phi", math.nan), ("nu", math.nan), ("epsilon", math.nan),
@@ -658,8 +662,10 @@ class TestBatchedSweep:
         observed = np.zeros(inst.market.horizon)
         good, failed, again = optimal_sse(graph_of(inst, opts), inst.market,
                                           [inst.params, bad.params, inst.params], observed)
-        assert isinstance(failed, ParameterError) and field in str(failed)
+        assert failed == math.inf
         assert good == again == sse(solve(inst, opts), observed)
+        only_bad = optimal_sse(graph_of(inst, opts), inst.market, [bad.params] * 2, observed)
+        assert only_bad == [math.inf, math.inf]
 
     @pytest.mark.parametrize("other", ["horizon", "dt"])
     def test_market_of_another_problem_rejected(self, other):
@@ -668,6 +674,12 @@ class TestBatchedSweep:
                   "dt": toy_market(inst.market.w, dt=inst.market.dt / 2, fuel=20.0)}[other]
         with pytest.raises(SolverError, match="market and graph mismatch"):
             optimal_sse(graph_of(inst, opts), market, [inst.params], np.zeros(market.horizon))
+
+    def test_observed_of_another_length_rejected(self):
+        inst, opts = worked_example()
+        with pytest.raises(DataError, match="observed and market series length mismatch"):
+            optimal_sse(graph_of(inst, opts), inst.market, [inst.params, params(eta=0.0)],
+                        np.zeros(inst.market.horizon + 1))
 
 
 class TestGraphChecks:
