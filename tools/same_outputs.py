@@ -38,13 +38,6 @@ def variants(workloads: dict) -> list:
     return out
 
 
-def run_command(side: Path, work: Path, argv: list[str]) -> subprocess.CompletedProcess:
-    """One ``plantfit`` command of ``side``'s sources, run in ``work``."""
-    env = dict(os.environ, PYTHONPATH=str(side / "src"), PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.run([sys.executable, "-m", "plantfit.cli", *argv], cwd=work, env=env,
-                          capture_output=True, text=True)
-
-
 def first_difference(a: Path, b: Path) -> str | None:
     """The first file, by relative path, that only one tree holds or whose bytes differ."""
     names = sorted({p.relative_to(root) for root in (a, b) for p in root.rglob("*")
@@ -58,13 +51,16 @@ def first_difference(a: Path, b: Path) -> str | None:
 
 
 def compare(sides: dict, inputs: Path, wl) -> str | None:
-    """Run one command on both sides over the same inputs; the first difference."""
+    """Run one command of each side's sources on the same inputs; the first
+    difference."""
     outs = {}
     for side, root in sides.items():
         work = root.parent / f"{root.name}-work"
         shutil.rmtree(work, ignore_errors=True)
         shutil.copytree(inputs, work)
-        proc = run_command(root, work, wl.argv())
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run([sys.executable, "-m", "plantfit.cli", *wl.argv()], cwd=work,
+                              env=env, capture_output=True, text=True)
         if proc.returncode != 0:
             return f"the {side} exited {proc.returncode}: {proc.stderr.strip()[-500:]}"
         outs[side] = work / "out"
