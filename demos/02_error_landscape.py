@@ -36,7 +36,7 @@ context = FitContext.from_observed(dynamics, market, observed, epsilon=true.epsi
 
 etas = np.linspace(0.30, 0.62, 17)
 sigmas = np.linspace(0.0, 40000.0, 9)
-slc = landscape_slice(("eta", etas), ("sigma", sigmas), true, context, jobs=2)
+errors = landscape_slice(("eta", etas), ("sigma", sigmas), true, context, jobs=2)
 
 print("rms error [MW] over (eta, sigma); rows: eta, cols: sigma, X = truth")
 print("         " + " ".join(f"{s/1000:5.0f}k" for s in sigmas))
@@ -46,9 +46,9 @@ for i, eta in enumerate(etas):
     cells = []
     for j in range(len(sigmas)):
         mark = "X" if (i, j) == (i_true, j_true) else " "
-        cells.append(f"{slc.errors[i, j]:5.0f}{mark}")
+        cells.append(f"{errors[i, j]:5.0f}{mark}")
     print(f"eta {eta:.3f} " + " ".join(cells))
 
-i_min, j_min = np.unravel_index(np.argmin(slc.errors), slc.errors.shape)
-print(f"\nminimum {slc.errors[i_min, j_min]:.2f} MW at eta={etas[i_min]:.3f}, "
+i_min, j_min = np.unravel_index(np.argmin(errors), errors.shape)
+print(f"\nminimum {errors[i_min, j_min]:.2f} MW at eta={etas[i_min]:.3f}, "
       f"sigma={sigmas[j_min]:.0f} GBP (truth eta={true.eta}, sigma={true.sigma:.0f})")

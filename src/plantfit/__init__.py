@@ -33,7 +33,6 @@ from .domain import (
     vector_to_params,
 )
 from .ingest import (
-    AlignedDataset,
     RawSeries,
     SeriesTable,
     align,
@@ -44,7 +43,6 @@ from .ingest import (
 from .objective import (
     FitContext,
     FitnessRecord,
-    LandscapeSlice,
     evaluate_candidate,
     landscape_slice,
     rms,
@@ -72,14 +70,12 @@ from .uc import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignedDataset",
     "CompassConfig",
     "DataError",
     "DeConfig",
     "FitContext",
     "FitResult",
     "FitnessRecord",
-    "LandscapeSlice",
     "MarketSeries",
     "NormalizedCosts",
     "ObservedProduction",

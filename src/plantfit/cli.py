@@ -24,14 +24,17 @@ import numpy as np
 from .domain import (
     PARAM_NAMES,
     DataError,
+    MarketSeries,
+    ObservedProduction,
     ParameterError,
+    PlantDynamics,
     PlantParameters,
     SearchBounds,
     SolverError,
     normalize_costs,
     validate_parameters,
 )
-from .ingest import AlignedDataset, align, format_timestamp, load_series
+from .ingest import align, format_timestamp, load_series
 from .objective import FitContext, landscape_slice, sse as sse_of
 from .search import CompassConfig, DeConfig, fit
 from .uc import SolverOptions, solve_uc, validate_schedule
@@ -72,7 +75,8 @@ def _require(cfg: dict, key: str) -> object:
     return cfg[key]
 
 
-def _load_dataset(cfg: dict, dt: float, base: Path) -> AlignedDataset:
+def _load_dataset(cfg: dict, dt: float, base: Path
+                  ) -> tuple[MarketSeries, PlantDynamics, ObservedProduction]:
     # the columns each file gives, by role; a file is read once for all of them
     files: dict[Path, tuple[str, dict[str, str]]] = {}
 
@@ -152,15 +156,15 @@ _SECTION_KEYS = {
 
 
 def _number(name: str, value, kind):
-    """A config value converted to ``kind``, or a ConfigError naming its key.
-    A JSON boolean is not a number, though Python would convert it."""
+    """A JSON number converted to ``kind``, or a ConfigError naming its key.
+    A string or a boolean is not a number, though Python would convert it."""
     try:
-        if isinstance(value, bool):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise TypeError
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
-    if kind is int and isinstance(value, float) and number != value:  # int() truncates
+    if kind is int and number != value:  # int() truncates
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return number
 
@@ -232,7 +236,6 @@ def _cli_params(args, plant: dict, capacity: float) -> PlantParameters:
 class Run:
     """What every command reads before it does its own work."""
 
-    dataset: AlignedDataset
     plant: dict
     opts: SolverOptions
     bounds: SearchBounds
@@ -259,26 +262,24 @@ def _prepare(args) -> Run:
     opts = SolverOptions(**_section(cfg, "solver"))
     de_cfg = DeConfig(seed=seed, **_section(cfg, "de"))
     compass_cfg = CompassConfig(**_section(cfg, "compass"))
-    dataset = _load_dataset(cfg, dt, base)
+    market, dynamics, observed = _load_dataset(cfg, dt, base)
     plant = _load_plant(cfg, base)
-    bounds = _bounds_from_plant(plant, dataset.dynamics.capacity)
+    bounds = _bounds_from_plant(plant, dynamics.capacity)
     params = None
     if hasattr(args, "eta"):  # only simulate and landscape take parameter flags
-        params = _cli_params(args, plant, dataset.dynamics.capacity)
-    context = FitContext.from_observed(
-        dataset.dynamics, dataset.market, dataset.observed,
-        epsilon=plant["epsilon_tco2_per_mwh_fuel"],
-    )
+        params = _cli_params(args, plant, dynamics.capacity)
+    context = FitContext.from_observed(dynamics, market, observed,
+                                       epsilon=plant["epsilon_tco2_per_mwh_fuel"])
     context.graph(opts)  # kept by the context for the command's solves
     out = getattr(args, "out", None)  # validate writes nothing
     out_dir = Path(out if out is not None else cfg.get("out", "out"))
-    return Run(dataset, plant, opts, bounds, de_cfg, compass_cfg, context, out_dir, params)
+    return Run(plant, opts, bounds, de_cfg, compass_cfg, context, out_dir, params)
 
 
 def cmd_fit(args) -> int:
     run = _prepare(args)
-    capacity = run.dataset.dynamics.capacity
-    result = fit(run.context, bounds=run.bounds, de_cfg=run.de_cfg,
+    ctx = run.context
+    result = fit(ctx, bounds=run.bounds, de_cfg=run.de_cfg,
                  compass_cfg=run.compass_cfg, opts=run.opts, jobs=args.jobs)
 
     payload = {
@@ -288,7 +289,7 @@ def cmd_fit(args) -> int:
         "rms_mw": result.rms,
         "evaluations": result.evaluations,
     }
-    payload.update(_params_json(result.best, capacity))
+    payload.update(_params_json(result.best, ctx.dynamics.capacity))
     _write_atomic(run.out_dir, "fit_result.json",
                   json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -301,27 +302,27 @@ def cmd_fit(args) -> int:
 
     schedule_rows = (
         (format_timestamp(ts), obs, pw)
-        for ts, obs, pw in zip(run.dataset.market.grid, run.dataset.observed.power,
-                               result.schedule.power)
+        for ts, obs, pw in zip(ctx.market.grid, ctx.observed.power, result.schedule.power)
     )
     _write_atomic(run.out_dir, "schedule.csv",
                   _csv_text(["timestamp_utc", "observed_mw", "fitted_mw"], schedule_rows))
 
-    print(f"fit: rms {result.rms:.3f} MW over {run.dataset.market.horizon} periods "
+    print(f"fit: rms {result.rms:.3f} MW over {ctx.market.horizon} periods "
           f"({result.evaluations} evaluations) -> {run.out_dir}")
     return 0
 
 
 def cmd_simulate(args) -> int:
     run = _prepare(args)
-    schedule = solve_uc(run.context.graph(run.opts), run.dataset.market, run.params)
-    violations = validate_schedule(schedule, run.context.instance(run.params))
+    ctx = run.context
+    schedule = solve_uc(ctx.graph(run.opts), ctx.market, run.params)
+    violations = validate_schedule(schedule, ctx.instance(run.params))
     if violations:
         raise SolverError(f"simulated schedule is infeasible: {violations[0]}")
 
     rows = (
         (format_timestamp(ts), pw, int(c), int(st))
-        for ts, pw, c, st in zip(run.dataset.market.grid, schedule.power,
+        for ts, pw, c, st in zip(ctx.market.grid, schedule.power,
                                  schedule.committed, schedule.started)
     )
     _write_atomic(run.out_dir, "schedule.csv",
@@ -330,13 +331,13 @@ def cmd_simulate(args) -> int:
     payload = {
         "plant_id": run.plant.get("plant_id", ""),
         "profit_gbp": schedule.profit,
-        "sse_vs_observed_mw2": sse_of(schedule, run.dataset.observed),
+        "sse_vs_observed_mw2": sse_of(schedule, ctx.observed),
     }
-    payload.update(_params_json(run.params, run.dataset.dynamics.capacity))
+    payload.update(_params_json(run.params, ctx.dynamics.capacity))
     _write_atomic(run.out_dir, "simulate_result.json",
                   json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(f"simulate: profit {schedule.profit:.2f} GBP over "
-          f"{run.dataset.market.horizon} periods -> {run.out_dir}")
+          f"{ctx.market.horizon} periods -> {run.out_dir}")
     return 0
 
 
@@ -356,39 +357,29 @@ def cmd_landscape(args) -> int:
     names = [n.strip() for n in args.axes.split(",")]
     if len(names) != 2:
         raise ConfigError("--axes takes two comma-separated parameter names")
-    if names[0] == names[1]:
-        raise ConfigError("axes must differ")
 
     grid1 = _parse_grid(args.grid1)
     grid2 = _parse_grid(args.grid2)
     run = _prepare(args)
-    slc = landscape_slice(
-        (names[0], grid1), (names[1], grid2), run.params, run.context,
-        opts=run.opts, jobs=args.jobs,
-    )
-    rows = (
-        (v1, v2, slc.errors[i, j])
-        for i, v1 in enumerate(slc.axis1_values)
-        for j, v2 in enumerate(slc.axis2_values)
-    )
-    _write_atomic(run.out_dir, "landscape.csv",
-                  _csv_text([slc.axis1_name, slc.axis2_name, "rms_mw"], rows))
+    errors = landscape_slice((names[0], grid1), (names[1], grid2), run.params, run.context,
+                             opts=run.opts, jobs=args.jobs)
+    rows = ((v1, v2, errors[i, j]) for i, v1 in enumerate(grid1) for j, v2 in enumerate(grid2))
+    _write_atomic(run.out_dir, "landscape.csv", _csv_text([*names, "rms_mw"], rows))
     print(f"landscape: {len(grid1)}x{len(grid2)} grid -> {run.out_dir / 'landscape.csv'}")
     return 0
 
 
 def cmd_validate(args) -> int:
     run = _prepare(args)
-    dataset = run.dataset
-    grid = dataset.market.grid
+    market, dynamics, power = run.context.market, run.context.dynamics, run.context.observed.power
+    grid = market.grid
     print(f"plant:     {run.plant.get('plant_id', '(unnamed)')}")
     print(f"horizon:   {format_timestamp(grid[0])} .. {format_timestamp(grid[-1])} "
-          f"({dataset.market.horizon} periods, dt {dataset.market.dt} h)")
-    print(f"capacity:  {dataset.dynamics.capacity:.1f} MW (max MEL)")
-    print(f"sel range: {dataset.dynamics.sel.min():.1f} .. {dataset.dynamics.sel.max():.1f} MW")
-    print(f"ramps:     +{dataset.dynamics.ramp_up:.1f} / -{dataset.dynamics.ramp_dn:.1f} MW/h")
-    print(f"observed:  mean {dataset.observed.power.mean():.1f} MW, "
-          f"max {dataset.observed.power.max():.1f} MW")
+          f"({market.horizon} periods, dt {market.dt} h)")
+    print(f"capacity:  {dynamics.capacity:.1f} MW (max MEL)")
+    print(f"sel range: {dynamics.sel.min():.1f} .. {dynamics.sel.max():.1f} MW")
+    print(f"ramps:     +{dynamics.ramp_up:.1f} / -{dynamics.ramp_dn:.1f} MW/h")
+    print(f"observed:  mean {power.mean():.1f} MW, max {power.max():.1f} MW")
     print("ok")
     return 0
 

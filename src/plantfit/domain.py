@@ -186,25 +186,19 @@ class MarketSeries:
 
 @dataclass(frozen=True, eq=False)
 class ObservedProduction:
-    """Historical production (FPN-style plan) on the market grid."""
+    """Historical production (FPN-style plan), one value per market period."""
 
-    grid: np.ndarray
     power: np.ndarray  # MW per period
 
     def __post_init__(self):
-        grid = np.array(self.grid, dtype="datetime64[s]")
-        grid.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "power", _own_readonly(self.power))
-        if len(self.power) != len(grid):
-            raise DataError("observed power length differs from grid")
         _require_finite("observed power", self.power)
         if np.any(self.power < 0):
             raise DataError("observed power must be non-negative")
 
     @property
     def horizon(self) -> int:
-        return len(self.grid)
+        return len(self.power)
 
 
 @dataclass(frozen=True, eq=False)

@@ -191,15 +191,6 @@ def load_series(path, columns) -> SeriesTable:
                        dict(zip(columns, (np.array(v) for v in values))), resolution)
 
 
-@dataclass(frozen=True, eq=False)
-class AlignedDataset:
-    """Everything one fit needs, on a single uniform grid."""
-
-    market: MarketSeries
-    dynamics: PlantDynamics
-    observed: ObservedProduction
-
-
 def _resample(series: RawSeries, grid: np.ndarray, name: str,
               max_fill_hours: float) -> np.ndarray:
     """Map a raw series onto the grid by step repetition and forward-fill.
@@ -233,8 +224,9 @@ def align(
     dt: float,
     start,
     end,
-) -> AlignedDataset:
-    """Project raw series onto one uniform grid covering [start, end).
+) -> tuple[MarketSeries, PlantDynamics, ObservedProduction]:
+    """Project raw series onto one uniform grid covering [start, end), and
+    return the ``(market, dynamics, observed)`` on it.
 
     ``series`` must provide electricity, fuel, carbon, production, mel, sel,
     ramp_up, and ramp_dn. Prices are forward-filled across gaps of up to
@@ -273,8 +265,7 @@ def align(
         mel=mel, sel=sel,
         ramp_up=float(ramp_up.min()), ramp_dn=float(ramp_dn.min()),
     )
-    observed = ObservedProduction(grid=grid, power=production)
-    return AlignedDataset(market=market, dynamics=dynamics, observed=observed)
+    return market, dynamics, ObservedProduction(power=production)
 
 
 def synthesize(
@@ -301,4 +292,4 @@ def synthesize(
     if noise > 0:
         rng = np.random.default_rng(seed)
         power = np.clip(power + rng.normal(0.0, noise, len(power)), 0.0, dynamics.mel)
-    return ObservedProduction(grid=market.grid, power=power)
+    return ObservedProduction(power=power)

@@ -12,6 +12,7 @@ split; a candidate that is invalid or has no feasible schedule scores +inf.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -62,17 +63,6 @@ class FitnessRecord:
     sse: float          # MW^2 * periods
     rms: float          # MW
     schedule: Schedule  # inner optimum at these parameters
-
-
-@dataclass(frozen=True, eq=False)
-class LandscapeSlice:
-    """RMS error over a 2-D grid through the parameter space."""
-
-    axis1_name: str
-    axis1_values: np.ndarray
-    axis2_name: str
-    axis2_values: np.ndarray
-    errors: np.ndarray          # rms [MW], shape (len(axis1), len(axis2))
 
 
 @dataclass(eq=False)
@@ -180,13 +170,22 @@ def _score_vectors(vecs, context: FitContext, opts: SolverOptions) -> list[float
     return optimal_sse(context.graph(opts), context.market, params, context.observed.power)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or all of them where that is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class CandidateEvaluator:
     """Maps parameter vectors to outer-objective scores, a batch at a time.
 
-    With ``jobs`` > 1 a batch is cut into that many contiguous parts, one
-    per worker process (None runs serially, and a value below 1 is refused).
-    Each part is scored in one DP sweep that builds no schedule; a score is
-    the SSE of the candidate's lone-solved schedule, bit for bit. Expected
+    ``jobs`` is the most worker processes to use (None runs serially, and a
+    value below 1 is refused); no more are started than there are usable
+    CPUs, and ``.jobs`` is the count in use. With more than one, a batch is
+    cut into that many contiguous parts, one per worker. Each part is
+    scored in one DP sweep that builds no schedule; a score is the SSE of
+    the candidate's lone-solved schedule, bit for bit. Expected
     failures of one candidate (an infeasible parameter set) score +inf; an
     error of the problem every candidate shares, or any other error,
     propagates. Results come back in submission order and do not depend on
@@ -199,7 +198,7 @@ class CandidateEvaluator:
         self.opts = opts
         if jobs is not None and jobs < 1:
             raise ParameterError(f"jobs must be at least 1, got {jobs}")
-        self.jobs = jobs or 1
+        self.jobs = min(jobs or 1, _usable_cpus())
         self._pool = None
         self._scored: dict[bytes, float] = {}  # float64 vector bytes -> score
 
@@ -247,12 +246,13 @@ def landscape_slice(
     context: FitContext,
     opts: SolverOptions | None = None,
     jobs: int | None = None,
-) -> LandscapeSlice:
-    """RMS error at every point of a 2-D parameter grid.
+) -> np.ndarray:
+    """RMS error [MW] at every point of a 2-D parameter grid.
 
     ``axis1`` and ``axis2`` are (parameter name, grid values) pairs over two
     distinct members of (eta, sigma, phi, nu); ``fixed`` supplies the rest.
-    Entry (i, j) of the result matrix is the rms at (axis1[i], axis2[j]).
+    Returns the array of shape (len(axis1[1]), len(axis2[1])) whose entry
+    (i, j) is the rms at the i-th axis1 value and the j-th axis2 value.
     """
     opts = opts or SolverOptions()
     name1, values1 = axis1[0], np.asarray(axis1[1], dtype=float)
@@ -270,14 +270,7 @@ def landscape_slice(
         for v1 in values1
         for v2 in values2
     ]
-    T = context.market.horizon
     with CandidateEvaluator(context, opts, jobs) as ev:
         scores = ev.scores(candidates)
-    errors = np.sqrt(np.array(scores, dtype=float).reshape(len(values1), len(values2)) / T)
-    return LandscapeSlice(
-        axis1_name=name1,
-        axis1_values=values1,
-        axis2_name=name2,
-        axis2_values=values2,
-        errors=errors,
-    )
+    return np.sqrt(np.array(scores).reshape(len(values1), len(values2))
+                   / context.market.horizon)

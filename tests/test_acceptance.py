@@ -61,10 +61,11 @@ def verdict(number, name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def eta_sigma_slice(recovery_context):
+    """The (eta values, sigma values, rms array) of the eta-sigma landscape."""
     etas = np.linspace(0.2, 0.65, 25)
     sigmas = np.linspace(0.0, 100000.0, 25)
-    return landscape_slice(("eta", etas), ("sigma", sigmas), TRUE_PARAMS,
-                           recovery_context, SolverOptions(), jobs=2)
+    return etas, sigmas, landscape_slice(("eta", etas), ("sigma", sigmas), TRUE_PARAMS,
+                                         recovery_context, SolverOptions(), jobs=2)
 
 
 def test_criterion_1_oracle_equivalence():
@@ -118,7 +119,7 @@ def test_criterion_3_noiseless_recovery(recovery_context):
 
 
 def test_criterion_4_identifiable_recovery(recovery_context, eta_sigma_slice):
-    errors = eta_sigma_slice.errors
+    _, _, errors = eta_sigma_slice
     minima = np.argwhere(errors == errors.min())
     unique_basin = len(minima) == 1
     result = fit(recovery_context,
@@ -211,9 +212,7 @@ def test_criterion_7_optimizer_sanity():
 
 
 def test_criterion_8_landscape_reproduction(eta_sigma_slice):
-    errors = eta_sigma_slice.errors
-    etas = eta_sigma_slice.axis1_values
-    sigmas = eta_sigma_slice.axis2_values
+    etas, sigmas, errors = eta_sigma_slice
     i_min, j_min = np.unravel_index(np.argmin(errors), errors.shape)
     i_true = int(np.argmin(np.abs(etas - TRUE_PARAMS.eta)))
     j_true = int(np.argmin(np.abs(sigmas - TRUE_PARAMS.sigma)))

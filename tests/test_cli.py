@@ -92,6 +92,13 @@ def with_plant(fixture_dir, root, **changes):
     return with_config(fixture_dir, root, plant=str(root / "plant.json"))
 
 
+def without(path, key):
+    """Rewrite the JSON object at ``path`` without ``key``."""
+    data = json.loads(Path(path).read_text())
+    del data[key]
+    Path(path).write_text(json.dumps(data))
+
+
 @pytest.fixture(scope="module")
 def fixture_dir(tmp_path_factory):
     return build_fixture(tmp_path_factory.mktemp("dataset"))
@@ -273,6 +280,19 @@ class TestLandscape:
         assert "grid bounds must be finite" in err and f"got '0.4:{bound}:3'" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--grid1", "0.3:0.6", "grid must look like lo:hi:count, got '0.3:0.6'"),
+        ("--axes", "eta", "--axes takes two comma-separated parameter names"),
+    ])
+    def test_malformed_flag_exits_1(self, fixture_dir, tmp_path, capsys, flag, value, message):
+        flags = {"--axes": "eta,sigma", "--grid1": "0.3:0.6:3", "--grid2": "0:1000:3", flag: value}
+        code = main(["landscape", "--config", str(fixture_dir / "config.json"),
+                     "--out", str(tmp_path / "out"), "--eta", "0.45",
+                     *(item for pair in flags.items() for item in pair)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_identical_axes_rejected(self, fixture_dir, tmp_path, capsys):
         code = main(["landscape", "--config", str(fixture_dir / "config.json"),
                      "--out", str(tmp_path / "out"), "--eta", "0.45",
@@ -303,6 +323,49 @@ class TestValidate:
         bad = tmp_path / "config.json"
         bad.write_text("{not json")
         assert main(["validate", "--config", str(bad)]) == 1
+
+    @pytest.mark.parametrize("case,message", [
+        ("absent", "config file not found: "),
+        ("array", "must hold a JSON object"),
+        ("no-start", "config is missing required key 'start'"),
+        ("no-epsilon", "plant.json: missing epsilon_tco2_per_mwh_fuel"),
+    ])
+    def test_unusable_config_exits_1(self, fixture_dir, tmp_path, capsys, case, message):
+        config = with_plant(fixture_dir, tmp_path)
+        if case == "absent":
+            config = str(tmp_path / "absent.json")
+        elif case == "array":
+            Path(config).write_text("[]")
+        elif case == "no-start":
+            without(config, "start")
+        else:
+            without(tmp_path / "plant.json", "epsilon_tco2_per_mwh_fuel")
+        assert main(["validate", "--config", config]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,message", [
+        pytest.param(lambda rows: rows[:4] + ["yesterday,1.0"] + rows[5:],
+                     "production.csv:5: unparseable timestamp: 'yesterday'", id="timestamp"),
+        pytest.param(lambda rows: rows[:4] + [rows[4].split(",")[0] + ",1.5MW"] + rows[5:],
+                     "production.csv:5: unparseable value '1.5MW'", id="value"),
+        pytest.param(lambda rows: rows[:1], "production.csv: no data rows", id="header-only"),
+        pytest.param(lambda rows: rows[:1] + rows[2:],
+                     "gap in observed production: horizon starts 2018-01-01T00:00:00Z "
+                     "before first data row", id="starts-late"),
+    ])
+    def test_malformed_production_exits_2(self, fixture_dir, tmp_path, capsys, edit, message):
+        config = with_production(fixture_dir, tmp_path, edit)
+        assert main(["validate", "--config", config]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("changes,message", [
+        ({"plant": "absent.json"}, "plant config file not found: "),
+        ({"end": "2018-01-01T00:00:00Z"}, "horizon start must precede end"),
+    ])
+    def test_config_naming_unusable_data_exits_2(self, fixture_dir, tmp_path, capsys,
+                                                 changes, message):
+        assert main(["validate", "--config", with_config(fixture_dir, tmp_path, **changes)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_second_row_is_a_gap(self, fixture_dir, tmp_path, capsys):
         config = with_production(fixture_dir, tmp_path, lambda rows: rows[:2] + rows[3:])
@@ -339,6 +402,7 @@ class TestValidate:
         ({"de": {"population": 2}}, "population must be at least 4"),
         ({"compass": {"contraction": 1.5}}, "contraction must be in (0, 1)"),
         ({"seed": -1}, "seed must be non-negative"),
+        ({"de": 5}, "config section 'de' must be a JSON object"),
     ])
     def test_config_fit_rejects_fails_validation(self, fixture_dir, tmp_path, capsys,
                                                   changes, message):
@@ -375,14 +439,16 @@ class TestValidate:
         ({"phi_per_cap": [True, 3]}, "plant bounds phi_per_cap must be a number, got True"),
         ({"eta": [0.3, 0.2]},
          "lower bound of eta must be below its upper bound, got [0.3, 0.2]"),
-        ({"nu": [0, "nan"]}, "bounds of nu must be finite, got [0.0, nan]"),
+        ({"nu": [0, math.nan]}, "bounds of nu must be finite, got [0.0, nan]"),
+        ({"eta": ["0.3", "0.6"]}, "plant bounds eta must be a number, got '0.3'"),
+        ({"nu": [0, "nan"]}, "plant bounds nu must be a number, got 'nan'"),
     ])
     def test_plant_bounds_checked(self, fixture_dir, tmp_path, capsys, bounds, message):
         config = with_plant(fixture_dir, tmp_path, bounds=bounds)
         assert main(["validate", "--config", config]) == 1
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("epsilon", ["abc", None, True])
+    @pytest.mark.parametrize("epsilon", ["abc", None, True, "0.2"])
     def test_plant_epsilon_that_is_not_a_number_exits_1(self, fixture_dir, tmp_path, capsys,
                                                         epsilon):
         config = with_plant(fixture_dir, tmp_path, epsilon_tco2_per_mwh_fuel=epsilon)
@@ -420,10 +486,11 @@ class TestConfigKeys:
         assert f"unknown key {key!r} in config section {section!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_value_of_the_wrong_type_exits_1(self, fixture_dir, tmp_path, capsys):
-        config = with_config(fixture_dir, tmp_path, de={"population": "many"})
+    @pytest.mark.parametrize("key,value", [("population", "many"), ("generations", "1_0")])
+    def test_value_of_the_wrong_type_exits_1(self, fixture_dir, tmp_path, capsys, key, value):
+        config = with_config(fixture_dir, tmp_path, de={key: value})
         assert main(["fit", "--config", config, "--out", str(tmp_path / "out")]) == 1
-        assert "de.population must be a number, got 'many'" in capsys.readouterr().err
+        assert f"de.{key} must be a number, got {value!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value,name", [
         ("seed", 1.7, "seed"),
@@ -456,7 +523,7 @@ class TestConfigKeys:
 
     @pytest.mark.parametrize("key,value", [
         ("seed", "x"), ("seed", math.inf), ("dt", "half"), ("dt", None),
-        ("seed", True), ("dt", False)])
+        ("seed", True), ("dt", False), ("seed", "3"), ("dt", "0.5")])
     def test_top_level_value_of_the_wrong_type_exits_1(self, fixture_dir, tmp_path, capsys,
                                                        key, value):
         config = with_config(fixture_dir, tmp_path, **{key: value})
@@ -534,12 +601,12 @@ class TestLoadDataset:
             (tmp_path / f"{role}.csv").write_text("\n".join(lines) + "\n")
             files[f"{role}_prices"] = str(tmp_path / f"{role}.csv")
         config = with_config(fixture_dir, tmp_path, prices="absent.csv", **files)
-        split = self.load(config)
+        split, _, _ = self.load(config)
         assert sorted(reads) == ["carbon.csv", "dynamics.csv", "electricity.csv",
                                  "fuel.csv", "production.csv"]
-        whole = self.load(fixture_dir / "config.json")
+        whole, _, _ = self.load(fixture_dir / "config.json")
         for name in ("w", "f", "e"):
-            assert np.array_equal(getattr(split.market, name), getattr(whole.market, name))
+            assert np.array_equal(getattr(split, name), getattr(whole, name))
 
     def test_a_file_named_twice_is_read_once(self, fixture_dir, tmp_path, reads):
         config = with_config(fixture_dir, tmp_path,

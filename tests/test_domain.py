@@ -137,9 +137,8 @@ class TestSeriesInvariants:
                      started=np.array([1]), profit=0.0)
 
     def test_observed_power_non_negative(self):
-        grid = make_grid("2018-01-01T00:00:00Z", 2, 0.5)
         with pytest.raises(DataError):
-            ObservedProduction(grid=grid, power=np.array([1.0, -2.0]))
+            ObservedProduction(power=np.array([1.0, -2.0]))
 
     @pytest.mark.parametrize("field", ["w", "f", "e"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -164,9 +163,8 @@ class TestSeriesInvariants:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_observed_power_must_be_finite(self, bad):
-        grid = make_grid("2018-01-01T00:00:00Z", 2, 0.5)
         with pytest.raises(DataError, match="observed power must be finite"):
-            ObservedProduction(grid=grid, power=np.array([1.0, bad]))
+            ObservedProduction(power=np.array([1.0, bad]))
 
     def test_arrays_are_read_only(self):
         dyn = PlantDynamics(mel=np.array([100.0]), sel=np.array([0.0]),

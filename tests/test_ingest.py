@@ -238,16 +238,16 @@ def full_series_set(T=48, start="2018-01-01T00:00:00Z"):
 class TestAlign:
     def test_daily_price_repeats_over_day(self):
         series = full_series_set()
-        aligned = align(series, 0.5, "2018-01-01T00:00:00Z", "2018-01-02T00:00:00Z")
-        assert aligned.market.horizon == 48
-        assert np.all(aligned.market.f == 20.0)
+        market, _, _ = align(series, 0.5, "2018-01-01T00:00:00Z", "2018-01-02T00:00:00Z")
+        assert market.horizon == 48
+        assert np.all(market.f == 20.0)
 
     def test_hourly_series_doubles_at_half_hour(self):
         series = full_series_set()
         series["electricity"] = raw("2018-01-01T00:00:00Z",
                                     [30.0, 50.0, 70.0], "hourly")
-        aligned = align(series, 0.5, "2018-01-01T00:00:00Z", "2018-01-01T03:00:00Z")
-        assert aligned.market.w.tolist() == [30.0, 30.0, 50.0, 50.0, 70.0, 70.0]
+        market, _, _ = align(series, 0.5, "2018-01-01T00:00:00Z", "2018-01-01T03:00:00Z")
+        assert market.w.tolist() == [30.0, 30.0, 50.0, 50.0, 70.0, 70.0]
 
     def test_production_gap_rejected(self):
         series = full_series_set()
@@ -262,8 +262,8 @@ class TestAlign:
         series = full_series_set()
         # hourly prices stopping 6 hours before the horizon end: filled
         series["electricity"] = raw("2018-01-01T00:00:00Z", np.full(18, 33.0), "hourly")
-        aligned = align(series, 0.5, "2018-01-01T00:00:00Z", "2018-01-02T00:00:00Z")
-        assert np.all(aligned.market.w == 33.0)
+        market, _, _ = align(series, 0.5, "2018-01-01T00:00:00Z", "2018-01-02T00:00:00Z")
+        assert np.all(market.w == 33.0)
 
     def test_price_gap_beyond_limit_rejected(self):
         series = full_series_set(T=3 * 48)
@@ -308,30 +308,31 @@ class TestAlign:
         ramps = np.full(48, 240.0)
         ramps[10] = 180.0
         series["ramp_up"] = raw("2018-01-01T00:00:00Z", ramps, "half-hourly")
-        aligned = align(series, 0.5, "2018-01-01T00:00:00Z", "2018-01-02T00:00:00Z")
-        assert aligned.dynamics.ramp_up == 180.0
+        _, dynamics, _ = align(series, 0.5, "2018-01-01T00:00:00Z", "2018-01-02T00:00:00Z")
+        assert dynamics.ramp_up == 180.0
 
     def test_idempotent_on_aligned_output(self):
         series = full_series_set()
-        first = align(series, 0.5, "2018-01-01T00:00:00Z", "2018-01-02T00:00:00Z")
+        market, dynamics, observed = align(series, 0.5, "2018-01-01T00:00:00Z",
+                                           "2018-01-02T00:00:00Z")
+        grid = market.grid
         back = {
-            "electricity": RawSeries(first.market.grid, first.market.w, "half-hourly"),
-            "fuel": RawSeries(first.market.grid, first.market.f, "half-hourly"),
-            "carbon": RawSeries(first.market.grid, first.market.e, "half-hourly"),
-            "production": RawSeries(first.observed.grid, first.observed.power, "half-hourly"),
-            "mel": RawSeries(first.market.grid, first.dynamics.mel, "half-hourly"),
-            "sel": RawSeries(first.market.grid, first.dynamics.sel, "half-hourly"),
-            "ramp_up": RawSeries(first.market.grid,
-                                 np.full(48, first.dynamics.ramp_up), "half-hourly"),
-            "ramp_dn": RawSeries(first.market.grid,
-                                 np.full(48, first.dynamics.ramp_dn), "half-hourly"),
+            "electricity": RawSeries(grid, market.w, "half-hourly"),
+            "fuel": RawSeries(grid, market.f, "half-hourly"),
+            "carbon": RawSeries(grid, market.e, "half-hourly"),
+            "production": RawSeries(grid, observed.power, "half-hourly"),
+            "mel": RawSeries(grid, dynamics.mel, "half-hourly"),
+            "sel": RawSeries(grid, dynamics.sel, "half-hourly"),
+            "ramp_up": RawSeries(grid, np.full(48, dynamics.ramp_up), "half-hourly"),
+            "ramp_dn": RawSeries(grid, np.full(48, dynamics.ramp_dn), "half-hourly"),
         }
-        second = align(back, 0.5, "2018-01-01T00:00:00Z", "2018-01-02T00:00:00Z")
-        assert np.array_equal(second.market.w, first.market.w)
-        assert np.array_equal(second.market.f, first.market.f)
-        assert np.array_equal(second.observed.power, first.observed.power)
-        assert np.array_equal(second.dynamics.mel, first.dynamics.mel)
-        assert second.dynamics.ramp_up == first.dynamics.ramp_up
+        market2, dynamics2, observed2 = align(back, 0.5, "2018-01-01T00:00:00Z",
+                                              "2018-01-02T00:00:00Z")
+        assert np.array_equal(market2.w, market.w)
+        assert np.array_equal(market2.f, market.f)
+        assert np.array_equal(observed2.power, observed.power)
+        assert np.array_equal(dynamics2.mel, dynamics.mel)
+        assert dynamics2.ramp_up == dynamics.ramp_up
 
 
 class TestSynthesize:

@@ -1,6 +1,7 @@
 """Outer-objective evaluation and landscape slicing."""
 import dataclasses
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,6 @@ from plantfit import (
     evaluate_candidate,
     fit,
     landscape_slice,
-    make_grid,
     params_to_vector,
     rms,
     sse,
@@ -36,10 +36,8 @@ from plantfit.objective import CandidateEvaluator
 from conftest import EPSILON, TRUE_PARAMS, flat_dynamics, solve, toy_market
 
 
-def observed_of(values, dt=1.0):
-    values = np.asarray(values, dtype=float)
-    return ObservedProduction(grid=make_grid("2018-01-01T00:00:00Z", len(values), dt),
-                              power=values)
+def observed_of(values):
+    return ObservedProduction(power=np.asarray(values, dtype=float))
 
 
 class TestErrorMetrics:
@@ -97,7 +95,7 @@ class TestEvaluateCandidate:
         T = 24
         market = toy_market(np.full(T, 10.0), dt=0.5, fuel=30.0)
         dynamics = flat_dynamics(T, mel=100.0, sel=0.0)
-        ctx = FitContext.from_observed(dynamics, market, observed_of(np.zeros(T), dt=0.5),
+        ctx = FitContext.from_observed(dynamics, market, observed_of(np.zeros(T)),
                                        epsilon=0.0)
         p = PlantParameters(eta=0.2, sigma=10.0, phi=1.0, nu=0.0, epsilon=0.0)
         assert evaluate_candidate(p, ctx, SolverOptions()).sse == 0.0
@@ -106,7 +104,7 @@ class TestEvaluateCandidate:
         T = 48
         market = toy_market(np.full(T, 10.0), dt=0.5, fuel=30.0)
         dynamics = flat_dynamics(T, mel=100.0, sel=0.0)
-        obs = ObservedProduction(grid=market.grid, power=np.full(T, 100.0))
+        obs = ObservedProduction(power=np.full(T, 100.0))
         ctx = FitContext.from_observed(dynamics, market, obs, epsilon=0.0)
         p = PlantParameters(eta=0.2, sigma=10.0, phi=1.0, nu=0.0, epsilon=0.0)
         record = evaluate_candidate(p, ctx, SolverOptions())
@@ -131,36 +129,36 @@ class TestEvaluateCandidate:
 class TestLandscapeSlice:
     def test_shape_contract(self):
         true, ctx = small_context(T=24)
-        slc = landscape_slice(
+        errors = landscape_slice(
             ("eta", np.linspace(0.3, 0.6, 3)),
             ("sigma", np.linspace(0.0, 1000.0, 3)),
             true, ctx, SolverOptions())
-        assert slc.errors.shape == (3, 3)
-        assert np.all(slc.errors >= 0)
+        assert errors.shape == (3, 3)
+        assert np.all(errors >= 0)
 
     def test_entries_match_independent_evaluation(self):
         true, ctx = small_context(T=24)
         etas = np.array([0.35, 0.5])
         sigmas = np.array([0.0, 800.0])
-        slc = landscape_slice(("eta", etas), ("sigma", sigmas), true, ctx,
-                              SolverOptions())
+        errors = landscape_slice(("eta", etas), ("sigma", sigmas), true, ctx,
+                                 SolverOptions())
         import dataclasses
         for i, ev in enumerate(etas):
             for j, sv in enumerate(sigmas):
                 p = dataclasses.replace(true, eta=float(ev), sigma=float(sv))
                 rec = evaluate_candidate(p, ctx, SolverOptions())
-                assert slc.errors[i, j] == pytest.approx(rec.rms, abs=1e-12)
+                assert errors[i, j] == pytest.approx(rec.rms, abs=1e-12)
 
     def test_minimum_lands_at_generator_point(self):
         true, ctx = small_context()
         etas = np.linspace(0.25, 0.65, 9)   # true eta 0.45 on this grid
         sigmas = np.linspace(0.0, 2000.0, 5)  # true sigma 500 on this grid
-        slc = landscape_slice(("eta", etas), ("sigma", sigmas), true, ctx,
-                              SolverOptions())
-        i, j = np.unravel_index(np.argmin(slc.errors), slc.errors.shape)
+        errors = landscape_slice(("eta", etas), ("sigma", sigmas), true, ctx,
+                                 SolverOptions())
+        i, j = np.unravel_index(np.argmin(errors), errors.shape)
         i_true = int(np.argmin(np.abs(etas - true.eta)))
         j_true = int(np.argmin(np.abs(sigmas - true.sigma)))
-        assert slc.errors[i, j] == slc.errors[i_true, j_true] == 0.0
+        assert errors[i, j] == errors[i_true, j_true] == 0.0
 
     def test_axes_must_differ(self):
         true, ctx = small_context(T=24)
@@ -188,7 +186,7 @@ class TestLandscapeSlice:
                                  SolverOptions())
         parallel = landscape_slice(("eta", etas), ("sigma", sigmas), true, ctx,
                                    SolverOptions(), jobs=2)
-        assert np.array_equal(serial.errors, parallel.errors)
+        assert np.array_equal(serial, parallel)
 
 
 class TestFitContext:
@@ -197,11 +195,11 @@ class TestFitContext:
         market = toy_market(np.full(T, 50.0), dt=0.5)
         dynamics = flat_dynamics(T, mel=100.0, sel=0.0)
         on = FitContext.from_observed(dynamics, market,
-                                      observed_of(np.full(T, 60.0), dt=0.5),
+                                      observed_of(np.full(T, 60.0)),
                                       epsilon=0.1)
         assert on.initial_committed and on.initial_power == 60.0
         off = FitContext.from_observed(dynamics, market,
-                                       observed_of(np.zeros(T), dt=0.5),
+                                       observed_of(np.zeros(T)),
                                        epsilon=0.1)
         assert not off.initial_committed and off.initial_power == 0.0
 
@@ -209,14 +207,14 @@ class TestFitContext:
         market = toy_market(np.full(4, 50.0), dt=0.5)
         with pytest.raises(DataError):
             FitContext.from_observed(flat_dynamics(4), market,
-                                     observed_of(np.zeros(3), dt=0.5), epsilon=0.1)
+                                     observed_of(np.zeros(3)), epsilon=0.1)
 
     @pytest.mark.parametrize("epsilon", [math.nan, -0.1])
     def test_invalid_epsilon_rejected(self, epsilon):
         market = toy_market(np.full(4, 50.0), dt=0.5)
         with pytest.raises(ParameterError, match="epsilon"):
             FitContext.from_observed(flat_dynamics(4), market,
-                                     observed_of(np.zeros(4), dt=0.5), epsilon=epsilon)
+                                     observed_of(np.zeros(4)), epsilon=epsilon)
 
 
 @pytest.fixture(scope="module")
@@ -242,7 +240,8 @@ class TestCandidateEvaluator:
                                         SolverOptions())
             assert score == record.sse
 
-    def test_split_across_workers_matches_serial(self):
+    def test_split_across_workers_matches_serial(self, monkeypatch):
+        monkeypatch.setattr(plantfit.objective, "_usable_cpus", lambda: 8)  # 3 parts on any host
         true, ctx = small_context(T=24)
         rng = np.random.default_rng(8)
         bounds = SearchBounds.for_plant(ctx.dynamics.capacity)
@@ -255,6 +254,28 @@ class TestCandidateEvaluator:
             with CandidateEvaluator(ctx, SolverOptions(), jobs=jobs) as ev:
                 assert ev.scores(vecs) == serial
                 assert ev.scores([]) == []
+
+    @pytest.mark.parametrize("cpus,jobs,workers", [(1, 4, 1), (2, 8, 2), (8, 3, 3), (2, None, 1)])
+    def test_workers_capped_at_usable_cpus(self, monkeypatch, cpus, jobs, workers):
+        monkeypatch.setattr(plantfit.objective, "_usable_cpus", lambda: cpus)
+        true, ctx = small_context(T=24)
+        vecs = [params_to_vector(dataclasses.replace(true, eta=eta)) for eta in (0.3, 0.45, 0.6)]
+        with CandidateEvaluator(ctx, SolverOptions()) as ev:
+            serial = ev.scores(vecs)
+        with CandidateEvaluator(ctx, SolverOptions(), jobs) as ev:
+            assert ev.jobs == workers
+            assert (ev._pool is None) == (workers == 1)  # one worker: no pool is started
+            assert ev.scores(vecs) == serial
+
+    @pytest.mark.parametrize("affinity,count,cpus", [
+        ({0, 1}, 8, 2), (None, 4, 4), (None, None, 1)])
+    def test_usable_cpus_from_affinity_else_count(self, monkeypatch, affinity, count, cpus):
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert plantfit.objective._usable_cpus() == cpus
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_refused(self, jobs):
@@ -292,7 +313,7 @@ def out_of_reach_context(market):
     T = market.horizon
     dynamics = PlantDynamics(mel=np.where(np.arange(T) < 3, 400.0, 100.0),
                              sel=np.full(T, 50.0), ramp_up=50.0, ramp_dn=50.0)
-    return FitContext.from_observed(dynamics, market, observed_of(np.full(T, 380.0), market.dt),
+    return FitContext.from_observed(dynamics, market, observed_of(np.full(T, 380.0)),
                                     epsilon=EPSILON)
 
 
@@ -383,7 +404,7 @@ class TestProgrammingErrorsPropagate:
         true, ctx = small_context()
         power = ctx.observed.power.copy()
         power[0] = ctx.dynamics.mel[0] + 10.0  # taken as the initial power
-        observed = ObservedProduction(grid=ctx.market.grid, power=power)
+        observed = ObservedProduction(power=power)
         ctx = FitContext.from_observed(ctx.dynamics, ctx.market, observed, epsilon=EPSILON)
         calls = _count_batches(monkeypatch)
         with pytest.raises(SolverError, match="initial power exceeds"):

@@ -358,6 +358,6 @@ class TestFit:
                               e=np.array([]), dt=0.5)
         dynamics = PlantDynamics(mel=np.array([]), sel=np.array([]),
                                  ramp_up=10.0, ramp_dn=10.0)
-        observed = ObservedProduction(grid=empty_grid, power=np.array([]))
+        observed = ObservedProduction(power=np.array([]))
         with pytest.raises(DataError, match="empty"):
             FitContext.from_observed(dynamics, market, observed, epsilon=0.1)
