@@ -67,7 +67,8 @@ class SearchBounds:
     """Box bounds for a derivative-free search.
 
     Generic n-dimensional box; plant fits use the four named dimensions
-    (eta, sigma, phi, nu) built by :meth:`for_plant`.
+    (eta, sigma, phi, nu) built by :meth:`for_plant`, whose every point
+    passes ``validate_parameters``.
     """
 
     lower: np.ndarray
@@ -88,10 +89,13 @@ class SearchBounds:
             if not lo < hi:
                 raise ParameterError(f"lower bound of {dim} must be below its upper bound, "
                                      f"got [{lo}, {hi}]")
-        if "eta" in self.names:
-            lo, hi = self.range("eta")
-            if not (0.0 < lo < hi <= 1.0):
-                raise ParameterError("eta bounds must lie within (0, 1]")
+        if self.names == PARAM_NAMES:  # each is valid on an interval: check the corners
+            for corner, vec in (("lower", self.lower), ("upper", self.upper)):
+                try:
+                    validate_parameters(vector_to_params(vec, 0.0))
+                except ParameterError as exc:
+                    raise ParameterError(f"{corner} bounds are not valid parameters: "
+                                         f"{exc}") from None
 
     @classmethod
     def for_plant(
@@ -195,10 +199,6 @@ class ObservedProduction:
         _require_finite("observed power", self.power)
         if np.any(self.power < 0):
             raise DataError("observed power must be non-negative")
-
-    @property
-    def horizon(self) -> int:
-        return len(self.power)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,7 +7,8 @@ scored against one shared read-only context in one DP sweep that carries
 each path's squared error and builds no schedule, so its memory is a few
 rows of states per candidate. A score equals, bit for bit, the SSE of the
 candidate's lone-solved schedule, and does not depend on how the batch is
-split; a candidate that is invalid or has no feasible schedule scores +inf.
+split; a candidate that is invalid, or whose margins overflow, scores +inf.
+A problem with no feasible schedule raises when its graph is built.
 """
 from __future__ import annotations
 
@@ -72,7 +73,7 @@ class FitContext:
     The initial commitment state defaults to what the first observed value
     implies: committed exactly when production starts positive. The state
     graph compiled for a given solver option set is cached and reused by
-    every evaluation against this context.
+    every evaluation against this context, and pickled with it.
     """
 
     dynamics: PlantDynamics
@@ -93,9 +94,9 @@ class FitContext:
         initial_committed: bool | None = None,
         initial_power: float | None = None,
     ) -> "FitContext":
-        if market.horizon == 0 or observed.horizon == 0:
+        if market.horizon == 0 or len(observed.power) == 0:
             raise DataError("empty horizon")
-        if observed.horizon != market.horizon:
+        if len(observed.power) != market.horizon:
             raise DataError("observed and market series length mismatch")
         if len(dynamics.mel) != market.horizon:
             raise DataError("dynamics and market series length mismatch")
@@ -123,11 +124,6 @@ class FitContext:
             initial_power=self.initial_power,
         )
 
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_graphs"] = {}  # compiled graphs are rebuilt per process
-        return state
-
 
 def evaluate_candidate(params: PlantParameters, context: FitContext,
                        opts: SolverOptions | None = None) -> FitnessRecord:
@@ -148,8 +144,6 @@ _WORKER: tuple | None = None
 
 
 def _pool_init(context: FitContext, opts: SolverOptions):
-    # the graph is compiled at the first batch, so an error building it
-    # reaches the caller as itself rather than as a broken pool
     global _WORKER
     _WORKER = (context, opts)
 
@@ -164,7 +158,7 @@ def _score_vectors(vecs, context: FitContext, opts: SolverOptions) -> list[float
 
     The parameter sets are scored on the context's graph and market in one
     sweep of ``uc.optimal_sse``, which builds no schedule and scores +inf a
-    set that is invalid or has no feasible schedule.
+    set that is invalid or whose margins overflow.
     """
     params = [vector_to_params(v, context.epsilon) for v in vecs]
     return optimal_sse(context.graph(opts), context.market, params, context.observed.power)
@@ -185,10 +179,11 @@ class CandidateEvaluator:
     CPUs, and ``.jobs`` is the count in use. With more than one, a batch is
     cut into that many contiguous parts, one per worker. Each part is
     scored in one DP sweep that builds no schedule; a score is the SSE of
-    the candidate's lone-solved schedule, bit for bit. Expected
-    failures of one candidate (an infeasible parameter set) score +inf; an
-    error of the problem every candidate shares, or any other error,
-    propagates. Results come back in submission order and do not depend on
+    the candidate's lone-solved schedule, bit for bit. Expected failures of
+    one candidate (an invalid parameter set, margins that overflow) score
+    +inf; any other error propagates. The graph is built before any worker
+    starts, so a shared problem's error (no feasible schedule, say) raises
+    here. Results come back in submission order and do not depend on
     the worker count, so a fixed seed gives identical runs. A vector scored
     before is served from its stored score, not solved again.
     """
@@ -199,6 +194,7 @@ class CandidateEvaluator:
         if jobs is not None and jobs < 1:
             raise ParameterError(f"jobs must be at least 1, got {jobs}")
         self.jobs = min(jobs or 1, _usable_cpus())
+        context.graph(opts)
         self._pool = None
         self._scored: dict[bytes, float] = {}  # float64 vector bytes -> score
 

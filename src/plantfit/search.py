@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (
-    DataError,
     FitResult,
     ParameterError,
     SearchBounds,
@@ -226,25 +225,6 @@ def _polls(x, step, lower, upper) -> list:
     return polls
 
 
-def _feasible_start(ev: CandidateEvaluator):
-    """``ev.scores``, except that a first batch (DE's initial population)
-    with no finite score raises the error of its first candidate, which is
-    solved alone for it. A wholly infeasible population almost always means
-    no candidate is feasible, and the search would spend every generation
-    scoring +inf, to fail only at its final re-evaluation."""
-    first = True
-
-    def score(vecs):
-        nonlocal first
-        scores = ev.scores(vecs)
-        if first and not np.isfinite(scores).any():
-            evaluate_candidate(vector_to_params(vecs[0], ev.context.epsilon), ev.context, ev.opts)
-        first = False
-        return scores
-
-    return score
-
-
 def fit(
     context: FitContext,
     bounds: SearchBounds | None = None,
@@ -259,18 +239,14 @@ def fit(
     them, the schedule that re-evaluation solved, and the complete
     evaluation trace. The re-evaluation's SSE must equal the search's best
     score bit for bit, or ``SolverError`` raises.
-    When DE's whole initial population scores +inf, the fit stops there and
-    raises the first candidate's error.
     """
     opts = opts or SolverOptions()
     de_cfg = de_cfg or DeConfig()
     compass_cfg = compass_cfg or CompassConfig()
-    if context.observed.horizon == 0:
-        raise DataError("observed series is empty")
     bounds = bounds or SearchBounds.for_plant(context.dynamics.capacity)
 
     with CandidateEvaluator(context, opts, jobs) as ev:
-        de = differential_evolution(_feasible_start(ev), bounds, de_cfg)
+        de = differential_evolution(ev.scores, bounds, de_cfg)
         local = compass_search(ev.scores, de.best, bounds, compass_cfg)
 
     best_params = vector_to_params(local.best, context.epsilon)

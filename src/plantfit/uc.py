@@ -17,15 +17,16 @@ band without pausing or turning back, a stop descends from the stable
 band to zero. Dwelling strictly between zero and SEL is infeasible.
 
 A problem is a state graph (``UcGraph``: dynamics, dt, grid options and the
-initial state, checked when it is built) and a market over the same horizon.
+initial state, checked when it is built, down to a feasible schedule's
+existence, which no parameter changes) and a market over the same horizon.
 ``solve_uc(graph, market, params)`` solves it for one parameter set and walks
 its back-pointers to the schedule, or raises the set's own error.
 ``optimal_sse(graph, market, params, observed)`` scores many parameter sets
 on one problem in one DP sweep, each period advancing a (candidates, states)
 stack at once: each path carries its squared error against observed
 production, so the winning final state holds its schedule's SSE, and no
-back-pointer or schedule is kept. A set that is invalid or has no feasible
-schedule scores +inf.
+back-pointer or schedule is kept. A set that is invalid, or whose margins
+overflow to a non-finite profit, scores +inf.
 Periods with equal (levels, modes) share one state layout, whose levels
 are stored once, and one table of arc markers is stored per distinct pair of
 adjacent layouts; flat dynamics need a single layout and table. The initial
@@ -214,8 +215,9 @@ class UcGraph:
     source when t = 0, and ``_positions`` the row positions they are OR-ed
     with. ``nbytes`` gives the graph's size before any solve.
 
-    An empty horizon, or an initial power the plant cannot hold in its
-    initial state, raises ``SolverError`` here.
+    An empty horizon, an initial power the plant cannot hold in its initial
+    state, or a period no path from it reaches (no schedule is feasible,
+    whatever the parameters) raises ``SolverError`` here.
     """
 
     def __init__(self, dynamics: PlantDynamics, dt: float, opts: SolverOptions,
@@ -291,6 +293,19 @@ class UcGraph:
         self._stops = _stop_markers(feeds)
         self._positions = np.arange(m, dtype=self._stops.dtype)[:, None, None]
 
+        # the rows reached in each period from the source's; never the sentinel
+        reach = np.arange(m) < m - 1
+        after: dict = {}  # (arc table, rows reached before it) -> rows reached after
+        for t, arc in enumerate(arc_of):
+            key = (arc, reach.tobytes())
+            if key not in after:
+                after[key] = feeds[arc][reach].any(axis=0)
+                if not after[key].any():
+                    raise SolverError("no feasible schedule exists for this instance: no path "
+                                      f"from the initial state reaches period {t} (counting "
+                                      "from 0)")
+            reach = after[key]
+
     @property
     def nbytes(self) -> int:
         """Bytes of the arrays the graph holds."""
@@ -318,8 +333,8 @@ def solve_uc(graph: UcGraph, market: MarketSeries, params: PlantParameters) -> S
     T, n = market.horizon, graph.states
     parents = np.empty((T, 1, n), dtype=np.uint8)
     (last,), (dp_profit,), _, _ = _forward(graph, market, [params], parents=parents)
-    if not np.isfinite(dp_profit):
-        raise SolverError("no feasible schedule exists for this instance")
+    if not np.isfinite(dp_profit):  # the margins or costs overflow
+        raise SolverError("no schedule of finite profit at these parameters")
     back = memoryview(parents).cast("B")  # period t's parent of state s at t * n + s
     path = [int(last)] * T
     for t in range(T - 1, 0, -1):
@@ -345,11 +360,11 @@ def optimal_sse(graph: UcGraph, market: MarketSeries, params, observed) -> list[
     beside its tie-break tally and keeps no back-pointers, so it holds a few
     rows of states per candidate whatever the horizon. Returns, in order,
     each parameter set's SSE, or +inf for a set that fails
-    ``validate_parameters`` or has no feasible schedule: :func:`solve_uc`
-    names its error. An error of the shared problem (a market of another
-    horizon or dt, observed production of another length, no feasible
-    first-period state) raises. Each SSE equals, bit for bit, ``sse`` of the
-    schedule :func:`solve_uc` finds for the set, summed in period order.
+    ``validate_parameters`` or whose margins overflow to a non-finite
+    profit: :func:`solve_uc` names its error. An error of the shared problem
+    (a market of another horizon or dt, observed production of another
+    length) raises. Each SSE equals, bit for bit, ``sse`` of the schedule
+    :func:`solve_uc` finds for the set, summed in period order.
     """
     _check_market(graph, market)
     if len(observed) != market.horizon:
@@ -395,10 +410,7 @@ def _forward(graph: UcGraph, market: MarketSeries, params: list,
     layout. Returns each candidate's best final state, by the same order,
     with its profit, count and tally, (1 or 2, candidates).
     """
-    # after the parameters, so a lone solve reports a bad parameter first
     arcs, stops = graph._arc_of.tolist(), list(graph._stops)
-    if stops[arcs[0]][:-1].min() != 0:
-        raise SolverError("no feasible first-period state from the initial condition")
     P = len(params)
     T, dt, m = market.horizon, market.dt, graph.states + 2
     eta, nu, epsilon, sigma, phi = (np.array([getattr(p, name) for p in params])

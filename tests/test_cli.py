@@ -155,7 +155,14 @@ class TestFit:
         assert main(["fit", "--config", config, "--out", str(tmp_path / "out")]) == 3
         assert "initial power exceeds" in capsys.readouterr().err
 
-    def test_wholly_infeasible_first_population_exits_3(self, fixture_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["validate"],
+        ["fit", "--out", "out"],
+        ["simulate", "--eta", "0.45", "--out", "out"],
+        ["landscape", "--eta", "0.45", "--axes", "eta,sigma", "--grid1", "0.3:0.6:3",
+         "--grid2", "0:1000:3", "--out", "out"],
+    ], ids=lambda argv: argv[0])
+    def test_no_feasible_schedule_exits_3(self, fixture_dir, tmp_path, capsys, argv):
         # committed at 95 MW, 5 MW steps down: MEL 50 from the third period is out of reach
         header, *rows = (fixture_dir / "dynamics.csv").read_text().splitlines()
         rows = [",".join([row.split(",")[0], "100.0" if i < 2 else "50.0", "40.0", "10.0", "10.0"])
@@ -166,8 +173,11 @@ class TestFit:
         (tmp_path / "production.csv").write_text("\n".join([header, *rows]) + "\n")
         config = with_config(fixture_dir, tmp_path, production=str(tmp_path / "production.csv"),
                              dynamics=str(tmp_path / "dynamics.csv"))
-        assert main(["fit", "--config", config, "--out", str(tmp_path / "out")]) == 3
-        assert "no feasible schedule exists for this instance" in capsys.readouterr().err
+        argv = [str(tmp_path / arg) if arg == "out" else arg for arg in argv]
+        assert main([*argv, "--config", config]) == 3
+        assert ("no feasible schedule exists for this instance: no path from the initial "
+                "state reaches period 2 (counting from 0)") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
         ["fit", "--jobs", "1"],
@@ -442,6 +452,8 @@ class TestValidate:
         ({"nu": [0, math.nan]}, "bounds of nu must be finite, got [0.0, nan]"),
         ({"eta": ["0.3", "0.6"]}, "plant bounds eta must be a number, got '0.3'"),
         ({"nu": [0, "nan"]}, "plant bounds nu must be a number, got 'nan'"),
+        ({"sigma": [-10, 100]}, "lower bounds are not valid parameters: sigma negative"),
+        ({"nu": [-1, 5]}, "lower bounds are not valid parameters: nu negative"),
     ])
     def test_plant_bounds_checked(self, fixture_dir, tmp_path, capsys, bounds, message):
         config = with_plant(fixture_dir, tmp_path, bounds=bounds)

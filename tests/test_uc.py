@@ -429,10 +429,10 @@ class TestOracleProperty:
         try:
             oracle = enumerate_uc_oracle(inst, opts)
         except SolverError:  # no feasible schedule from this initial condition
-            with pytest.raises(SolverError):
-                solve(inst, opts)
+            with pytest.raises(SolverError, match="no feasible schedule exists"):
+                graph_of(inst, opts)  # whatever the parameters
             return
-        schedule = solve(inst, opts)
+        schedule = solve_uc(graph_of(inst, opts), inst.market, inst.params)
         assert abs(schedule.profit - oracle.profit) <= 1e-6 * max(1.0, abs(oracle.profit))
         assert validate_schedule(schedule, inst) == []
 
@@ -644,10 +644,16 @@ class TestBatchedSweep:
     def test_bad_candidate_fails_alone(self):
         inst, opts = worked_example()
         observed = np.zeros(inst.market.horizon)
-        good, failed = optimal_sse(graph_of(inst, opts), inst.market,
-                                   [inst.params, params(eta=0.0)], observed)
+        # eta 0 is invalid; at eta 1e-320 f/eta overflows, and no profit is finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            good, invalid, overflowed = optimal_sse(
+                graph_of(inst, opts), inst.market,
+                [inst.params, params(eta=0.0), params(eta=1e-320)], observed)
+            with pytest.raises(SolverError,
+                               match="no schedule of finite profit at these parameters"):
+                solve(dataclasses.replace(inst, params=params(eta=1e-320)), opts)
         assert good == sse(solve(inst, opts), observed)
-        assert failed == math.inf
+        assert invalid == overflowed == math.inf
         with pytest.raises(ParameterError, match="eta"):  # alone, it names its error
             solve(dataclasses.replace(inst, params=params(eta=0.0)), opts)
 
