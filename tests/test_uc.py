@@ -575,7 +575,7 @@ def assert_matches_loop_reference(instances, opts, observed):
     try:
         scores = optimal_sse(graph_of(first, opts), first.market,
                              [inst.params for inst in instances], observed)
-    except SolverError:  # the shared problem has no feasible start
+    except SolverError:  # the shared problem has no feasible schedule
         for inst in instances:
             with pytest.raises(SolverError):
                 loop_solve(inst, opts)
