@@ -16,7 +16,6 @@ if "numpy" not in sys.modules:
 
 from .domain import (
     DataError,
-    FitResult,
     MarketSeries,
     NormalizedCosts,
     ObservedProduction,
@@ -51,6 +50,7 @@ from .objective import (
 from .search import (
     CompassConfig,
     DeConfig,
+    FitResult,
     SearchResult,
     compass_search,
     differential_evolution,

@@ -293,12 +293,11 @@ def cmd_fit(args) -> int:
     _write_atomic(run.out_dir, "fit_result.json",
                   json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
-    trace_rows = (
-        (i, p.eta, p.sigma, p.phi, p.nu, err)
-        for i, (p, err) in enumerate(result.trace)
-    )
+    points = np.concatenate((result.de.points, result.compass.points)).tolist()
+    scores = np.concatenate((result.de.scores, result.compass.scores)).tolist()
+    trace_rows = ((i, *vec, err) for i, (vec, err) in enumerate(zip(points, scores)))
     _write_atomic(run.out_dir, "trace.csv",
-                  _csv_text(["evaluation", "eta", "sigma", "phi", "nu", "sse"], trace_rows))
+                  _csv_text(["evaluation", *PARAM_NAMES, "sse"], trace_rows))
 
     schedule_rows = (
         (format_timestamp(ts), obs, pw)
@@ -396,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None, help="output directory")
     jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--jobs", type=int, default=None,
+    jobs.add_argument("--jobs", type=int, default=1,
                       help="max concurrent fitness evaluations")
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=None, help="random seed")

@@ -7,7 +7,7 @@ per-MW-of-capacity figures appear only in reports, see normalize_costs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -226,18 +226,6 @@ class Schedule:
     @property
     def horizon(self) -> int:
         return len(self.power)
-
-
-@dataclass(frozen=True, eq=False)
-class FitResult:
-    """Outcome of a bilevel fit."""
-
-    best: PlantParameters
-    sse: float                 # outer objective at best, MW^2 * periods
-    rms: float                 # MW
-    evaluations: int           # inner UC solves spent
-    trace: tuple               # (PlantParameters, sse) per evaluation, in order
-    schedule: Schedule         # inner optimum at best, the one scored as sse
 
 
 def validate_parameters(p: PlantParameters) -> PlantParameters:

@@ -272,7 +272,7 @@ def synthesize(
     params: PlantParameters,
     dynamics: PlantDynamics,
     market: MarketSeries,
-    opts: SolverOptions | None = None,
+    opts: SolverOptions = SolverOptions(),
     noise: float = 0.0,
     seed: int = 0,
     initial_committed: bool = False,
@@ -285,8 +285,7 @@ def synthesize(
     """
     if noise < 0:
         raise DataError("noise must be non-negative")
-    graph = UcGraph(dynamics, market.dt, opts or SolverOptions(),
-                    initial_committed, initial_power)
+    graph = UcGraph(dynamics, market.dt, opts, initial_committed, initial_power)
     schedule = solve_uc(graph, market, params)
     power = np.asarray(schedule.power, dtype=float)
     if noise > 0:

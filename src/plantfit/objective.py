@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -126,9 +126,8 @@ class FitContext:
 
 
 def evaluate_candidate(params: PlantParameters, context: FitContext,
-                       opts: SolverOptions | None = None) -> FitnessRecord:
+                       opts: SolverOptions = SolverOptions()) -> FitnessRecord:
     """Solve the inner problem at ``params`` and score it against observed."""
-    opts = opts or SolverOptions()
     schedule = solve_uc(context.graph(opts), context.market, params)
     err = sse(schedule, context.observed)
     return FitnessRecord(
@@ -174,7 +173,7 @@ def _usable_cpus() -> int:
 class CandidateEvaluator:
     """Maps parameter vectors to outer-objective scores, a batch at a time.
 
-    ``jobs`` is the most worker processes to use (None runs serially, and a
+    ``jobs`` is the most worker processes to use (1 runs serially, and a
     value below 1 is refused); no more are started than there are usable
     CPUs, and ``.jobs`` is the count in use. With more than one, a batch is
     cut into that many contiguous parts, one per worker. Each part is
@@ -188,12 +187,12 @@ class CandidateEvaluator:
     before is served from its stored score, not solved again.
     """
 
-    def __init__(self, context: FitContext, opts: SolverOptions, jobs: int | None = None):
+    def __init__(self, context: FitContext, opts: SolverOptions, jobs: int = 1):
         self.context = context
         self.opts = opts
-        if jobs is not None and jobs < 1:
+        if jobs < 1:
             raise ParameterError(f"jobs must be at least 1, got {jobs}")
-        self.jobs = min(jobs or 1, _usable_cpus())
+        self.jobs = min(jobs, _usable_cpus())
         context.graph(opts)
         self._pool = None
         self._scored: dict[bytes, float] = {}  # float64 vector bytes -> score
@@ -240,8 +239,8 @@ def landscape_slice(
     axis2: tuple[str, np.ndarray],
     fixed: PlantParameters,
     context: FitContext,
-    opts: SolverOptions | None = None,
-    jobs: int | None = None,
+    opts: SolverOptions = SolverOptions(),
+    jobs: int = 1,
 ) -> np.ndarray:
     """RMS error [MW] at every point of a 2-D parameter grid.
 
@@ -250,7 +249,6 @@ def landscape_slice(
     Returns the array of shape (len(axis1[1]), len(axis2[1])) whose entry
     (i, j) is the rms at the i-th axis1 value and the j-th axis2 value.
     """
-    opts = opts or SolverOptions()
     name1, values1 = axis1[0], np.asarray(axis1[1], dtype=float)
     name2, values2 = axis2[0], np.asarray(axis2[1], dtype=float)
     for name in (name1, name2):
@@ -261,11 +259,10 @@ def landscape_slice(
     if len(values1) == 0 or len(values2) == 0:
         raise ParameterError("axis grids must be non-empty")
 
-    candidates = [
-        params_to_vector(replace(fixed, **{name1: float(v1), name2: float(v2)}))
-        for v1 in values1
-        for v2 in values2
-    ]
+    # row i * len(values2) + j: values1[i] and values2[j] over the fixed parameters
+    candidates = np.tile(params_to_vector(fixed), (len(values1) * len(values2), 1))
+    candidates[:, PARAM_NAMES.index(name1)] = np.repeat(values1, len(values2))
+    candidates[:, PARAM_NAMES.index(name2)] = np.tile(values2, len(values1))
     with CandidateEvaluator(context, opts, jobs) as ev:
         scores = ev.scores(candidates)
     return np.sqrt(np.array(scores).reshape(len(values1), len(values2))

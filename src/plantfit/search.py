@@ -8,7 +8,8 @@ contraction levels. A score of +inf marks an infeasible candidate, which
 loses to every finite one. An exception from the scorer propagates, and a
 NaN score raises ``ValueError``. The drivers own all mutable state and are
 bit-reproducible for a fixed seed, so results do not depend on how the
-scorer spreads a batch over workers.
+scorer spreads a batch over workers. A search records every point it
+scores and the score, as two arrays; a fit keeps both searches' results.
 """
 from __future__ import annotations
 
@@ -17,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (
-    FitResult,
     ParameterError,
+    PlantParameters,
+    Schedule,
     SearchBounds,
     SolverError,
     vector_to_params,
@@ -74,13 +76,34 @@ _LOOKAHEAD_POLLS = 32
 
 @dataclass(frozen=True, eq=False)
 class SearchResult:
-    """Best point found plus the full evaluation record."""
+    """Best point found plus the full evaluation record, in scoring order."""
 
     best: np.ndarray
     score: float
     history: list        # best score per generation / iteration
-    trace: list          # (vector, score) per evaluation, in order
-    evaluations: int
+    points: np.ndarray   # (evaluations, dim): each vector scored
+    scores: np.ndarray   # (evaluations,): its score
+
+    @property
+    def evaluations(self) -> int:
+        return len(self.scores)
+
+
+@dataclass(frozen=True, eq=False)
+class FitResult:
+    """Outcome of a bilevel fit: the best parameters re-evaluated, and the
+    two searches that found them, DE and then compass search from its best."""
+
+    best: PlantParameters
+    sse: float                 # outer objective at best, MW^2 * periods
+    rms: float                 # MW
+    schedule: Schedule         # inner optimum at best, the one scored as sse
+    de: SearchResult
+    compass: SearchResult
+
+    @property
+    def evaluations(self) -> int:
+        return self.de.evaluations + self.compass.evaluations
 
 
 def _scores(score, vecs) -> np.ndarray:
@@ -94,7 +117,7 @@ def _scores(score, vecs) -> np.ndarray:
 
 
 def differential_evolution(score, bounds: SearchBounds,
-                           cfg: DeConfig | None = None) -> SearchResult:
+                           cfg: DeConfig = DeConfig()) -> SearchResult:
     """Global search with DE/rand/1/bin.
 
     Per generation each member i receives a trial built from three distinct
@@ -103,7 +126,6 @@ def differential_evolution(score, bounds: SearchBounds,
     keeps its place unless the trial scores at least as well; ties move so
     the population can drift across plateaus.
     """
-    cfg = cfg or DeConfig()
     rng = np.random.default_rng(cfg.seed)
     lower, upper = bounds.lower, bounds.upper
     dim = bounds.dim
@@ -111,7 +133,7 @@ def differential_evolution(score, bounds: SearchBounds,
 
     pop = lower + rng.random((npop, dim)) * (upper - lower)
     scores = _scores(score, pop)
-    trace = [(pop[i].copy(), float(scores[i])) for i in range(npop)]
+    points, values = [pop.copy()], [scores.copy()]
     history = [float(scores.min())]
 
     for _ in range(cfg.generations):
@@ -127,25 +149,19 @@ def differential_evolution(score, bounds: SearchBounds,
             cross[rng.integers(dim)] = True
             trials[i] = np.clip(np.where(cross, mutant, pop[i]), lower, upper)
         trial_scores = _scores(score, trials)
-        for i in range(npop):
-            trace.append((trials[i].copy(), float(trial_scores[i])))
-            if trial_scores[i] <= scores[i]:
-                pop[i] = trials[i]
-                scores[i] = trial_scores[i]
+        points.append(trials)
+        values.append(trial_scores)
+        keep = trial_scores <= scores
+        pop[keep], scores[keep] = trials[keep], trial_scores[keep]
         history.append(float(scores.min()))
 
     best = int(np.argmin(scores))
-    return SearchResult(
-        best=pop[best].copy(),
-        score=float(scores[best]),
-        history=history,
-        trace=trace,
-        evaluations=len(trace),
-    )
+    return SearchResult(best=pop[best].copy(), score=float(scores[best]), history=history,
+                        points=np.concatenate(points), scores=np.concatenate(values))
 
 
 def compass_search(score, start, bounds: SearchBounds,
-                   cfg: CompassConfig | None = None) -> SearchResult:
+                   cfg: CompassConfig = CompassConfig()) -> SearchResult:
     """Local refinement by coordinate polling with step contraction.
 
     Polls +/-step along each coordinate (clipped to the bounds) and moves to
@@ -155,10 +171,9 @@ def compass_search(score, start, bounds: SearchBounds,
 
     Unless the last iteration moved, one scorer call also takes the polls of
     the contractions that may follow, up to ``_LOOKAHEAD_POLLS`` polls; a
-    move drops those left. The result, trace included, is that of one call
+    move drops those left. The result, record included, is that of one call
     per iteration.
     """
-    cfg = cfg or CompassConfig()
     lower, upper = bounds.lower, bounds.upper
     dim = bounds.dim
     x = np.asarray(start, dtype=float).copy()
@@ -176,7 +191,7 @@ def compass_search(score, start, bounds: SearchBounds,
         raise ParameterError("steps must be positive")
 
     fx = _scores(score, [x])[0]
-    trace = [(x.copy(), float(fx))]
+    points, values = [x[None]], [np.array([fx])]
     history = [float(fx)]
 
     levels: list = []  # (polls, scores) of the coming contraction levels
@@ -192,10 +207,12 @@ def compass_search(score, start, bounds: SearchBounds,
                     break
                 batch.append(polls)
                 ahead = ahead * cfg.contraction
-            scores = iter(_scores(score, [poll for polls in batch for poll in polls]))
-            levels = [(polls, [next(scores) for _ in polls]) for polls in batch]
+            scores = _scores(score, np.concatenate(batch))
+            ends = np.cumsum([len(polls) for polls in batch])
+            levels = list(zip(batch, np.split(scores, ends[:-1])))
         polls, poll_scores = levels.pop(0)
-        trace.extend((poll.copy(), float(value)) for poll, value in zip(polls, poll_scores))
+        points.append(polls)
+        values.append(poll_scores)
         moved = False
         for cand, value in zip(polls, poll_scores):
             if value < fx:
@@ -209,12 +226,12 @@ def compass_search(score, start, bounds: SearchBounds,
         history.append(float(fx))
 
     return SearchResult(best=x.copy(), score=float(fx), history=history,
-                        trace=trace, evaluations=len(trace))
+                        points=np.concatenate(points), scores=np.concatenate(values))
 
 
-def _polls(x, step, lower, upper) -> list:
-    """+/-step along each coordinate from ``x``, clipped to the bounds; a
-    poll that clipping leaves at ``x`` is dropped."""
+def _polls(x, step, lower, upper) -> np.ndarray:
+    """+/-step along each coordinate from ``x``, clipped to the bounds, one
+    poll a row; a poll that clipping leaves at ``x`` is dropped."""
     polls = []
     for d in range(len(x)):
         for sign in (1.0, -1.0):
@@ -222,27 +239,24 @@ def _polls(x, step, lower, upper) -> list:
             cand[d] = min(max(cand[d] + sign * step[d], lower[d]), upper[d])
             if abs(cand[d] - x[d]) > 0.0:
                 polls.append(cand)
-    return polls
+    return np.reshape(polls, (-1, len(x)))
 
 
 def fit(
     context: FitContext,
     bounds: SearchBounds | None = None,
-    de_cfg: DeConfig | None = None,
-    compass_cfg: CompassConfig | None = None,
-    opts: SolverOptions | None = None,
-    jobs: int | None = None,
+    de_cfg: DeConfig = DeConfig(),
+    compass_cfg: CompassConfig = CompassConfig(),
+    opts: SolverOptions = SolverOptions(),
+    jobs: int = 1,
 ) -> FitResult:
     """Full bilevel fit: DE exploration, compass refinement, one verification.
 
     Returns the best parameters with the outer objective re-evaluated at
-    them, the schedule that re-evaluation solved, and the complete
-    evaluation trace. The re-evaluation's SSE must equal the search's best
-    score bit for bit, or ``SolverError`` raises.
+    them, the schedule that re-evaluation solved, and both searches'
+    results. The re-evaluation's SSE must equal the search's best score
+    bit for bit, or ``SolverError`` raises.
     """
-    opts = opts or SolverOptions()
-    de_cfg = de_cfg or DeConfig()
-    compass_cfg = compass_cfg or CompassConfig()
     bounds = bounds or SearchBounds.for_plant(context.dynamics.capacity)
 
     with CandidateEvaluator(context, opts, jobs) as ev:
@@ -255,15 +269,5 @@ def fit(
     if final.sse != local.score:
         raise SolverError(f"the search scored its best parameters {local.score!r}, but "
                           f"their final solve scores {final.sse!r}")
-    trace = tuple(
-        (vector_to_params(vec, context.epsilon), score)
-        for vec, score in de.trace + local.trace
-    )
-    return FitResult(
-        best=best_params,
-        sse=final.sse,
-        rms=final.rms,
-        evaluations=len(trace),
-        trace=trace,
-        schedule=final.schedule,
-    )
+    return FitResult(best=best_params, sse=final.sse, rms=final.rms,
+                     schedule=final.schedule, de=de, compass=local)

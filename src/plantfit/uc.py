@@ -231,7 +231,6 @@ class UcGraph:
                 raise SolverError("initial power exceeds the first-period export limit")
         elif initial_power != 0.0:
             raise SolverError("initial power must be zero while not committed")
-        self.dynamics = dynamics
         self.dt = dt
         self.initial_committed = initial_committed
         up_step, dn_step = dynamics.ramp_up * dt, dynamics.ramp_dn * dt
@@ -332,7 +331,7 @@ def solve_uc(graph: UcGraph, market: MarketSeries, params: PlantParameters) -> S
     validate_parameters(params)
     T, n = market.horizon, graph.states
     parents = np.empty((T, 1, n), dtype=np.uint8)
-    (last,), (dp_profit,), _, _ = _forward(graph, market, [params], parents=parents)
+    (last,), (dp_profit,), _ = _forward(graph, market, [params], parents=parents)
     if not np.isfinite(dp_profit):  # the margins or costs overflow
         raise SolverError("no schedule of finite profit at these parameters")
     back = memoryview(parents).cast("B")  # period t's parent of state s at t * n + s
@@ -378,8 +377,8 @@ def optimal_sse(graph: UcGraph, market: MarketSeries, params, observed) -> list[
             continue
         live.append(i)
     if live:
-        _, dp_profit, _, (_, errs) = _forward(graph, market, [params[i] for i in live],
-                                              np.asarray(observed, dtype=float))
+        _, dp_profit, (_, errs) = _forward(graph, market, [params[i] for i in live],
+                                           np.asarray(observed, dtype=float))
         for i, profit, err in zip(live, dp_profit, errs):
             if np.isfinite(profit):
                 out[i] = float(err)
@@ -408,7 +407,7 @@ def _forward(graph: UcGraph, market: MarketSeries, params: list,
     receives each (period, candidate, state)'s parent state. Margins and
     rewards are built a chunk of periods at a time from each period's
     layout. Returns each candidate's best final state, by the same order,
-    with its profit, count and tally, (1 or 2, candidates).
+    with its profit and tally, (1 or 2, candidates).
     """
     arcs, stops = graph._arc_of.tolist(), list(graph._stops)
     P = len(params)
@@ -431,12 +430,14 @@ def _forward(graph: UcGraph, market: MarketSeries, params: list,
     for lo in range(0, T, chunk):
         hi = min(T, lo + chunk)
         # level × margin, less the fixed cost on committed states
-        mv_dt = _margin(market.w[lo:hi, None], market.f[lo:hi, None], market.e[lo:hi, None],
-                        eta, nu, epsilon)
-        mv_dt *= dt
         level = graph._level.take(layout_at[lo:hi], axis=0)
         on = graph._on.take(layout_at[lo:hi], axis=0)
-        np.multiply(level[:, None], mv_dt[:, :, None], out=rewards[:hi - lo])
+        # a tiny eta overflows f/eta, and 0 × -inf is NaN: a non-finite profit, unwarned
+        with np.errstate(over="ignore", invalid="ignore"):
+            mv_dt = _margin(market.w[lo:hi, None], market.f[lo:hi, None],
+                            market.e[lo:hi, None], eta, nu, epsilon)
+            mv_dt *= dt
+            np.multiply(level[:, None], mv_dt[:, :, None], out=rewards[:hi - lo])
         np.subtract(rewards[:hi - lo], phi_dt, out=rewards[:hi - lo], where=on[:, None])
         gains = [level * dt]  # to (energy[, squared error])
         if observed is not None:
@@ -459,7 +460,7 @@ def _forward(graph: UcGraph, market: MarketSeries, params: list,
     nv, count, tally = nv[:, graph._column], count[:, graph._column], tally[..., graph._column]
     best = np.lexsort((tally[0], count, nv))[:, 0]
     picks = np.arange(P)
-    return best, -nv[picks, best], count[picks, best], tally[:, picks, best]
+    return best, -nv[picks, best], tally[:, picks, best]
 
 
 def _stop_markers(feeds: np.ndarray) -> np.ndarray:

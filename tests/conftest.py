@@ -264,16 +264,23 @@ def loop_solve(instance, opts):
     every period, and breaks ties in profit with three masked passes (fewer
     committed periods, then less energy, then lowest state index). It states
     the rules for leaving the initial condition on its own, not through the
-    graph's source states, and shares no layout between periods. The batched
-    sweep must reproduce its schedules bit for bit. Its three passes state,
-    apart from the sweep's one sort, the two-tier policy the sweep is checked
-    against.
+    graph's source states, and decides feasibility on its own: an initial
+    state the plant cannot hold, a first period it cannot leave it for, or a
+    final profit that is not finite raises ``SolverError``. It shares no
+    layout between periods. The batched sweep must reproduce its schedules
+    bit for bit. Its three passes state, apart from the sweep's one sort, the
+    two-tier policy the sweep is checked against.
     """
     from plantfit.uc import _period_levels, _transition_mask, marginal_values
 
-    graph_of(instance, opts)  # the checks of the initial state
     dyn = instance.dynamics
     T = instance.market.horizon
+    p0 = instance.initial_power
+    if instance.initial_committed:  # committed: 0 <= p0 <= MEL_0, off: p0 = 0
+        if not -1e-9 <= p0 <= dyn.mel[0] + 1e-9:
+            raise SolverError(f"initial power {p0} is out of [0, MEL] while committed")
+    elif p0 != 0.0:
+        raise SolverError(f"initial power {p0} is not zero while off")
     dt = instance.market.dt
     p = instance.params
     up_step, dn_step = dyn.ramp_up * dt, dyn.ramp_dn * dt

@@ -230,6 +230,13 @@ class TestSimulate:
         series = load_series(out / "schedule.csv", ["mw"])["mw"]
         assert len(series) == T
 
+    def test_overflowing_margins_exit_3_with_one_line(self, fixture_dir, tmp_path, capsys):
+        code = main(["simulate", "--config", str(fixture_dir / "config.json"),
+                     "--out", str(tmp_path / "out"), "--eta", "1e-320"])
+        assert code == 3
+        assert capsys.readouterr().err == ("error: no schedule of finite profit at these "
+                                           "parameters\n")
+
     @pytest.mark.parametrize("cost", ["sigma", "phi"])
     def test_absolute_and_per_capacity_cost_together_exit_1(self, fixture_dir, tmp_path,
                                                              capsys, cost):
@@ -278,6 +285,20 @@ class TestLandscape:
         assert len(rows) == 21
         for eta, _, rms in rows:
             assert (rms == "inf") == (not 0.0 < float(eta) <= 1.0)
+
+    def test_overflowing_margins_read_inf_without_a_warning(self, fixture_dir, tmp_path,
+                                                             capsys):
+        # at eta 1e-320 f/eta overflows: the cell reads inf, and nothing warns
+        # (pytest turns a warning into an error)
+        out = tmp_path / "out"
+        code = main(["landscape", "--config", str(fixture_dir / "config.json"),
+                     "--out", str(out), "--eta", "0.45", "--axes", "eta,sigma",
+                     "--grid1", "1e-320:1e-300:2", "--grid2", "0:1000:3"])
+        assert code == 0
+        rows = [line.split(",") for line in
+                (out / "landscape.csv").read_text().strip().splitlines()[1:]]
+        assert [rms for eta, _, rms in rows if float(eta) == 1e-320] == ["inf"] * 3
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("bound", ["nan", "inf", "-inf"])
     def test_non_finite_grid_bound_exits_1(self, fixture_dir, tmp_path, capsys, bound):

@@ -270,7 +270,7 @@ class TestCandidateEvaluator:
                 assert ev.scores(vecs) == serial
                 assert ev.scores([]) == []
 
-    @pytest.mark.parametrize("cpus,jobs,workers", [(1, 4, 1), (2, 8, 2), (2, None, 1)])
+    @pytest.mark.parametrize("cpus,jobs,workers", [(1, 4, 1), (2, 8, 2), (2, 1, 1)])
     def test_workers_capped_at_usable_cpus(self, monkeypatch, cpus, jobs, workers):
         monkeypatch.setattr(plantfit.objective, "_usable_cpus", lambda: cpus)
         true, ctx = small_context(T=24)
@@ -426,7 +426,7 @@ class TestProgrammingErrorsPropagate:
         # raised building the evaluator's graph: not scored +inf batch after batch
         assert len(calls) == 0
 
-    @pytest.mark.parametrize("jobs", [None, 2])
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_wholly_infeasible_first_population_ends_the_fit(self, monkeypatch, jobs):
         ctx = out_of_reach_context(toy_market(np.full(12, 60.0), dt=1.0))
         calls = _count_batches(monkeypatch)
@@ -459,7 +459,7 @@ class TestProgrammingErrorsPropagate:
         monkeypatch.setattr(CandidateEvaluator, "scores", one_feasible)
         result = fit(ctx, de_cfg=DeConfig(population=8, generations=2, seed=1),
                      compass_cfg=CompassConfig(max_iterations=1))
-        assert [math.isfinite(score) for _, score in result.trace[:8]] == [False] * 7 + [True]
+        assert [math.isfinite(score) for score in result.de.scores[:8]] == [False] * 7 + [True]
         assert result.evaluations > 8 * 3  # both generations and the compass polls ran
 
     def test_infeasible_candidate_still_scores_inf(self):

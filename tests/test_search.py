@@ -18,6 +18,7 @@ from plantfit import (
     fit,
 )
 from plantfit import SolverOptions
+from plantfit.objective import CandidateEvaluator
 from plantfit.search import _LOOKAHEAD_POLLS, _scores
 from conftest import EPSILON, solve
 from test_objective import small_context
@@ -73,15 +74,14 @@ class TestDifferentialEvolution:
         assert np.array_equal(a.best, b.best)
         assert a.score == b.score
         assert a.history == b.history
-        assert all(np.array_equal(x, y) and sx == sy
-                   for (x, sx), (y, sy) in zip(a.trace, b.trace))
+        assert np.array_equal(a.points, b.points) and np.array_equal(a.scores, b.scores)
 
     def test_every_candidate_within_bounds(self):
         bounds = box(-1, 1, 3)
         result = differential_evolution(
             batched(sphere), bounds,
             DeConfig(population=12, generations=30, seed=5, target=-1.0))
-        for vec, _ in result.trace:
+        for vec in result.points:
             assert bounds.contains(vec)
 
     def test_target_stops_early(self):
@@ -237,6 +237,60 @@ def plateau_problems(draw):
     return f, start, SearchBounds(lower, upper), cfg
 
 
+def reference_differential_evolution(score, bounds, cfg):
+    """DE with one selection test per member: the loop the masked selection
+    step must reproduce, ties moving, record and all."""
+    rng = np.random.default_rng(cfg.seed)
+    lower, upper = bounds.lower, bounds.upper
+    dim, npop = bounds.dim, cfg.population
+    pop = lower + rng.random((npop, dim)) * (upper - lower)
+    scores = _scores(score, pop)
+    trace = [(pop[i].copy(), float(scores[i])) for i in range(npop)]
+    history = [float(scores.min())]
+    for _ in range(cfg.generations):
+        if history[-1] <= cfg.target:
+            break
+        trials = np.empty_like(pop)
+        for i in range(npop):
+            picks = rng.choice(npop - 1, size=3, replace=False)
+            picks[picks >= i] += 1
+            a, b, c = pop[picks]
+            mutant = a + cfg.weight * (b - c)
+            cross = rng.random(dim) < cfg.crossover
+            cross[rng.integers(dim)] = True
+            trials[i] = np.clip(np.where(cross, mutant, pop[i]), lower, upper)
+        trial_scores = _scores(score, trials)
+        for i in range(npop):
+            trace.append((trials[i].copy(), float(trial_scores[i])))
+            if trial_scores[i] <= scores[i]:
+                pop[i] = trials[i]
+                scores[i] = trial_scores[i]
+        history.append(float(scores.min()))
+    best = int(np.argmin(scores))
+    return pop[best].copy(), float(scores[best]), history, trace
+
+
+class TestDeSelection:
+    @settings(max_examples=100, deadline=None)
+    @given(plateau_problems(), st.integers(4, 12), st.integers(0, 15),
+           st.floats(0.1, 2.0), st.floats(0.0, 1.0), st.integers(0, 2**16),
+           st.sampled_from([-1.0, 0.0, 3.0]))
+    def test_matches_one_test_per_member(self, problem, population, generations, weight,
+                                         crossover, seed, target):
+        # the floored quadratic ties most trials with their members: a tie moves
+        f, _, bounds, _ = problem
+        cfg = DeConfig(population=population, weight=weight, crossover=crossover,
+                       generations=generations, seed=seed, target=target)
+        best, score, history, trace = reference_differential_evolution(batched(f), bounds, cfg)
+        got = differential_evolution(batched(f), bounds, cfg)
+
+        assert np.array_equal(got.best, best) and got.score == score
+        assert got.history == history
+        assert got.points.shape == (len(trace), bounds.dim) and got.scores.shape == (len(trace),)
+        for vec, value, (ref_vec, ref_value) in zip(got.points, got.scores, trace):
+            assert np.array_equal(vec, ref_vec) and value == ref_value
+
+
 class TestCompassLookahead:
     @settings(max_examples=150, deadline=None)
     @given(plateau_problems())
@@ -249,8 +303,8 @@ class TestCompassLookahead:
 
         assert np.array_equal(got.best, best) and got.score == score
         assert got.history == history
-        assert len(got.trace) == len(trace) == got.evaluations
-        for (vec, value), (ref_vec, ref_value) in zip(got.trace, trace):
+        assert len(got.points) == len(got.scores) == len(trace) == got.evaluations
+        for vec, value, (ref_vec, ref_value) in zip(got.points, got.scores, trace):
             assert np.array_equal(vec, ref_vec) and value == ref_value
 
         # the reference's calls are the start, then one level per iteration
@@ -323,8 +377,9 @@ class TestFit:
         true, ctx = small_context(T=24)
         result = fit(ctx, de_cfg=DeConfig(population=8, generations=10, seed=1),
                      compass_cfg=CompassConfig(max_iterations=10))
-        assert result.evaluations == len(result.trace)
-        running = np.minimum.accumulate([s for _, s in result.trace])
+        scores = np.concatenate((result.de.scores, result.compass.scores))
+        assert result.evaluations == len(scores)
+        running = np.minimum.accumulate(scores)
         assert all(b <= a + 1e-15 for a, b in zip(running, running[1:]))
         assert result.sse <= running[-1] + 1e-15
 
@@ -334,10 +389,25 @@ class TestFit:
         result = fit(ctx, bounds=bounds,
                      de_cfg=DeConfig(population=8, generations=8, seed=2),
                      compass_cfg=CompassConfig(max_iterations=8))
-        for p, _ in result.trace:
-            vec = np.array([p.eta, p.sigma, p.phi, p.nu])
+        for vec in np.concatenate((result.de.points, result.compass.points)):
             assert bounds.contains(vec)
-            assert p.epsilon == EPSILON
+        assert result.best.epsilon == EPSILON
+
+    def test_phases_are_the_drivers_run_on_their_own(self):
+        true, ctx = small_context(T=24)
+        de_cfg = DeConfig(population=8, generations=6, seed=3)
+        compass_cfg = CompassConfig(max_iterations=6)
+        result = fit(ctx, de_cfg=de_cfg, compass_cfg=compass_cfg)
+        bounds = SearchBounds.for_plant(ctx.dynamics.capacity)
+        with CandidateEvaluator(ctx, SolverOptions()) as ev:
+            de = differential_evolution(ev.scores, bounds, de_cfg)
+            local = compass_search(ev.scores, de.best, bounds, compass_cfg)
+        for got, alone in ((result.de, de), (result.compass, local)):
+            assert got.history == alone.history
+            assert np.array_equal(got.best, alone.best) and got.score == alone.score
+            assert np.array_equal(got.points, alone.points)
+            assert np.array_equal(got.scores, alone.scores)
+        assert result.evaluations == de.evaluations + local.evaluations
 
     def test_parallel_run_matches_serial(self):
         true, ctx = small_context(T=24)
@@ -348,7 +418,10 @@ class TestFit:
         assert serial.best == parallel.best
         assert serial.sse == parallel.sse
         assert serial.evaluations == parallel.evaluations
-        assert serial.trace == parallel.trace  # every vector and score, in order
+        for phase in ("de", "compass"):  # every vector and score, in order
+            a, b = getattr(serial, phase), getattr(parallel, phase)
+            assert np.array_equal(a.points, b.points) and np.array_equal(a.scores, b.scores)
+            assert a.history == b.history
 
     def test_empty_observed_rejected(self):
         import numpy as np

@@ -24,7 +24,7 @@ from plantfit import (
     sse,
     validate_schedule,
 )
-from plantfit.uc import _first_feeders, _forward, _period_levels, _stop_markers, optimal_sse
+from plantfit.uc import _first_feeders, _period_levels, _stop_markers, optimal_sse
 from conftest import (
     TRUE_PARAMS,
     flat_dynamics,
@@ -500,6 +500,18 @@ def committed_start_problem():
             SolverOptions(power_levels=5))
 
 
+def unreachable_problem():
+    """Committed at 380 MW, 50 MW/h down: MEL 100 from period 3 is out of
+    reach, so no schedule is feasible, whatever the parameters."""
+    market = toy_market([60.0, 10.0, 10.0, 70.0, 80.0, 20.0], dt=1.0, fuel=20.0)
+    dynamics = PlantDynamics(mel=np.where(np.arange(6) < 3, 400.0, 100.0),
+                             sel=np.full(6, 50.0), ramp_up=50.0, ramp_dn=50.0)
+    return ([UcInstance(params=params(sigma=sigma), dynamics=dynamics, market=market,
+                        initial_committed=True, initial_power=380.0)
+             for sigma in (0.0, 3000.0)],
+            SolverOptions(power_levels=3))
+
+
 # per period, observed production as a share of MEL, over shared_problems'
 # longest horizon
 observed_shares = st.lists(st.floats(0.0, 1.0), min_size=14, max_size=14)
@@ -602,6 +614,7 @@ class TestBatchedSweep:
     @example(ties_everywhere_problem(False, 0.0), SHARES)
     @example(ties_everywhere_problem(True, 70.0), SHARES)
     @example(committed_start_problem(), SHARES)
+    @example(unreachable_problem(), SHARES)
     def test_batch_matches_single_solves_and_loop_reference(self, problem, shares):
         instances, opts = problem
         observed = np.array(shares[:instances[0].market.horizon]) * instances[0].dynamics.mel
@@ -644,14 +657,13 @@ class TestBatchedSweep:
     def test_bad_candidate_fails_alone(self):
         inst, opts = worked_example()
         observed = np.zeros(inst.market.horizon)
-        # eta 0 is invalid; at eta 1e-320 f/eta overflows, and no profit is finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            good, invalid, overflowed = optimal_sse(
-                graph_of(inst, opts), inst.market,
-                [inst.params, params(eta=0.0), params(eta=1e-320)], observed)
-            with pytest.raises(SolverError,
-                               match="no schedule of finite profit at these parameters"):
-                solve(dataclasses.replace(inst, params=params(eta=1e-320)), opts)
+        # eta 0 is invalid; at eta 1e-320 f/eta overflows, and no profit is finite:
+        # neither warns, so pytest's warnings-as-errors guard the sweep
+        good, invalid, overflowed = optimal_sse(
+            graph_of(inst, opts), inst.market,
+            [inst.params, params(eta=0.0), params(eta=1e-320)], observed)
+        with pytest.raises(SolverError, match="no schedule of finite profit at these parameters"):
+            solve(dataclasses.replace(inst, params=params(eta=1e-320)), opts)
         assert good == sse(solve(inst, opts), observed)
         assert invalid == overflowed == math.inf
         with pytest.raises(ParameterError, match="eta"):  # alone, it names its error
@@ -815,14 +827,20 @@ class TestParentSearch:
 
 class TestCommittedCount:
     def test_count_holds_every_committed_period(self):
-        # committed in all 300 periods, more than a byte counts: 300 % 256 is 44
-        T = 300
-        graph = UcGraph(flat_dynamics(T), 1.0, SolverOptions(), initial_committed=True,
-                        initial_power=500.0)
-        market = toy_market(np.full(T, 90.0), fuel=20.0)
-        _, (profit,), (count,), _ = _forward(graph, market, [params(phi=1.0)])
-        assert np.isfinite(profit)
-        assert count == T
+        # the tie of test_profit_ties_prefer_fewer_committed_periods after `hold`
+        # periods held at 24 MW: the tied counts straddle 256, past a byte
+        tail = np.array([-4, 0, 0, 4, -4, 4, 0, -4, 0, 8], dtype=float)
+        opts = SolverOptions(power_levels=2)
+        for hold in (249, 250):
+            market = toy_market(16.0 + np.concatenate((np.full(hold, 40.0), tail)), fuel=16.0)
+            dyn = flat_dynamics(hold + 10, mel=64.0, sel=16.0, ramp_up=8.0, ramp_dn=16.0)
+            inst = UcInstance(params=params(eta=1.0), dynamics=dyn, market=market,
+                              initial_committed=True, initial_power=24.0)
+            schedule = solve(inst, opts)
+            assert schedule.power[hold:].tolist() == [8.0, 0.0, 8.0, 16.0, 0.0, 0.0, 0.0,
+                                                      8.0, 16.0, 24.0]
+            assert schedule.committed.sum() == hold + 6
+            assert schedule.power.tobytes() == loop_solve(inst, opts)[0].tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -855,7 +873,7 @@ class TestTwoWeekBatch:
 
     def test_profits_exactly_those_of_the_schedules(self, two_week_batch):
         graph, market, candidates = two_week_batch
-        instances = [UcInstance(params=p, dynamics=graph.dynamics, market=market)
+        instances = [UcInstance(params=p, dynamics=flat_dynamics(672), market=market)
                      for p in candidates]
         schedules = [solve_uc(graph, market, inst.params) for inst in instances]
         assert sum(s.started.sum() > 0 for s in schedules) > 16

@@ -16,7 +16,9 @@ The record holds, per workload and end-to-end metric of ``BENCHMARK.json``,
 each side's value per pair, its quartiles (the middle one is the median),
 each pair's ratio (change over parent) and the ratios' quartiles, the pairs
 the change wins and the ties, and the failed and attempted runs of each
-side; besides the environment, both commits and the command. A drift of the
+side; besides the environment (``usable_cpus``, the CPUs a run may use,
+bounds its worker pool where ``nproc`` does not), both commits and the
+command. A drift of the
 host's speed during a run widens each side's quartiles, but moves both runs
 of a pair alike, so the ratios read the pairs without it. It is
 written again after every pair, so an interrupted run keeps what it
@@ -104,7 +106,9 @@ def summary(metrics: list[dict], pairs: list[dict]) -> dict:
 def environment() -> dict:
     import numpy
 
-    return {"nproc": os.cpu_count(), "python": platform.python_version(),
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
+    return {"nproc": os.cpu_count(), "usable_cpus": usable,
+            "python": platform.python_version(),
             "numpy": numpy.__version__, "platform": platform.platform(),
             "load_average_at_start": [round(x, 2) for x in os.getloadavg()]}
 
