@@ -427,13 +427,13 @@ def _forward(graph: UcGraph, market: MarketSeries, params: list,
     tally = np.zeros((1 if observed is None else 2, P, m))
     chunk = max(1, _REWARD_BYTES // (P * m * 8))
     rewards = np.empty((min(chunk, T), P, m))
+    marks = np.empty((m, P, m), dtype=graph._stops.dtype)  # one buffer, not 211 kB a period
     for lo in range(0, T, chunk):
         hi = min(T, lo + chunk)
         # level × margin, less the fixed cost on committed states
         level = graph._level.take(layout_at[lo:hi], axis=0)
         on = graph._on.take(layout_at[lo:hi], axis=0)
-        # a tiny eta overflows f/eta, and 0 × -inf is NaN: a non-finite profit, unwarned
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # tiny eta: f/eta, 0 × -inf
             mv_dt = _margin(market.w[lo:hi, None], market.f[lo:hi, None],
                             market.e[lo:hi, None], eta, nu, epsilon)
             mv_dt *= dt
@@ -446,7 +446,7 @@ def _forward(graph: UcGraph, market: MarketSeries, params: list,
         ons = on.astype(count.dtype)
         for t, arc, reward, gain, on_t in zip(range(lo, hi), arcs[lo:hi], rewards, gains, ons):
             order = np.lexsort((tally[0], count, nv))
-            src = order.take(_first_feeders(stops[arc], order, positions) + rows)
+            src = order.take(_first_feeders(stops[arc], order, positions, marks) + rows)
             if parents is not None:
                 graph._state.take(src[:, graph._column], out=parents[t])
             src += rows
@@ -472,17 +472,17 @@ def _stop_markers(feeds: np.ndarray) -> np.ndarray:
     return np.where(feeds, 0, np.iinfo(marker).max).astype(marker)
 
 
-def _first_feeders(stops: np.ndarray, order: np.ndarray, positions: np.ndarray) -> np.ndarray:
+def _first_feeders(stops, order, positions, marks) -> np.ndarray:
     """Position in ``order`` of the first row that feeds each column.
 
-    ``stops`` is an (m, m) [from, to] table from ``_stop_markers``; ``order``
-    holds a permutation of the m rows per candidate, (P, m); ``positions`` is
-    0..m-1 in the markers' dtype, shaped (m, 1, 1). Gathering the markers by
-    the transposed order puts position k's rows in slice k, and OR-ing slice
-    k with k leaves k where the row feeds and the maximum where not, so the
-    minimum over the slices is the first feeding position, (P, m).
+    ``stops`` is an (m, m) [from, to] table from ``_stop_markers``, ``order``
+    the rows of each candidate in order (P, m), ``positions`` 0..m-1 in the
+    markers' dtype (m, 1, 1), and ``marks`` an (m, P, m) buffer of that dtype.
+    Gathered by the transposed order, slice k holds position k's markers;
+    OR-ed with k, it reads k where the row feeds and the maximum where not,
+    so the minimum over the slices is the first feeding position, (P, m).
     """
-    marks = stops.take(order.T, axis=0)
+    stops.take(order.T, axis=0, out=marks, mode="clip")  # "raise" would buffer a copy
     marks |= positions
     return np.minimum.reduce(marks, axis=0)
 

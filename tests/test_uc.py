@@ -820,7 +820,8 @@ class TestParentSearch:
         order = rng.permuted(np.tile(np.arange(m), (width, 1)), axis=1)
         stops = _stop_markers(feeds)
         assert stops.dtype == (np.uint8 if m <= 255 else np.uint16)
-        got = _first_feeders(stops, order, np.arange(m, dtype=stops.dtype)[:, None, None])
+        marks = np.full((m, width, m), 7, dtype=stops.dtype)  # whatever the buffer held
+        got = _first_feeders(stops, order, np.arange(m, dtype=stops.dtype)[:, None, None], marks)
         assert got.shape == (width, m)
         assert got.tolist() == scan_first_feeders(feeds.tolist(), order)
 
