@@ -427,7 +427,7 @@ def _forward(graph: UcGraph, market: MarketSeries, params: list,
     tally = np.zeros((1 if observed is None else 2, P, m))
     chunk = max(1, _REWARD_BYTES // (P * m * 8))
     rewards = np.empty((min(chunk, T), P, m))
-    marks = np.empty((m, P, m), dtype=graph._stops.dtype)  # one buffer, not 211 kB a period
+    marks = np.empty((m, P, m), dtype=graph._stops.dtype)  # reused: not mmapped each period
     for lo in range(0, T, chunk):
         hi = min(T, lo + chunk)
         # level × margin, less the fixed cost on committed states
