@@ -60,7 +60,7 @@ def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             cfg = json.load(handle)
-    except FileNotFoundError:
+    except (FileNotFoundError, IsADirectoryError):
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
@@ -93,7 +93,7 @@ def _load_dataset(cfg: dict, dt: float, base: Path
 
     series = {}
     for path, (kind, columns) in files.items():
-        if not path.exists():
+        if not path.is_file():  # an empty name resolves to the config's directory
             raise DataError(f"{kind} file not found: {path}")
         table = load_series(path, columns.values())
         series.update((role, table[column]) for role, column in columns.items())
@@ -102,7 +102,7 @@ def _load_dataset(cfg: dict, dt: float, base: Path
 
 def _load_plant(cfg: dict, base: Path) -> dict:
     plant_path = base / str(_require(cfg, "plant"))
-    if not plant_path.exists():
+    if not plant_path.is_file():
         raise DataError(f"plant config file not found: {plant_path}")
     plant = _load_config(str(plant_path))
     if "epsilon_tco2_per_mwh_fuel" not in plant:
@@ -259,6 +259,11 @@ def _prepare(args) -> Run:
     seed = getattr(args, "seed", None)  # only fit takes --seed
     if seed is None:
         seed = _number("seed", cfg.get("seed", 0), int)
+    out = getattr(args, "out", None)  # validate writes nothing
+    if out is None:
+        out = cfg.get("out", "out")
+        if not isinstance(out, str):
+            raise ConfigError(f"out must be a string, got {out!r}")
     opts = SolverOptions(**_section(cfg, "solver"))
     de_cfg = DeConfig(seed=seed, **_section(cfg, "de"))
     compass_cfg = CompassConfig(**_section(cfg, "compass"))
@@ -271,9 +276,7 @@ def _prepare(args) -> Run:
     context = FitContext.from_observed(dynamics, market, observed,
                                        epsilon=plant["epsilon_tco2_per_mwh_fuel"])
     context.graph(opts)  # kept by the context for the command's solves
-    out = getattr(args, "out", None)  # validate writes nothing
-    out_dir = Path(out if out is not None else cfg.get("out", "out"))
-    return Run(plant, opts, bounds, de_cfg, compass_cfg, context, out_dir, params)
+    return Run(plant, opts, bounds, de_cfg, compass_cfg, context, Path(out), params)
 
 
 def cmd_fit(args) -> int:

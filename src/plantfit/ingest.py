@@ -65,21 +65,23 @@ def format_timestamp(stamp: np.datetime64) -> str:
     return np.datetime_as_string(stamp.astype("datetime64[s]"), unit="s") + "Z"
 
 
-def _check_dt(dt: float) -> None:
+def _step_seconds(dt: float) -> int:
+    """A step of ``dt`` hours in seconds, which must be a positive whole number."""
     if not (math.isfinite(dt) and dt > 0):
         raise DataError(f"dt must be finite and positive, got {dt}")
+    step_s = dt * 3600.0
+    if abs(step_s - round(step_s)) > 1e-9 or round(step_s) < 1:
+        raise DataError("dt must be a positive whole number of seconds")
+    return round(step_s)
 
 
 def make_grid(start, periods: int, dt: float) -> np.ndarray:
     """Uniform settlement grid of ``periods`` steps of ``dt`` hours."""
-    _check_dt(dt)
+    step_s = _step_seconds(dt)
     if periods < 1:
         raise DataError("grid needs at least one period")
-    step_s = dt * 3600.0
-    if abs(step_s - round(step_s)) > 1e-9 or round(step_s) < 1:
-        raise DataError("dt must be a positive whole number of seconds")
     t0 = parse_timestamp(start) if isinstance(start, str) else np.datetime64(start, "s")
-    return t0 + np.arange(periods) * np.timedelta64(int(round(step_s)), "s")
+    return t0 + np.arange(periods) * np.timedelta64(step_s, "s")
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,7 +236,7 @@ def align(
     period. The single ramp rate the model uses is the most restrictive
     value over the horizon.
     """
-    _check_dt(dt)
+    step_s = _step_seconds(dt)
     required = ("electricity", "fuel", "carbon", "production",
                 "mel", "sel", "ramp_up", "ramp_dn")
     missing = [k for k in required if k not in series]
@@ -243,7 +245,6 @@ def align(
     t0 = parse_timestamp(start) if isinstance(start, str) else np.datetime64(start, "s")
     t1 = parse_timestamp(end) if isinstance(end, str) else np.datetime64(end, "s")
     span_s = (t1 - t0).astype("timedelta64[s]").astype(float)
-    step_s = dt * 3600.0
     if span_s <= 0:
         raise DataError("horizon start must precede end")
     periods = int(round(span_s / step_s))

@@ -8,11 +8,15 @@ contraction levels. A score of +inf marks an infeasible candidate, which
 loses to every finite one. An exception from the scorer propagates, and a
 NaN score raises ``ValueError``. The drivers own all mutable state and are
 bit-reproducible for a fixed seed, so results do not depend on how the
-scorer spreads a batch over workers. A search records every point it
-scores and the score, as two arrays; a fit keeps both searches' results.
+scorer spreads a batch over workers. DE draws only
+``random.Random(seed).random()``, a stream Python keeps the same in every
+version (numpy promises none for its ``Generator`` methods), so a fit never
+imports ``numpy.random``. A search records every point it scores and the
+score, as two arrays; a fit keeps both searches' results.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +35,10 @@ from .uc import SolverOptions
 
 @dataclass(frozen=True)
 class DeConfig:
-    """DE/rand/1/bin settings."""
+    """DE/rand/1/bin settings. Every random draw is a
+    ``random.Random(seed).random()``: the initial population row by row,
+    then per member its three others (by rejection), its crossover mask
+    and its forced coordinate."""
 
     population: int = 32
     weight: float = 0.8      # differential weight F
@@ -126,12 +133,13 @@ def differential_evolution(score, bounds: SearchBounds,
     keeps its place unless the trial scores at least as well; ties move so
     the population can drift across plateaus.
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
     lower, upper = bounds.lower, bounds.upper
     dim = bounds.dim
     npop = cfg.population
 
-    pop = lower + rng.random((npop, dim)) * (upper - lower)
+    pop = lower + np.array([[rng.random() for _ in range(dim)]
+                            for _ in range(npop)]) * (upper - lower)
     scores = _scores(score, pop)
     points, values = [pop.copy()], [scores.copy()]
     history = [float(scores.min())]
@@ -141,12 +149,17 @@ def differential_evolution(score, bounds: SearchBounds,
             break
         trials = np.empty_like(pop)
         for i in range(npop):
-            picks = rng.choice(npop - 1, size=3, replace=False)
+            picks = []
+            while len(picks) < 3:
+                pick = int(rng.random() * (npop - 1))
+                if pick not in picks:
+                    picks.append(pick)
+            picks = np.array(picks)
             picks[picks >= i] += 1
             a, b, c = pop[picks]
             mutant = a + cfg.weight * (b - c)
-            cross = rng.random(dim) < cfg.crossover
-            cross[rng.integers(dim)] = True
+            cross = np.array([rng.random() < cfg.crossover for _ in range(dim)])
+            cross[int(rng.random() * dim)] = True
             trials[i] = np.clip(np.where(cross, mutant, pop[i]), lower, upper)
         trial_scores = _scores(score, trials)
         points.append(trials)

@@ -357,6 +357,7 @@ class TestValidate:
 
     @pytest.mark.parametrize("case,message", [
         ("absent", "config file not found: "),
+        ("directory", "config file not found: "),
         ("array", "must hold a JSON object"),
         ("no-start", "config is missing required key 'start'"),
         ("no-epsilon", "plant.json: missing epsilon_tco2_per_mwh_fuel"),
@@ -365,6 +366,8 @@ class TestValidate:
         config = with_plant(fixture_dir, tmp_path)
         if case == "absent":
             config = str(tmp_path / "absent.json")
+        elif case == "directory":
+            config = str(tmp_path)
         elif case == "array":
             Path(config).write_text("[]")
         elif case == "no-start":
@@ -392,6 +395,13 @@ class TestValidate:
     @pytest.mark.parametrize("changes,message", [
         ({"plant": "absent.json"}, "plant config file not found: "),
         ({"end": "2018-01-01T00:00:00Z"}, "horizon start must precede end"),
+        # an empty name resolves to the config's directory
+        ({"plant": ""}, "plant config file not found: "),
+        ({"production": ""}, "production file not found: "),
+        ({"dynamics": ""}, "dynamics file not found: "),
+        ({"prices": ""}, "price file not found: "),
+        # rounds to a 0 s step, which must not reach the division by the step
+        ({"dt": 1e-320}, "dt must be a positive whole number of seconds"),
     ])
     def test_config_naming_unusable_data_exits_2(self, fixture_dir, tmp_path, capsys,
                                                  changes, message):
@@ -564,6 +574,13 @@ class TestConfigKeys:
         assert f"{key} must be a number, got {value!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", [1, None, ["out"]])
+    def test_out_that_is_not_a_string_exits_1(self, fixture_dir, tmp_path, capsys, value):
+        config = with_config(fixture_dir, tmp_path, out=value)
+        for command in ("validate", "fit"):  # neither is given --out
+            assert main([command, "--config", config]) == 1
+            assert f"out must be a string, got {value!r}" in capsys.readouterr().err
+
     def test_bounds_absolute_or_per_mw_of_capacity(self):
         bounds = plantfit.cli._bounds_from_plant(
             {"bounds": {"eta": [0.3, 0.6], "sigma_per_cap": [0, 120], "phi": [0, 500]}}, 100.0)
@@ -583,24 +600,33 @@ class TestConfigKeys:
 
 
 class TestPoolLoading:
+    def imported(self, fixture_dir, tmp_path, argv, module):
+        """Whether ``module`` is imported once a fresh interpreter has run
+        ``plantfit`` with ``argv`` on a tiny fit's config."""
+        config = with_config(fixture_dir, tmp_path, de={"population": 8, "generations": 2},
+                             compass={"max_iterations": 1})
+        script = ("import sys; from plantfit.cli import main; code = main(sys.argv[2:]); "
+                  "print(sys.argv[1] in sys.modules); sys.exit(code)")
+        env = dict(os.environ, PYTHONPATH=str(Path(plantfit.cli.__file__).parents[1]))
+        command, *rest = argv
+        proc = subprocess.run(
+            [sys.executable, "-c", script, module, command, "--config", config,
+             "--out", str(tmp_path / "out"), *rest],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1] == "True"
+
     @pytest.mark.parametrize("argv,loaded", [
         (["fit", "--jobs", "1"], False),
         (["landscape", "--jobs", "2", "--eta", "0.45", "--axes", "eta,sigma",
           "--grid1", "0.3:0.6:3", "--grid2", "0:1000:3"], True),
     ])
     def test_process_pool_loaded_only_with_workers(self, fixture_dir, tmp_path, argv, loaded):
-        config = with_config(fixture_dir, tmp_path, de={"population": 8, "generations": 2},
-                             compass={"max_iterations": 1})
-        script = ("import sys; from plantfit.cli import main; code = main(sys.argv[1:]); "
-                  "print('concurrent.futures.process' in sys.modules); sys.exit(code)")
-        env = dict(os.environ, PYTHONPATH=str(Path(plantfit.cli.__file__).parents[1]))
-        command, *rest = argv
-        proc = subprocess.run(
-            [sys.executable, "-c", script, command, "--config", config,
-             "--out", str(tmp_path / "out"), *rest],
-            env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == str(loaded)
+        assert self.imported(fixture_dir, tmp_path, argv, "concurrent.futures.process") == loaded
+
+    def test_fit_never_imports_numpy_random(self, fixture_dir, tmp_path):
+        # DE draws from the standard library; numpy.random would load OpenSSL's libcrypto
+        assert not self.imported(fixture_dir, tmp_path, ["fit"], "numpy.random")
 
 
 class TestLoadDataset:

@@ -1,5 +1,6 @@
 """Derivative-free search: DE, compass, and the bilevel fit driver."""
 import math
+import random
 
 import numpy as np
 import pytest
@@ -239,11 +240,15 @@ def plateau_problems(draw):
 
 def reference_differential_evolution(score, bounds, cfg):
     """DE with one selection test per member: the loop the masked selection
-    step must reproduce, ties moving, record and all."""
-    rng = np.random.default_rng(cfg.seed)
+    step must reproduce, ties moving, record and all. Its draws are the
+    driver's, in the driver's order."""
+    rng = random.Random(cfg.seed)
     lower, upper = bounds.lower, bounds.upper
     dim, npop = bounds.dim, cfg.population
-    pop = lower + rng.random((npop, dim)) * (upper - lower)
+    pop = np.empty((npop, dim))
+    for i in range(npop):
+        for d in range(dim):
+            pop[i, d] = lower[d] + rng.random() * (upper[d] - lower[d])
     scores = _scores(score, pop)
     trace = [(pop[i].copy(), float(scores[i])) for i in range(npop)]
     history = [float(scores.min())]
@@ -252,12 +257,15 @@ def reference_differential_evolution(score, bounds, cfg):
             break
         trials = np.empty_like(pop)
         for i in range(npop):
-            picks = rng.choice(npop - 1, size=3, replace=False)
-            picks[picks >= i] += 1
-            a, b, c = pop[picks]
+            others = []
+            while len(others) < 3:
+                k = int(rng.random() * (npop - 1))
+                if k not in others:
+                    others.append(k)
+            a, b, c = (pop[k + (k >= i)] for k in others)
             mutant = a + cfg.weight * (b - c)
-            cross = rng.random(dim) < cfg.crossover
-            cross[rng.integers(dim)] = True
+            cross = [rng.random() < cfg.crossover for _ in range(dim)]
+            cross[int(rng.random() * dim)] = True
             trials[i] = np.clip(np.where(cross, mutant, pop[i]), lower, upper)
         trial_scores = _scores(score, trials)
         for i in range(npop):

@@ -115,17 +115,21 @@ class TestSolveUc:
 
     def test_profit_ties_prefer_fewer_committed_periods(self):
         # committed at 24 MW over 8 MW rungs up to SEL 16: schedules committed
-        # for 6 and for 7 periods tie on profit (192) and on energy (80 MWh)
-        market = toy_market(16.0 + np.array([-4, 0, 0, 4, -4, 4, 0, -4, 0, 8], dtype=float),
-                            fuel=16.0)
-        dyn = flat_dynamics(10, mel=64.0, sel=16.0, ramp_up=8.0, ramp_dn=16.0)
-        inst = UcInstance(params=params(eta=1.0), dynamics=dyn, market=market,
-                          initial_committed=True, initial_power=24.0)
-        opts = SolverOptions(power_levels=2)
-        schedule = solve(inst, opts)
-        assert schedule.power.tolist() == [8.0, 0.0, 8.0, 16.0, 0.0, 0.0, 0.0, 8.0, 16.0, 24.0]
-        assert schedule.committed.sum() == 6 and schedule.profit == 192.0
-        assert schedule.power.tobytes() == loop_solve(inst, opts)[0].tobytes()
+        # for 6 and for 7 periods tie on profit (192) and on energy (80 MWh).
+        # Three dear periods more: the count now decides inside a period's
+        # sort too, where ranking by profit and energy alone commits 10.
+        for tail, committed, profit in (([], 6, 192.0), ([40, 40, 40], 9, 3072.0)):
+            prices = 16.0 + np.array([-4, 0, 0, 4, -4, 4, 0, -4, 0, 8, *tail], dtype=float)
+            market = toy_market(prices, fuel=16.0)
+            dyn = flat_dynamics(len(prices), mel=64.0, sel=16.0, ramp_up=8.0, ramp_dn=16.0)
+            inst = UcInstance(params=params(eta=1.0), dynamics=dyn, market=market,
+                              initial_committed=True, initial_power=24.0)
+            opts = SolverOptions(power_levels=2)
+            schedule = solve(inst, opts)
+            assert schedule.power.tolist() == ([8.0, 0.0, 8.0, 16.0, 0.0, 0.0, 0.0, 8.0, 16.0,
+                                                24.0] + [24.0] * len(tail))
+            assert schedule.committed.sum() == committed and schedule.profit == profit
+            assert schedule.power.tobytes() == loop_solve(inst, opts)[0].tobytes()
 
     def test_committed_start_below_sel_keeps_climbing(self):
         # entering the horizon at 10 MW, below SEL 80, on the way up: the climb

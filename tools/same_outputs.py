@@ -10,10 +10,14 @@ both sides. Each side then runs the ``plantfit`` command of every entry of
 arguments, plus ``fit_2w`` at ``--jobs 2`` and ``landscape_2w`` over an
 eta grid of 0:1.2:25, whose cells at eta 0 and above 1 are invalid. Every
 file a command writes is compared byte for byte with the other side's.
+On each side, ``fit_2w --jobs 2`` must also write the same bytes as
+``fit_2w``: results do not depend on the worker count, and this holds
+even when a change alters the fit's outputs on purpose.
 
-Exits 0 when every command exits 0 on both sides and every output file is
-the same; otherwise exits 1 and names the first command or file that
-differs.
+Every command and comparison is run and reported, one line each. Exits 0
+when every command exits 0 on both sides and every output file is the
+same; otherwise exits 1, and the lines name each command that failed and
+each file that differs.
 """
 from __future__ import annotations
 
@@ -38,35 +42,41 @@ def variants(workloads: dict) -> list:
     return out
 
 
-def first_difference(a: Path, b: Path) -> str | None:
-    """The first file, by relative path, that only one tree holds or whose bytes differ."""
+# (label, label of the same side's command it must match byte for byte)
+SAME_SIDE = [("fit_2w --jobs 2", "fit_2w")]
+
+
+def differences(a: Path, b: Path) -> list[str]:
+    """Each file, by relative path, that only one tree holds or whose bytes differ."""
     names = sorted({p.relative_to(root) for root in (a, b) for p in root.rglob("*")
                     if p.is_file()})
+    found = []
     for name in names:
         if not (a / name).is_file() or not (b / name).is_file():
-            return f"{name} is written by one side only"
-        if (a / name).read_bytes() != (b / name).read_bytes():
-            return f"{name} differs"
-    return None
+            found.append(f"{name} is written by one side only")
+        elif (a / name).read_bytes() != (b / name).read_bytes():
+            found.append(f"{name} differs")
+    return found
 
 
-def compare(sides: dict, inputs: Path, wl) -> str | None:
-    """Run one command of each side's sources on the same inputs; the first
-    difference."""
-    outs = {}
-    for side, root in sides.items():
-        work = root.parent / f"{root.name}-work"
-        shutil.rmtree(work, ignore_errors=True)
-        shutil.copytree(inputs, work)
-        env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
-        proc = subprocess.run([sys.executable, "-m", "plantfit.cli", *wl.argv()], cwd=work,
-                              env=env, capture_output=True, text=True)
-        if proc.returncode != 0:
-            return f"the {side} exited {proc.returncode}: {proc.stderr.strip()[-500:]}"
-        outs[side] = work / "out"
-    if not any(outs["parent"].rglob("*")):
-        return "the command wrote no output file"
-    return first_difference(outs["parent"], outs["change"])
+def run_command(root: Path, inputs: Path, wl, work: Path) -> Path | str:
+    """Run one command of the sources under ``root`` on a copy of ``inputs``
+    in ``work``: its output directory, or why it has none."""
+    shutil.copytree(inputs, work)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "plantfit.cli", *wl.argv()], cwd=work,
+                          env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        return f"exited {proc.returncode}: {proc.stderr.strip()[-500:]}"
+    if not any((work / "out").rglob("*")):
+        return "wrote no output file"
+    return work / "out"
+
+
+def report(what: str, found: list[str]) -> bool:
+    """Print one line for a command or comparison; whether it failed."""
+    print(f"{what}: {', '.join(found) if found else 'same outputs'}", flush=True)
+    return bool(found)
 
 
 def main(argv=None) -> int:
@@ -87,20 +97,29 @@ def main(argv=None) -> int:
         sys.path[:0] = [str(sides["change"] / "perfbench"), str(sides["change"] / "src")]
         import run  # the change's perfbench/run.py, and through it perfbench/inputs.py
 
+        failures = 0
         for seed in args.seed:
             written: dict = {}  # base workload name -> its inputs
-            for label, base, wl in variants(run.WORKLOADS):
+            outs: dict = {}  # (side, label) -> its output directory
+            for i, (label, base, wl) in enumerate(variants(run.WORKLOADS)):
                 if base not in written:
                     written[base] = tmp / f"inputs-{base}-{seed}"
                     run.prepare(written[base], run.WORKLOADS[base], seed)
-                difference = compare(sides, written[base], wl)
-                if difference is not None:
-                    print(f"{label}, seed {seed}: {difference}")
-                    return 1
-                print(f"{label}, seed {seed}: same outputs", flush=True)
+                runs = {side: run_command(root, written[base], wl, tmp / f"{side}-{seed}-{i}")
+                        for side, root in sides.items()}
+                failed = [f"the {side} {out}" for side, out in runs.items() if isinstance(out, str)]
+                if not failed:
+                    outs.update(((side, label), out) for side, out in runs.items())
+                failures += report(f"{label}, seed {seed}",
+                                   failed or differences(runs["parent"], runs["change"]))
+            for label, alike in SAME_SIDE:
+                for side in sides:
+                    if (side, label) in outs and (side, alike) in outs:
+                        failures += report(f"{label} against {alike}, the {side}, seed {seed}",
+                                           differences(outs[side, alike], outs[side, label]))
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    return 0
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
