@@ -62,7 +62,7 @@ def _load_config(path: str) -> dict:
             cfg = json.load(handle)
     except (FileNotFoundError, IsADirectoryError):
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")

@@ -70,7 +70,7 @@ def _step_seconds(dt: float) -> int:
     if not (math.isfinite(dt) and dt > 0):
         raise DataError(f"dt must be finite and positive, got {dt}")
     step_s = dt * 3600.0
-    if abs(step_s - round(step_s)) > 1e-9 or round(step_s) < 1:
+    if not math.isfinite(step_s) or abs(step_s - round(step_s)) > 1e-9 or round(step_s) < 1:
         raise DataError("dt must be a positive whole number of seconds")
     return round(step_s)
 
@@ -144,45 +144,49 @@ def load_series(path, columns) -> SeriesTable:
     columns = tuple(columns)
     seconds: list[int] = []
     values: list[list[float]] = [[] for _ in columns]
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: missing header row")
-        position = {name: i for i, name in enumerate(header)}
-        for col in ("timestamp_utc", *columns):
-            if col not in position:
-                raise DataError(f"{path}: missing column {col!r}")
-            if header.count(col) > 1:
-                raise DataError(f"{path}: column {col!r} appears twice in the header")
-        stamp_at = position["timestamp_utc"]
-        value_at = [(col, position[col]) for col in columns]
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) > len(header):
-                raise DataError(f"{path}:{line}: {len(row)} fields but the header "
-                                f"has {len(header)}")
-            if len(row) < len(header):
-                raise DataError(f"{path}:{line}: missing value in column {header[len(row)]!r}")
-            try:
-                second = _epoch_seconds(row[stamp_at])
-            except DataError as exc:
-                raise DataError(f"{path}:{line}: {exc}") from None
-            for out, (col, i) in zip(values, value_at):
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: missing header row")
+            position = {name: i for i, name in enumerate(header)}
+            for col in ("timestamp_utc", *columns):
+                if col not in position:
+                    raise DataError(f"{path}: missing column {col!r}")
+                if header.count(col) > 1:
+                    raise DataError(f"{path}: column {col!r} appears twice in the header")
+            stamp_at = position["timestamp_utc"]
+            value_at = [(col, position[col]) for col in columns]
+            for row in reader:
+                if not row:
+                    continue
+                line = reader.line_num
+                if len(row) > len(header):
+                    raise DataError(f"{path}:{line}: {len(row)} fields but the header "
+                                    f"has {len(header)}")
+                if len(row) < len(header):
+                    raise DataError(f"{path}:{line}: missing value in column {header[len(row)]!r}")
                 try:
-                    value = float(row[i])
-                except ValueError:
-                    raise DataError(f"{path}:{line}: unparseable value {row[i]!r}") from None
-                if not math.isfinite(value):
-                    raise DataError(f"{path}:{line}: non-finite value in column {col!r}")
-                out.append(value)
-            if seconds and second <= seconds[-1]:
-                kind = "duplicate" if second == seconds[-1] else "decreasing"
-                raise DataError(f"{path}:{line}: {kind} timestamp "
-                                f"{format_timestamp(np.datetime64(second, 's'))}")
-            seconds.append(second)
+                    second = _epoch_seconds(row[stamp_at])
+                except DataError as exc:
+                    raise DataError(f"{path}:{line}: {exc}") from None
+                for out, (col, i) in zip(values, value_at):
+                    try:
+                        value = float(row[i])
+                    except ValueError:
+                        raise DataError(f"{path}:{line}: unparseable value {row[i]!r}") from None
+                    if not math.isfinite(value):
+                        raise DataError(f"{path}:{line}: non-finite value in column {col!r}")
+                    out.append(value)
+                if seconds and second <= seconds[-1]:
+                    kind = "duplicate" if second == seconds[-1] else "decreasing"
+                    raise DataError(f"{path}:{line}: {kind} timestamp "
+                                    f"{format_timestamp(np.datetime64(second, 's'))}")
+                seconds.append(second)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: cannot decode byte "
+                        f"0x{exc.object[exc.start]:02x} ({exc.reason})") from None
     if not seconds:
         raise DataError(f"{path}: no data rows")
     stamps = np.array(seconds, dtype=np.int64)

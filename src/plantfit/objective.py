@@ -46,7 +46,8 @@ def sse(predicted, observed) -> float:
     if len(a) != len(b):
         raise DataError("predicted and observed length mismatch")
     d = a - b
-    return float(np.add.accumulate(d * d)[-1]) if len(d) else 0.0
+    with np.errstate(over="ignore"):  # a difference above about 1e154 MW squares to inf
+        return float(np.add.accumulate(d * d)[-1]) if len(d) else 0.0
 
 
 def rms(predicted, observed) -> float:

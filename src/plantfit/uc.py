@@ -33,20 +33,21 @@ adjacent layouts; flat dynamics need a single layout and table. The initial
 condition is a source layout before the first period, so every period, the
 first included, takes the same step.
 Start-up cost needs no arc of its own: state 0, the off state, has a second
-row that carries its profit less each candidate's sigma, and the arcs from
-off into committed states leave from that row.
+row, whose reward each period is 0 × margin less the candidate's sigma, and
+the arcs from off into committed states leave from that row.
 
 Ties in profit go to the path with fewer committed periods, then less
 energy, then the lowest state index, at every step and at the end. Each
 period every candidate's rows are sorted once by (profit descending,
-committed count, energy, index), and each state's parent is the first row in
-that order with a feasible arc into it. A feasible arc adds nothing but the
-start-up cost that the second row already holds, so the parent's profit is
-the state's best, and the order breaks its ties. The first feeding position
-comes from one vectorized minimum: the arc markers (0 where a row feeds a
-state, the dtype's maximum where not) are gathered by the sorted order,
-each position k is OR-ed into its slice, and the minimum over the positions
-is the first k that feeds.
+committed count, energy, index), the first three of each row's one float64
+state, and each state's parent is the first row in that order with a
+feasible arc into it. A feasible arc adds nothing but the start-up cost
+that the second row already holds, so the parent's profit is the state's
+best, and the order breaks its ties. The first feeding position comes from
+one vectorized minimum: the arc markers (0 where a row feeds a state, the
+dtype's maximum where not) are gathered by the sorted order, each position
+k is OR-ed into its slice, and the minimum over the positions is the first
+k that feeds.
 
 Energy alone would choose the same paths on plants without transit rungs
 (SEL = 0, or ramp×dt ≥ SEL both ways), in exact arithmetic. There the
@@ -154,7 +155,7 @@ def _period_levels(mel: float, sel: float, up_step: float, dn_step: float,
             levels.extend([value, value])
             modes.extend([_UP, _DOWN])
     if mel - sel > _TOL:
-        stable = np.linspace(sel, mel, power_levels)
+        stable = np.linspace(sel, mel, min(power_levels, _MAX_STATES))  # any more fail below
     else:
         stable = np.array([sel])
     if hold_level is not None:
@@ -392,22 +393,21 @@ def _check_market(graph: UcGraph, market: MarketSeries) -> None:
                           f"{market.dt:g} h against {horizon} and {graph.dt:g} h")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # tiny eta: f/eta, 0 × -inf, sums to ±inf
 def _forward(graph: UcGraph, market: MarketSeries, params: list,
              observed: np.ndarray | None = None, parents: np.ndarray | None = None) -> tuple:
     """The DP's forward pass for valid candidates.
 
-    Keeps per (candidate, row) the best profit, negated, and for the path
-    reaching it the committed-period count and a float tally: its energy
-    and, given ``observed`` production, its squared error against it. Count
-    and energy break ties.
-    Each period sorts every candidate's rows once by (negated profit, count,
-    energy, row), finds for each row the first one in that order that feeds
-    it (``_first_feeders``, one minimum over the gathered arc markers), and
-    gathers the row's value and tally from it; ``parents``, when given,
-    receives each (period, candidate, state)'s parent state. Margins and
-    rewards are built a chunk of periods at a time from each period's
-    layout. Returns each candidate's best final state, by the same order,
-    with its profit and tally, (1 or 2, candidates).
+    Keeps one float state (3 or 4, candidates, rows): the best profit,
+    negated, and for the path reaching it the committed count (a whole
+    number, so exact), the energy and, given ``observed`` production, the
+    squared error against it. Each period sorts every candidate's rows by the
+    first three, gathers each row's whole state from the first row in that
+    order that feeds it (``_first_feeders``), subtracts the period's reward,
+    row 1's start-up cost included, and adds its gains; ``parents``, when
+    given, receives each (period, candidate, state)'s parent state. Returns
+    each candidate's best final state, by the same order, with its profit
+    and energy[, error], (1 or 2, candidates).
     """
     arcs, stops = graph._arc_of.tolist(), list(graph._stops)
     P = len(params)
@@ -419,12 +419,10 @@ def _forward(graph: UcGraph, market: MarketSeries, params: list,
     rows = np.arange(P)[:, None] * m  # first row of each candidate
 
     # the source's rows; row 1 is state 0 less sigma, row m-1 the sentinel
-    nv = np.zeros((P, m))
-    nv[:, 1] = sigma
-    nv[:, -1] = np.inf
-    # a contiguous key of the fewest bytes that hold T, which lexsort radix-sorts
-    count = np.zeros((P, m), dtype=np.min_scalar_type(T))
-    tally = np.zeros((1 if observed is None else 2, P, m))
+    K = 3 if observed is None else 4
+    state = np.zeros((K, P, m))
+    state[0, :, 1] = sigma
+    state[0, :, -1] = np.inf
     chunk = max(1, _REWARD_BYTES // (P * m * 8))
     rewards = np.empty((min(chunk, T), P, m))
     marks = np.empty((m, P, m), dtype=graph._stops.dtype)  # reused: not mmapped each period
@@ -433,34 +431,29 @@ def _forward(graph: UcGraph, market: MarketSeries, params: list,
         # level × margin, less the fixed cost on committed states
         level = graph._level.take(layout_at[lo:hi], axis=0)
         on = graph._on.take(layout_at[lo:hi], axis=0)
-        with np.errstate(over="ignore", invalid="ignore"):  # tiny eta: f/eta, 0 × -inf
-            mv_dt = _margin(market.w[lo:hi, None], market.f[lo:hi, None],
-                            market.e[lo:hi, None], eta, nu, epsilon)
-            mv_dt *= dt
-            np.multiply(level[:, None], mv_dt[:, :, None], out=rewards[:hi - lo])
+        mv_dt = _margin(market.w[lo:hi, None], market.f[lo:hi, None],
+                        market.e[lo:hi, None], eta, nu, epsilon)
+        mv_dt *= dt
+        np.multiply(level[:, None], mv_dt[:, :, None], out=rewards[:hi - lo])
         np.subtract(rewards[:hi - lo], phi_dt, out=rewards[:hi - lo], where=on[:, None])
-        gains = [level * dt]  # to (energy[, squared error])
+        rewards[:hi - lo, :, 1] -= sigma  # row 1 is off: 0 × an overflowed margin stays NaN
+        gains = [on, level * dt]  # to (count, energy[, squared error])
         if observed is not None:
             gains.append(np.square(level - observed[lo:hi, None]))
         gains = np.stack(gains, axis=1)[:, :, None]
-        ons = on.astype(count.dtype)
-        for t, arc, reward, gain, on_t in zip(range(lo, hi), arcs[lo:hi], rewards, gains, ons):
-            order = np.lexsort((tally[0], count, nv))
+        for t, arc, reward, gain in zip(range(lo, hi), arcs[lo:hi], rewards, gains):
+            order = np.lexsort(state[2::-1])
             src = order.take(_first_feeders(stops[arc], order, positions, marks) + rows)
             if parents is not None:
                 graph._state.take(src[:, graph._column], out=parents[t])
             src += rows
-            nv = nv.take(src)
-            nv -= reward
-            nv[:, 1] += sigma
-            count = count.take(src)
-            count += on_t
-            tally = tally.reshape(len(tally), P * m).take(src, axis=1)
-            tally += gain
-    nv, count, tally = nv[:, graph._column], count[:, graph._column], tally[..., graph._column]
-    best = np.lexsort((tally[0], count, nv))[:, 0]
+            state = state.reshape(K, P * m).take(src, axis=1)
+            state[0] -= reward
+            state[1:] += gain
+    state = state[..., graph._column]
+    best = np.lexsort(state[2::-1])[:, 0]
     picks = np.arange(P)
-    return best, -nv[picks, best], tally[:, picks, best]
+    return best, -state[0, picks, best], state[2:, picks, best]
 
 
 def _stop_markers(feeds: np.ndarray) -> np.ndarray:

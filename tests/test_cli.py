@@ -1,13 +1,18 @@
 """Command-line interface: subcommands, outputs, exit codes, determinism."""
+import contextlib
+import copy
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from plantfit import (
     PlantParameters,
@@ -80,7 +85,9 @@ def with_config(fixture_dir, root, **changes):
 def with_production(fixture_dir, root, edit):
     """A config over the fixture's data with its production rows passed through ``edit``."""
     rows = (fixture_dir / "production.csv").read_text().splitlines()
-    (root / "production.csv").write_text("\n".join(edit(rows)) + "\n")
+    # a lone surrogate "\udcXX" in a row is written as the byte 0xXX
+    (root / "production.csv").write_text("\n".join(edit(rows)) + "\n",
+                                         errors="surrogateescape")
     return with_config(fixture_dir, root, production=str(root / "production.csv"))
 
 
@@ -361,6 +368,7 @@ class TestValidate:
         ("array", "must hold a JSON object"),
         ("no-start", "config is missing required key 'start'"),
         ("no-epsilon", "plant.json: missing epsilon_tco2_per_mwh_fuel"),
+        ("plant-not-utf-8", "plant.json is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
     ])
     def test_unusable_config_exits_1(self, fixture_dir, tmp_path, capsys, case, message):
         config = with_plant(fixture_dir, tmp_path)
@@ -372,6 +380,9 @@ class TestValidate:
             Path(config).write_text("[]")
         elif case == "no-start":
             without(config, "start")
+        elif case == "plant-not-utf-8":
+            plant = tmp_path / "plant.json"
+            plant.write_bytes(plant.read_bytes().replace(b"DEMO-1", b"DEMO-\xff"))
         else:
             without(tmp_path / "plant.json", "epsilon_tco2_per_mwh_fuel")
         assert main(["validate", "--config", config]) == 1
@@ -382,6 +393,10 @@ class TestValidate:
                      "production.csv:5: unparseable timestamp: 'yesterday'", id="timestamp"),
         pytest.param(lambda rows: rows[:4] + [rows[4].split(",")[0] + ",1.5MW"] + rows[5:],
                      "production.csv:5: unparseable value '1.5MW'", id="value"),
+        pytest.param(lambda rows: rows[:4] + [rows[4].split(",")[0] + ",1\udcff5"] + rows[5:],
+                     "production.csv: not UTF-8 text: cannot decode byte 0xff "
+                     "(invalid start byte)",
+                     id="not-utf-8"),
         pytest.param(lambda rows: rows[:1], "production.csv: no data rows", id="header-only"),
         pytest.param(lambda rows: rows[:1] + rows[2:],
                      "gap in observed production: horizon starts 2018-01-01T00:00:00Z "
@@ -597,6 +612,107 @@ class TestConfigKeys:
     def test_bound_that_is_not_a_pair_rejected(self, value):
         with pytest.raises(plantfit.cli.ConfigError, match="sigma"):
             plantfit.cli._bounds_from_plant({"bounds": {"sigma_per_cap": value}}, 100.0)
+
+
+# values any config, plant or bound key may be given: wrong types, empty, zero,
+# negative, subnormal, huge and non-finite numbers, and containers
+FUZZ_VALUES = ["x", "", 0, -1, 1e-320, 1e308, math.nan, math.inf, [0, 1], {"a": 1}, None, True]
+FUZZ_KEYS = {
+    "config": ("prices", "production", "dynamics", "plant", "start", "end", "dt", "seed",
+               "out", "solver", "de", "compass", "fuel_prices"),
+    "solver": ("power_levels",),
+    "de": ("population", "weight", "crossover", "generations", "target"),
+    "compass": ("contraction", "max_iterations"),
+    "plant": ("plant_id", "epsilon_tco2_per_mwh_fuel", "bounds"),
+    "bounds": ("eta", "sigma", "phi", "nu", "sigma_per_cap", "phi_per_cap"),
+}
+# a population or generation count of 1e308 is a valid request for that much work
+SIZES = {"population", "generations"}
+# malformed CSV text: a non-UTF-8 byte, a NUL, a stray quote, extra or missing
+# fields, non-finite or unparseable values, a repeated timestamp
+FUZZ_ROWS = [b"\xff", b"\x00", b'"', b",,,", b"nan", b"1e400", b"x,y", b"",
+             b"2018-01-01T00:00:00Z,1"]
+FUZZ_ARGS = {
+    "validate": [],
+    "fit": [],
+    "simulate": ["--eta", "0.45", "--sigma", "500"],
+    "landscape": ["--eta", "0.45", "--axes", "eta,sigma", "--grid1", "0.3:0.6:2",
+                  "--grid2", "0:1000:2"],
+}
+
+
+@st.composite
+def key_edits(draw):
+    """(where, key, value) settings drawn from ``FUZZ_VALUES``; a bound may
+    also be a pair of them."""
+    where, key = draw(st.sampled_from([(where, key) for where, keys in FUZZ_KEYS.items()
+                                       for key in keys]))
+    values = st.sampled_from([v for v in FUZZ_VALUES if not (key in SIZES and v == 1e308)])
+    if where == "bounds":
+        values = values | st.lists(values, min_size=2, max_size=2)
+    return where, key, copy.deepcopy(draw(values))  # edits may nest into it
+
+
+csv_edits = st.tuples(st.sampled_from(["prices", "production", "dynamics"]),
+                      st.integers(0, 100), st.sampled_from(FUZZ_ROWS),
+                      st.sampled_from(["replace", "append", "insert", "truncate"]))
+
+
+class TestFuzzedInputs:
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from(sorted(FUZZ_ARGS)), st.lists(key_edits(), max_size=3),
+           st.none() | csv_edits)
+    @example("validate", [], ("production", 5, b"\xff", "append"))
+    @example("validate", [("solver", "power_levels", 1e308)], None)
+    @example("fit", [("config", "dt", 1e308)], None)
+    def test_any_input_exits_with_a_code_and_one_error_line(self, fixture_dir, command,
+                                                           edits, csv_edit):
+        # tiny runs; pytest makes a warning an error, which would escape main
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            config = json.loads((fixture_dir / "config.json").read_text())
+            for key in ("prices", "production", "dynamics"):
+                config[key] = str(fixture_dir / config[key])
+            config.update(plant=str(work / "plant.json"), out=str(work / "out"),
+                          de={"population": 4, "generations": 1},
+                          compass={"max_iterations": 1})
+            plant = json.loads((fixture_dir / "plant.json").read_text())
+            if csv_edit is not None:
+                name, at, row, how = csv_edit
+                rows = (fixture_dir / f"{name}.csv").read_bytes().split(b"\n")
+                at %= len(rows)
+                if how == "truncate":
+                    rows = rows[:at]
+                elif how == "insert":
+                    rows.insert(at, row)
+                else:
+                    rows[at] = row if how == "replace" else rows[at] + row
+                (work / f"{name}.csv").write_bytes(b"\n".join(rows))
+                config[name] = str(work / f"{name}.csv")
+            for where, key, value in edits:
+                if where in ("config", "plant"):
+                    (config if where == "config" else plant)[key] = value
+                    continue
+                owner = plant if where == "bounds" else config
+                if not isinstance(owner.get(where), dict):
+                    owner[where] = {}
+                owner[where][key] = value
+            (work / "plant.json").write_text(json.dumps(plant))
+            (work / "config.json").write_text(json.dumps(config))
+            err, cwd = io.StringIO(), os.getcwd()
+            os.chdir(work)  # where an "out" that is not absolute writes
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main([command, "--config", str(work / "config.json"),
+                                 *FUZZ_ARGS[command]])
+            finally:
+                os.chdir(cwd)
+        assert code in (0, 1, 2, 3)
+        lines = err.getvalue().splitlines()
+        if code:
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        else:
+            assert lines == []
 
 
 class TestPoolLoading:

@@ -63,6 +63,10 @@ class TestErrorMetrics:
         with pytest.raises(DataError):
             sse(np.zeros(3), observed_of([0.0, 0.0]))
 
+    def test_overflow_reads_inf_without_a_warning(self):
+        assert sse(np.zeros(2), observed_of([1e200, 0.0])) == math.inf
+        assert sse(np.zeros(2), observed_of([1e154, 1e154])) == math.inf
+
     def test_empty_rms_rejected(self):
         with pytest.raises(DataError):
             rms(np.array([]), np.array([]))

@@ -673,6 +673,29 @@ class TestBatchedSweep:
         with pytest.raises(ParameterError, match="eta"):  # alone, it names its error
             solve(dataclasses.replace(inst, params=params(eta=0.0)), opts)
 
+    def test_margin_overflowing_in_one_period_fails_the_candidate(self):
+        # fuel is priced in period 2 only, so only there does f/eta overflow: a
+        # path that is off there and starts after it has no finite profit either
+        market = dataclasses.replace(toy_market([60.0] * 6, fuel=0.0),
+                                     f=np.where(np.arange(6) == 2, 20.0, 0.0))
+        dyn = flat_dynamics(6, mel=100.0, sel=0.0, ramp_up=200.0, ramp_dn=200.0)
+        opts = SolverOptions(power_levels=3)
+        for sigma in (0.0, 1000.0):
+            inst = UcInstance(params=params(eta=1e-307, sigma=sigma), dynamics=dyn, market=market)
+            assert optimal_sse(graph_of(inst, opts), market, [inst.params],
+                               np.zeros(6)) == [math.inf]
+            with pytest.raises(SolverError, match="no schedule of finite profit"):
+                solve(inst, opts)
+
+    def test_sums_past_the_float_range_do_not_warn(self):
+        # at eta 2e-305 a committed period loses a finite 1e308 and two lose -inf, so
+        # staying off wins; squared errors of 1e200 MW overflow: neither warns
+        inst, opts = worked_example()
+        graph, p = graph_of(inst, opts), params(eta=2e-305)
+        assert optimal_sse(graph, inst.market, [p, inst.params], np.zeros(3)) == [0.0, 2e4]
+        assert not solve(dataclasses.replace(inst, params=p), opts).committed.any()
+        assert optimal_sse(graph, inst.market, [p], np.full(3, 1e200)) == [math.inf]
+
     @pytest.mark.parametrize("field,value", [
         ("sigma", math.nan), ("phi", math.nan), ("nu", math.nan), ("epsilon", math.nan),
         ("sigma", -5e5), ("eta", 1.7)])
@@ -884,3 +907,38 @@ class TestTwoWeekBatch:
         assert sum(s.started.sum() > 0 for s in schedules) > 16
         for schedule, inst in zip(schedules, instances):
             assert schedule.profit == schedule_profit(schedule, inst)
+
+
+class TestYearHorizon:
+    def test_solves_optimal_against_each_other_and_convex_in_the_costs(self):
+        # a year on one graph, where counts pass any small integer type: each
+        # schedule is feasible and earns the most at its own parameters, the
+        # optimal profit, a maximum of functions linear in (1/eta, sigma, phi,
+        # nu), is convex there, and each batch score is its schedule's SSE
+        T = 17520
+        market, dynamics = recovery_market(T), flat_dynamics(T)
+        graph = UcGraph(dynamics, market.dt, SolverOptions())
+        rng = np.random.default_rng(11)
+        candidates = [dataclasses.replace(
+            TRUE_PARAMS, eta=float(eta), sigma=float(sigma), phi=float(phi), nu=float(nu))
+            for eta, sigma, phi, nu in zip(rng.uniform(0.45, 0.55, 8), rng.uniform(0.0, 3e4, 8),
+                                           rng.uniform(0.0, 2e3, 8), rng.uniform(0.0, 4.0, 8))]
+        instances = [UcInstance(params=p, dynamics=dynamics, market=market) for p in candidates]
+        schedules = [solve_uc(graph, market, p) for p in candidates]
+        counts = sorted(int(s.committed.sum()) for s in schedules)
+        assert counts[0] < 2**8 and counts[-1] > 2**14
+        for inst, own in zip(instances, schedules):
+            assert validate_schedule(own, inst) == []
+            for other in schedules:
+                assert schedule_profit(other, inst) <= own.profit + 1e-9 * abs(own.profit)
+        for a, b in ((0, 1), (2, 3), (4, 5)):
+            ends = candidates[a], candidates[b]
+            mid = dataclasses.replace(
+                TRUE_PARAMS, eta=2.0 / (1.0 / ends[0].eta + 1.0 / ends[1].eta),
+                **{name: (getattr(ends[0], name) + getattr(ends[1], name)) / 2.0
+                   for name in ("sigma", "phi", "nu")})
+            chord = (schedules[a].profit + schedules[b].profit) / 2.0
+            assert solve_uc(graph, market, mid).profit <= chord + 1e-9 * abs(chord)
+        observed = np.resize([0.0, 250.0, 480.0, 500.0], T)
+        scores = optimal_sse(graph, market, candidates, observed)
+        assert scores == [sse(s, observed) for s in schedules]
