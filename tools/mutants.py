@@ -58,9 +58,6 @@ MUTANTS = [
     ("compass moves on a tie", SEARCH,
      "if value < fx:", "if value <= fx:",
      ["tests/test_search.py::TestCompassSearch::test_one_dimensional_quadratic"]),
-    ("differential evolution keeps the member on a tie", SEARCH,
-     "keep = trial_scores <= scores", "keep = trial_scores < scores",
-     ["tests/test_search.py::TestDeSelection::test_matches_one_test_per_member"]),
     ("evaluator memo bypassed", OBJECTIVE,
      "if key not in self._scored:", "if True:",
      ["tests/test_objective.py::TestCandidateEvaluator::test_scored_vectors_served_from_memory"]),
