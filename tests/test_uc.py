@@ -911,10 +911,10 @@ class TestTwoWeekBatch:
 
 class TestYearHorizon:
     def test_solves_optimal_against_each_other_and_convex_in_the_costs(self):
-        # a year on one graph, where counts pass any small integer type: each
-        # schedule is feasible and earns the most at its own parameters, the
+        # a year on one graph, committed counts from a few to over 2**14: each
+        # schedule is feasible and earns the most at its own parameters; the
         # optimal profit, a maximum of functions linear in (1/eta, sigma, phi,
-        # nu), is convex there, and each batch score is its schedule's SSE
+        # nu), is convex there; and each batch score is its schedule's SSE
         T = 17520
         market, dynamics = recovery_market(T), flat_dynamics(T)
         graph = UcGraph(dynamics, market.dt, SolverOptions())
