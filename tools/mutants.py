@@ -1,15 +1,15 @@
 """Check that the tests still kill each listed mutant of the program.
 
-    python3 tools/mutants.py [--commit HEAD]
+    python3 tools/mutants.py
 
 ``MUTANTS`` lists, per mutant, its name, the file it edits, the exact text it
 replaces, which must occur once in that file, the text that replaces it, and
-the ids of the tests that must fail on it. The commit's tree is unpacked once
-with ``git archive``, as ``tools/bench_pairs.py`` does, and every listed test
-is first run on it unchanged: they must pass, so that a failure shows the
-mutant and nothing else. Then each mutant in turn is written into its file,
-its own tests are run, stopping at the first failure, and the file is put
-back.
+the ids of the tests that must fail on it. The list matches the code of the
+commit it sits in, so HEAD's tree is unpacked once with ``git archive``, as
+``tools/bench_pairs.py`` does, and every listed test is first run on it
+unchanged: they must pass, so that a failure shows the mutant and nothing
+else. Then each mutant in turn is written into its file, its own tests are
+run, stopping at the first failure, and the file is put back.
 
 Prints one line per mutant. Exits 0 when every mutant is killed; exits 1
 naming each one that survives, whose text does not occur exactly once (a
@@ -17,7 +17,6 @@ change to the code must update the list), or whose tests could not run.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -87,11 +86,8 @@ def outcome(root: Path, file: str, old: str, new: str, tests: list[str]) -> str:
     return {0: "SURVIVED", 1: "killed"}.get(code, f"its tests did not run: pytest exited {code}")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--commit", default="HEAD", help="commit whose tree is mutated")
-    args = parser.parse_args(argv)
-    commit = git("rev-parse", args.commit)
+def main() -> int:
+    commit = git("rev-parse", "HEAD")
     tmp = Path(tempfile.mkdtemp(prefix="mutants_"))
     try:
         root = tmp / "tree"
