@@ -1,9 +1,9 @@
 """Command-line entry point: fit, simulate, landscape, and validate.
 
 A run is described by a JSON config file naming the input CSVs, the plant
-config, and the horizon; command-line flags override the settlement step
-and, where a command reads them, the output directory, worker count and
-seed. Unknown flags, and unknown keys in the solver, de and compass
+config, the horizon, the settlement step and the seed; flags give, where a
+command reads them, the output directory, the worker count and the fixed
+parameters. Unknown flags, and unknown keys in the solver, de and compass
 sections or the plant's bounds, are rejected. Results are plot-ready
 CSV/JSON, written atomically (temp file, then rename). Exit codes: 0 success,
 1 usage or configuration error, 2 data error, 3 solver or search error.
@@ -34,23 +34,10 @@ from .domain import (
     normalize_costs,
     validate_parameters,
 )
-from .ingest import align, format_timestamp, load_series
+from .ingest import SERIES, align, format_timestamp, load_series
 from .objective import FitContext, landscape_slice, sse as sse_of
 from .search import CompassConfig, DeConfig, fit
 from .uc import SolverOptions, solve_uc, validate_schedule
-
-PRICE_COLUMNS = {
-    "electricity": "electricity_gbp_mwh",
-    "fuel": "fuel_gbp_mwh_fuel",
-    "carbon": "carbon_gbp_tco2",
-}
-DYNAMICS_COLUMNS = {
-    "mel": "mel_mw",
-    "sel": "sel_mw",
-    "ramp_up": "ramp_up_mw_per_h",
-    "ramp_dn": "ramp_dn_mw_per_h",
-}
-
 
 class ConfigError(ValueError):
     """The run configuration is unusable."""
@@ -79,17 +66,12 @@ def _load_dataset(cfg: dict, dt: float, base: Path
                   ) -> tuple[MarketSeries, PlantDynamics, ObservedProduction]:
     # the columns each file gives, by role; a file is read once for all of them
     files: dict[Path, tuple[str, dict[str, str]]] = {}
-
-    def want(key: str, kind: str, role: str, column: str) -> None:
+    for role, key, column, *_ in SERIES:
+        kind = "price" if key == "prices" else key
+        if kind == "price" and cfg.get(f"{role}_prices"):  # a price in its own file
+            key = f"{role}_prices"
         path = base / str(_require(cfg, key))
         files.setdefault(path, (kind, {}))[1][role] = column
-
-    for role, column in PRICE_COLUMNS.items():
-        own = f"{role}_prices"
-        want(own if cfg.get(own) else "prices", "price", role, column)
-    want("production", "production", "production", "mw")
-    for role, column in DYNAMICS_COLUMNS.items():
-        want("dynamics", "dynamics", role, column)
 
     series = {}
     for path, (kind, columns) in files.items():
@@ -242,7 +224,6 @@ class Run:
     de_cfg: DeConfig
     compass_cfg: CompassConfig
     context: FitContext
-    out_dir: Path
     params: PlantParameters | None  # the fixed parameters of simulate and landscape
 
 
@@ -255,15 +236,8 @@ def _prepare(args) -> Run:
     """
     cfg = _load_config(args.config)
     base = Path(args.config).parent
-    dt = args.dt if args.dt is not None else _number("dt", cfg.get("dt", 0.5), float)
-    seed = getattr(args, "seed", None)  # only fit takes --seed
-    if seed is None:
-        seed = _number("seed", cfg.get("seed", 0), int)
-    out = getattr(args, "out", None)  # validate writes nothing
-    if out is None:
-        out = cfg.get("out", "out")
-        if not isinstance(out, str):
-            raise ConfigError(f"out must be a string, got {out!r}")
+    dt = _number("dt", cfg.get("dt", 0.5), float)
+    seed = _number("seed", cfg.get("seed", 0), int)
     opts = SolverOptions(**_section(cfg, "solver"))
     de_cfg = DeConfig(seed=seed, **_section(cfg, "de"))
     compass_cfg = CompassConfig(**_section(cfg, "compass"))
@@ -276,7 +250,7 @@ def _prepare(args) -> Run:
     context = FitContext.from_observed(dynamics, market, observed,
                                        epsilon=plant["epsilon_tco2_per_mwh_fuel"])
     context.graph(opts)  # kept by the context for the command's solves
-    return Run(plant, opts, bounds, de_cfg, compass_cfg, context, Path(out), params)
+    return Run(plant, opts, bounds, de_cfg, compass_cfg, context, params)
 
 
 def cmd_fit(args) -> int:
@@ -293,24 +267,24 @@ def cmd_fit(args) -> int:
         "evaluations": result.evaluations,
     }
     payload.update(_params_json(result.best, ctx.dynamics.capacity))
-    _write_atomic(run.out_dir, "fit_result.json",
+    _write_atomic(args.out, "fit_result.json",
                   json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
     points = np.concatenate((result.de.points, result.compass.points)).tolist()
     scores = np.concatenate((result.de.scores, result.compass.scores)).tolist()
     trace_rows = ((i, *vec, err) for i, (vec, err) in enumerate(zip(points, scores)))
-    _write_atomic(run.out_dir, "trace.csv",
+    _write_atomic(args.out, "trace.csv",
                   _csv_text(["evaluation", *PARAM_NAMES, "sse"], trace_rows))
 
     schedule_rows = (
         (format_timestamp(ts), obs, pw)
         for ts, obs, pw in zip(ctx.market.grid, ctx.observed.power, result.schedule.power)
     )
-    _write_atomic(run.out_dir, "schedule.csv",
+    _write_atomic(args.out, "schedule.csv",
                   _csv_text(["timestamp_utc", "observed_mw", "fitted_mw"], schedule_rows))
 
     print(f"fit: rms {result.rms:.3f} MW over {ctx.market.horizon} periods "
-          f"({result.evaluations} evaluations) -> {run.out_dir}")
+          f"({result.evaluations} evaluations) -> {args.out}")
     return 0
 
 
@@ -327,7 +301,7 @@ def cmd_simulate(args) -> int:
         for ts, pw, c, st in zip(ctx.market.grid, schedule.power,
                                  schedule.committed, schedule.started)
     )
-    _write_atomic(run.out_dir, "schedule.csv",
+    _write_atomic(args.out, "schedule.csv",
                   _csv_text(["timestamp_utc", "mw", "committed", "started"], rows))
 
     payload = {
@@ -336,10 +310,10 @@ def cmd_simulate(args) -> int:
         "sse_vs_observed_mw2": sse_of(schedule, ctx.observed),
     }
     payload.update(_params_json(run.params, ctx.dynamics.capacity))
-    _write_atomic(run.out_dir, "simulate_result.json",
+    _write_atomic(args.out, "simulate_result.json",
                   json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(f"simulate: profit {schedule.profit:.2f} GBP over "
-          f"{ctx.market.horizon} periods -> {run.out_dir}")
+          f"{ctx.market.horizon} periods -> {args.out}")
     return 0
 
 
@@ -366,8 +340,8 @@ def cmd_landscape(args) -> int:
     errors = landscape_slice((names[0], grid1), (names[1], grid2), run.params, run.context,
                              opts=run.opts, jobs=args.jobs)
     rows = ((v1, v2, errors[i, j]) for i, v1 in enumerate(grid1) for j, v2 in enumerate(grid2))
-    _write_atomic(run.out_dir, "landscape.csv", _csv_text([*names, "rms_mw"], rows))
-    print(f"landscape: {len(grid1)}x{len(grid2)} grid -> {run.out_dir / 'landscape.csv'}")
+    _write_atomic(args.out, "landscape.csv", _csv_text([*names, "rms_mw"], rows))
+    print(f"landscape: {len(grid1)}x{len(grid2)} grid -> {args.out / 'landscape.csv'}")
     return 0
 
 
@@ -394,14 +368,11 @@ def _build_parser() -> argparse.ArgumentParser:
     # each command takes only the common flags it reads
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="run config JSON")
-    common.add_argument("--dt", type=float, default=None, help="settlement step, hours")
     out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", default=None, help="output directory")
+    out.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     jobs = argparse.ArgumentParser(add_help=False)
     jobs.add_argument("--jobs", type=int, default=1,
                       help="max concurrent fitness evaluations")
-    seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=None, help="random seed")
 
     def param_flags(p):
         p.add_argument("--eta", type=float, required=True, help="thermal efficiency")
@@ -413,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="fixed cost, GBP/h per MW of capacity")
         p.add_argument("--nu", type=float, default=0.0, help="variable cost, GBP/MWh")
 
-    p_fit = sub.add_parser("fit", parents=[common, out, jobs, seed],
+    p_fit = sub.add_parser("fit", parents=[common, out, jobs],
                            help="fit plant parameters to observed production")
     p_fit.set_defaults(func=cmd_fit)
 

@@ -1,14 +1,10 @@
 """Loading, validation, and alignment of market and plant time series.
 
-CSV schemas (header row required, comma-separated, UTF-8, timestamps in
-ISO-8601 UTC):
-
-    prices.csv      timestamp_utc, electricity_gbp_mwh, fuel_gbp_mwh_fuel,
-                    carbon_gbp_tco2   (each column may also live in its own
-                    file with its own native resolution)
-    production.csv  timestamp_utc, mw
-    dynamics.csv    timestamp_utc, mel_mw, sel_mw, ramp_up_mw_per_h,
-                    ramp_dn_mw_per_h
+CSV files have a header row, are comma-separated UTF-8 and carry their
+timestamps, ISO-8601 UTC, in a ``timestamp_utc`` column. ``SERIES`` names
+the input series: the config key of the file each is read from, its
+column, and the longest gap forward-filled. Prices live in one file, or
+each in its own file with its own native resolution.
 
 Daily values repeat over every period of their day, hourly values over
 every sub-hourly period; price gaps up to one day are forward-filled,
@@ -38,6 +34,20 @@ RESOLUTION_HOURS = {"half-hourly": 0.5, "hourly": 1.0, "daily": 24.0}
 
 # longest price gap bridged by forward-fill, in hours
 MAX_PRICE_GAP_HOURS = 24.0
+
+# the input series, in the order their files are read: name, config key of
+# its file, CSV column, name in errors, longest gap forward-filled in hours
+# (zero: it must cover every period)
+SERIES = (
+    ("electricity", "prices", "electricity_gbp_mwh", "electricity prices", MAX_PRICE_GAP_HOURS),
+    ("fuel", "prices", "fuel_gbp_mwh_fuel", "fuel prices", MAX_PRICE_GAP_HOURS),
+    ("carbon", "prices", "carbon_gbp_tco2", "carbon prices", MAX_PRICE_GAP_HOURS),
+    ("production", "production", "mw", "observed production", 0.0),
+    ("mel", "dynamics", "mel_mw", "MEL", 0.0),
+    ("sel", "dynamics", "sel_mw", "SEL", 0.0),
+    ("ramp_up", "dynamics", "ramp_up_mw_per_h", "ramp-up rate", 0.0),
+    ("ramp_dn", "dynamics", "ramp_dn_mw_per_h", "ramp-down rate", 0.0),
+)
 
 
 _EPOCH = datetime(1970, 1, 1)
@@ -234,16 +244,13 @@ def align(
     """Project raw series onto one uniform grid covering [start, end), and
     return the ``(market, dynamics, observed)`` on it.
 
-    ``series`` must provide electricity, fuel, carbon, production, mel, sel,
-    ramp_up, and ramp_dn. Prices are forward-filled across gaps of up to
-    ``MAX_PRICE_GAP_HOURS``; production and dynamic data must cover every
-    period. The single ramp rate the model uses is the most restrictive
-    value over the horizon.
+    ``series`` must provide every series that ``SERIES`` names. Each is
+    forward-filled across gaps of up to its longest gap; production and
+    dynamic data must cover every period. The single ramp rate the model
+    uses is the most restrictive value over the horizon.
     """
     step_s = _step_seconds(dt)
-    required = ("electricity", "fuel", "carbon", "production",
-                "mel", "sel", "ramp_up", "ramp_dn")
-    missing = [k for k in required if k not in series]
+    missing = [name for name, *_ in SERIES if name not in series]
     if missing:
         raise DataError(f"missing series: {', '.join(missing)}")
     t0 = parse_timestamp(start) if isinstance(start, str) else np.datetime64(start, "s")
@@ -256,21 +263,15 @@ def align(
         raise DataError("horizon is not a whole number of dt steps")
     grid = make_grid(t0, periods, dt)
 
-    w = _resample(series["electricity"], grid, "electricity prices", MAX_PRICE_GAP_HOURS)
-    f = _resample(series["fuel"], grid, "fuel prices", MAX_PRICE_GAP_HOURS)
-    e = _resample(series["carbon"], grid, "carbon prices", MAX_PRICE_GAP_HOURS)
-    production = _resample(series["production"], grid, "observed production", 0.0)
-    mel = _resample(series["mel"], grid, "MEL", 0.0)
-    sel = _resample(series["sel"], grid, "SEL", 0.0)
-    ramp_up = _resample(series["ramp_up"], grid, "ramp-up rate", 0.0)
-    ramp_dn = _resample(series["ramp_dn"], grid, "ramp-down rate", 0.0)
-
-    market = MarketSeries(grid=grid, w=w, f=f, e=e, dt=dt)
+    on_grid = {name: _resample(series[name], grid, label, max_gap)
+               for name, _, _, label, max_gap in SERIES}
+    market = MarketSeries(grid=grid, w=on_grid["electricity"], f=on_grid["fuel"],
+                          e=on_grid["carbon"], dt=dt)
     dynamics = PlantDynamics(
-        mel=mel, sel=sel,
-        ramp_up=float(ramp_up.min()), ramp_dn=float(ramp_dn.min()),
+        mel=on_grid["mel"], sel=on_grid["sel"],
+        ramp_up=float(on_grid["ramp_up"].min()), ramp_dn=float(on_grid["ramp_dn"].min()),
     )
-    return market, dynamics, ObservedProduction(power=production)
+    return market, dynamics, ObservedProduction(power=on_grid["production"])
 
 
 def synthesize(
