@@ -33,6 +33,50 @@ def _period_options(levels: np.ndarray, modes: np.ndarray) -> list[tuple[float, 
     return sorted(pairs)
 
 
+def period_choices(instance: UcInstance, opts: SolverOptions) -> list[list[tuple[float, int]]]:
+    """Each period's (power, committed) choices, on the solver's level grid."""
+    dyn, dt = instance.dynamics, instance.market.dt
+    hold = instance.initial_power if instance.initial_committed else None
+    return [_period_options(*_period_levels(mel, sel_t, dyn.ramp_up * dt, dyn.ramp_dn * dt,
+                                            opts.power_levels, hold))
+            for mel, sel_t in zip(dyn.mel.tolist(), dyn.sel.tolist())]
+
+
+def step_ok(t, sel_t, up_step, dn_step, prev_p, prev_c, direction, pw, com):
+    """The direction after the move from (``prev_p``, ``prev_c``) in
+    ``direction`` to (``pw``, ``com``) in period ``t``: 1 climbing below SEL,
+    -1 descending below it, 0 otherwise; None where the rules forbid the move.
+    They are written against the raw series: ``sel_t`` is period t's SEL,
+    and a step may rise by ``up_step`` and fall by ``dn_step`` at most."""
+    delta = pw - prev_p
+    if delta > up_step + _TOL or -delta > dn_step + _TOL:
+        return None
+    below = com == 1 and _TOL < pw < sel_t - _TOL
+    if com == 1 and pw <= _TOL and sel_t > _TOL:
+        return None
+    if below:
+        if prev_c == 0:
+            return 1  # start climb from off
+        if direction == 1:
+            return 1 if delta > _TOL else None
+        if direction == -1:
+            return -1 if delta < -_TOL else None
+        # previous period was stable (or the pre-horizon state)
+        if t == 0:
+            if delta > _TOL:
+                return 1
+            if delta < -_TOL:
+                return -1
+            return None
+        return -1 if delta < -_TOL else None
+    # at or above SEL, or off
+    if direction == 1 and (com == 0 or delta < -_TOL):
+        return None  # a climb may only end in the stable band
+    if direction == -1 and pw > _TOL:
+        return None  # a descent may only end at zero
+    return 0
+
+
 def enumerate_uc_oracle(instance: UcInstance, opts: SolverOptions | None = None) -> Schedule:
     """Exhaustive reference optimum for small instances.
 
@@ -55,10 +99,7 @@ def enumerate_uc_oracle(instance: UcInstance, opts: SolverOptions | None = None)
     mv = marginal_values(p, instance.market)
     up_step = dyn.ramp_up * dt
     dn_step = dyn.ramp_dn * dt
-    hold = instance.initial_power if instance.initial_committed else None
-    options = [_period_options(*_period_levels(mel, sel_t, up_step, dn_step,
-                                               opts.power_levels, hold))
-               for mel, sel_t in zip(dyn.mel.tolist(), dyn.sel.tolist())]
+    options = period_choices(instance, opts)
     sel = dyn.sel
 
     best: tuple[float, float, float] | None = None
@@ -67,35 +108,6 @@ def enumerate_uc_oracle(instance: UcInstance, opts: SolverOptions | None = None)
 
     init_c = 1 if instance.initial_committed else 0
     init_p = instance.initial_power
-
-    def step_ok(t, prev_p, prev_c, direction, pw, com):
-        delta = pw - prev_p
-        if delta > up_step + _TOL or -delta > dn_step + _TOL:
-            return None
-        below = com == 1 and _TOL < pw < sel[t] - _TOL
-        if com == 1 and pw <= _TOL and sel[t] > _TOL:
-            return None
-        if below:
-            if prev_c == 0:
-                return 1  # start climb from off
-            if direction == 1:
-                return 1 if delta > _TOL else None
-            if direction == -1:
-                return -1 if delta < -_TOL else None
-            # previous period was stable (or the pre-horizon state)
-            if t == 0:
-                if delta > _TOL:
-                    return 1
-                if delta < -_TOL:
-                    return -1
-                return None
-            return -1 if delta < -_TOL else None
-        # at or above SEL, or off
-        if direction == 1 and (com == 0 or delta < -_TOL):
-            return None  # a climb may only end in the stable band
-        if direction == -1 and pw > _TOL:
-            return None  # a descent may only end at zero
-        return 0
 
     def recurse(t, prev_p, prev_c, direction, profit, ncom, energy):
         nonlocal best, best_choice
@@ -106,7 +118,7 @@ def enumerate_uc_oracle(instance: UcInstance, opts: SolverOptions | None = None)
                 best_choice = choice.copy()
             return
         for pw, com in options[t]:
-            nd = step_ok(t, prev_p, prev_c, direction, pw, com)
+            nd = step_ok(t, sel[t], up_step, dn_step, prev_p, prev_c, direction, pw, com)
             if nd is None:
                 continue
             start = 1 if (com == 1 and prev_c == 0) else 0
@@ -120,9 +132,15 @@ def enumerate_uc_oracle(instance: UcInstance, opts: SolverOptions | None = None)
     if best_choice is None:
         raise SolverError("no feasible schedule exists for this instance")
 
-    power = np.array([c[0] for c in best_choice])
-    committed = np.array([c[1] for c in best_choice], dtype=np.int8)
-    prev = np.concatenate(([init_c], committed[:-1]))
+    return checked_schedule(best_choice, instance)
+
+
+def checked_schedule(choice: list[tuple[float, int]], instance: UcInstance) -> Schedule:
+    """The schedule of a sequence of (power, committed) choices, scored with
+    ``schedule_profit``; raises if ``validate_schedule`` finds it infeasible."""
+    power = np.array([c[0] for c in choice])
+    committed = np.array([c[1] for c in choice], dtype=np.int8)
+    prev = np.concatenate(([1 if instance.initial_committed else 0], committed[:-1]))
     started = ((committed == 1) & (prev == 0)).astype(np.int8)
     schedule = Schedule(power=power, committed=committed, started=started, profit=0.0)
     violations = validate_schedule(schedule, instance)

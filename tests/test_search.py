@@ -298,6 +298,14 @@ class TestDeSelection:
         for vec, value, (ref_vec, ref_value) in zip(got.points, got.scores, trace):
             assert np.array_equal(vec, ref_vec) and value == ref_value
 
+    def test_ties_move_the_population(self):
+        # every trial ties its member, so each moves: the best is the first trial
+        result = differential_evolution(
+            batched(lambda x: 1.0), box(-1, 1, 2),
+            DeConfig(population=4, generations=1, seed=0, target=-1.0))
+        assert np.array_equal(result.best, result.points[4])
+        assert not np.array_equal(result.best, result.points[0])
+
 
 class TestCompassLookahead:
     @settings(max_examples=150, deadline=None)

@@ -36,6 +36,7 @@ from conftest import (
     toy_market,
     worked_example,
 )
+from lp_oracle import PathGraph
 from oracle import enumerate_uc_oracle
 
 
@@ -373,14 +374,14 @@ class TestProperties:
 
 
 @st.composite
-def shared_problems(draw, max_T=14, max_candidates=6):
+def shared_problems(draw, max_T=14, max_candidates=6, min_T=2):
     """Several parameter sets on one small problem, for the batched sweep.
 
     Covers MEL dips (several state layouts with different state counts),
     SEL of zero, a committed start at an off-grid power (the hold level),
     sigma of zero, and break-even prices where every schedule ties.
     """
-    T = draw(st.integers(2, max_T))
+    T = draw(st.integers(min_T, max_T))
     dt = draw(st.sampled_from([0.5, 1.0]))
     mel_val = draw(st.floats(50.0, 150.0))
     mel = np.full(T, mel_val)
@@ -523,7 +524,7 @@ SHARES = [k / 13 for k in range(14)]
 
 
 @st.composite
-def tie_heavy_problems(draw):
+def tie_heavy_problems(draw, min_T=3, max_T=13):
     """Several parameter sets on one small problem built so that many
     schedules tie in profit, exactly, in floating point.
 
@@ -536,7 +537,7 @@ def tie_heavy_problems(draw):
     the held level sits out of level order in the state indices, and below
     SEL), MEL and SEL dips, and ramps slow enough to need transit rungs.
     """
-    T = draw(st.integers(3, 13))
+    T = draw(st.integers(min_T, max_T))
     dt = draw(st.sampled_from([0.5, 1.0]))
     mel_val = draw(st.sampled_from([64.0, 96.0, 128.0]))
     mel = np.full(T, mel_val)
@@ -567,6 +568,30 @@ def tie_heavy_problems(draw):
                             initial_committed=committed, initial_power=p0)
                  for p in candidates]
     return instances, SolverOptions(power_levels=draw(st.integers(2, 6)))
+
+
+class TestLpOracle:
+    """The sweep against a flow LP on paths that ``oracle.step_ok`` allows,
+    over a day to two: T 24-96, MEL and SEL dips, SEL of zero, committed
+    starts, zero costs, and ties in profit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(shared_problems(min_T=24, max_T=96, max_candidates=3)
+           | tie_heavy_problems(min_T=24, max_T=96))
+    def test_sweep_matches_the_lp_optimum(self, problem):
+        instances, opts = problem
+        try:
+            graph = graph_of(instances[0], opts)
+        except SolverError:  # then no path reaches the last period either
+            with pytest.raises(SolverError, match="no path reaches period"):
+                PathGraph(instances[0], opts)
+            return
+        paths = PathGraph(instances[0], opts)
+        for inst in instances:
+            schedule = solve_uc(graph, inst.market, inst.params)
+            best = paths.best_schedule(inst).profit
+            assert abs(schedule.profit - best) <= 1e-9 * max(1.0, abs(best))
+            assert validate_schedule(schedule, inst) == []
 
 
 def held_level_problem():

@@ -54,6 +54,9 @@ MUTANTS = [
      "ramp_ok = (delta <= up_step + _TOL) & (delta >= -(dn_step + _TOL))",
      "ramp_ok = (delta < up_step - _TOL) & (delta > -(dn_step - _TOL))",
      ["tests/test_uc.py::TestSolveUc::test_committed_start_below_sel_keeps_climbing"]),
+    ("DE keeps its member on a tie", SEARCH,
+     "keep = trial_scores <= scores", "keep = trial_scores < scores",
+     ["tests/test_search.py::TestDeSelection::test_ties_move_the_population"]),
     ("compass moves on a tie", SEARCH,
      "if value < fx:", "if value <= fx:",
      ["tests/test_search.py::TestCompassSearch::test_one_dimensional_quadratic"]),
