@@ -34,7 +34,7 @@ class PathGraph:
         dyn, dt = instance.dynamics, instance.market.dt
         up_step, dn_step = dyn.ramp_up * dt, dyn.ramp_dn * dt
         start = (instance.initial_power, 1 if instance.initial_committed else 0, 0)
-        self.states = [start, None]  # node -> (power, committed, direction); None: the sink
+        nodes = 2  # the initial state and the sink
         arcs = []
         frontier = {start: 0}
         for t, (choices, sel_t) in enumerate(zip(period_choices(instance, opts),
@@ -45,24 +45,23 @@ class PathGraph:
                     nd = step_ok(t, sel_t, up_step, dn_step, prev_p, prev_c, direction, pw, com)
                     if nd is None:
                         continue
-                    head = reached.setdefault((pw, com, nd), len(self.states) + len(reached))
+                    head = reached.setdefault((pw, com, nd), nodes + len(reached))
                     arcs.append((tail, head, t, pw, com, com == 1 and prev_c == 0))
             if not reached:
                 raise SolverError(f"no path reaches period {t}")
-            self.states += list(reached)
+            nodes += len(reached)
             frontier = reached
         arcs += [(tail, 1, 0, 0.0, 0, False) for tail in frontier.values()]
         tail, head, period, power, committed, started = zip(*arcs)
         self.tail, self.head, self.period = (np.array(a) for a in (tail, head, period))
         self.power, self.committed = np.array(power), np.array(committed)
         self.started = np.array(started, dtype=float)
-        self.to_sink = self.head == 1
         n = len(tail)
         # flow conservation: out of a node less into it is 1 at the start, -1 at the sink
         self.flow = csc_array((np.r_[np.ones(n), -np.ones(n)],
                                (np.r_[self.tail, self.head], np.r_[np.arange(n), np.arange(n)])),
-                              shape=(len(self.states), n))
-        self.supply = np.zeros(len(self.states))
+                              shape=(nodes, n))
+        self.supply = np.zeros(nodes)
         self.supply[0], self.supply[1] = 1.0, -1.0
 
     def best_schedule(self, instance: UcInstance) -> Schedule:
@@ -70,8 +69,7 @@ class PathGraph:
         p, dt = instance.params, instance.market.dt
         mv = marginal_values(p, instance.market)
         gain = (self.power * mv[self.period] * dt - self.committed * p.phi * dt
-                - self.started * p.sigma)
-        gain[self.to_sink] = 0.0
+                - self.started * p.sigma)  # 0 into the sink
         result = linprog(-gain, A_eq=self.flow, b_eq=self.supply, bounds=(0.0, 1.0),
                          method="highs")
         if result.status != 0:
