@@ -22,7 +22,6 @@ from plantfit import (
     SolverOptions,
     fit,
     make_grid,
-    normalize_costs,
     synthesize,
 )
 
@@ -54,15 +53,15 @@ result = fit(
 elapsed = time.time() - start
 
 capacity = dynamics.capacity
-fitted = normalize_costs(result.best, capacity)
-truth = normalize_costs(true, capacity)
+fitted, truth = result.best, true
 
 print(f"\nfit finished in {elapsed:.0f}s after {result.evaluations} evaluations")
 print(f"remaining error: rms {result.rms:.3f} MW (sse {result.sse:.3g})\n")
 print("  parameter                     true     fitted")
 print(f"  efficiency                  {truth.eta:7.3f}  {fitted.eta:9.3f}")
-print(f"  start-up   [GBP/MW(cap)]    {truth.sigma_per_cap:7.1f}  {fitted.sigma_per_cap:9.1f}")
-print(f"  fixed      [GBP/h/MW(cap)]  {truth.phi_per_cap:7.2f}  {fitted.phi_per_cap:9.2f}")
+print(f"  start-up   [GBP/MW(cap)]    {truth.sigma / capacity:7.1f}  "
+      f"{fitted.sigma / capacity:9.1f}")
+print(f"  fixed      [GBP/h/MW(cap)]  {truth.phi / capacity:7.2f}  {fitted.phi / capacity:9.2f}")
 print(f"  variable   [GBP/MWh]        {truth.nu:7.2f}  {fitted.nu:9.2f}")
 
 # Different parameter vectors can induce the same optimal schedule, so the

@@ -17,7 +17,6 @@ if "numpy" not in sys.modules:
 from .domain import (
     DataError,
     MarketSeries,
-    NormalizedCosts,
     ObservedProduction,
     PARAM_NAMES,
     ParameterError,
@@ -26,7 +25,6 @@ from .domain import (
     Schedule,
     SearchBounds,
     SolverError,
-    normalize_costs,
     params_to_vector,
     validate_parameters,
     vector_to_params,
@@ -44,7 +42,6 @@ from .objective import (
     FitnessRecord,
     evaluate_candidate,
     landscape_slice,
-    rms,
     sse,
 )
 from .search import (
@@ -77,7 +74,6 @@ __all__ = [
     "FitResult",
     "FitnessRecord",
     "MarketSeries",
-    "NormalizedCosts",
     "ObservedProduction",
     "PARAM_NAMES",
     "ParameterError",
@@ -102,9 +98,7 @@ __all__ = [
     "load_series",
     "make_grid",
     "marginal_values",
-    "normalize_costs",
     "params_to_vector",
-    "rms",
     "schedule_profit",
     "solve_uc",
     "sse",

@@ -31,7 +31,6 @@ from .domain import (
     PlantParameters,
     SearchBounds,
     SolverError,
-    normalize_costs,
     validate_parameters,
 )
 from .ingest import SERIES, align, format_timestamp, load_series
@@ -182,7 +181,7 @@ def _csv_text(header: list[str], rows) -> str:
 
 
 def _params_json(params: PlantParameters, capacity: float) -> dict:
-    norm = normalize_costs(params, capacity)
+    """The parameters, with sigma and phi also per MW of capacity."""
     return {
         "parameters": {
             "eta": params.eta,
@@ -192,8 +191,8 @@ def _params_json(params: PlantParameters, capacity: float) -> dict:
             "epsilon_tco2_per_mwh_fuel": params.epsilon,
         },
         "parameters_per_mw_cap": {
-            "sigma_gbp_per_mw": norm.sigma_per_cap,
-            "phi_gbp_per_h_per_mw": norm.phi_per_cap,
+            "sigma_gbp_per_mw": params.sigma / capacity,
+            "phi_gbp_per_h_per_mw": params.phi / capacity,
         },
         "capacity_mw": capacity,
     }

@@ -2,8 +2,8 @@
 
 All types are immutable after construction (array fields are stored as
 read-only copies) and safe to share across concurrent evaluations.
-Internally, start-up and fixed costs are absolute (pounds and pounds/h);
-per-MW-of-capacity figures appear only in reports, see normalize_costs.
+Start-up and fixed costs are absolute (pounds and pounds/h); per-MW-of-
+capacity figures are derived only where the command line reports them.
 """
 from __future__ import annotations
 
@@ -49,17 +49,6 @@ class PlantParameters:
     phi: float      # fixed operating cost, pounds/h while committed
     nu: float       # variable operating cost, pounds/MWh
     epsilon: float  # emission factor, tCO2/MWh(fuel)
-
-
-@dataclass(frozen=True)
-class NormalizedCosts:
-    """Per-MW-of-capacity cost report; eta and nu are already intensive."""
-
-    eta: float
-    sigma_per_cap: float  # pounds/MW(cap) per start
-    phi_per_cap: float    # pounds/h/MW(cap)
-    nu: float             # pounds/MWh
-    capacity: float       # MW used for the normalization
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,19 +231,6 @@ def validate_parameters(p: PlantParameters) -> PlantParameters:
         if getattr(p, name) < 0:
             raise ParameterError(f"{name} negative")
     return p
-
-
-def normalize_costs(p: PlantParameters, capacity: float) -> NormalizedCosts:
-    """Report sigma and phi per MW of capacity; eta and nu pass through."""
-    if not capacity > 0:
-        raise ParameterError("capacity must be positive")
-    return NormalizedCosts(
-        eta=p.eta,
-        sigma_per_cap=p.sigma / capacity,
-        phi_per_cap=p.phi / capacity,
-        nu=p.nu,
-        capacity=float(capacity),
-    )
 
 
 def params_to_vector(p: PlantParameters) -> np.ndarray:

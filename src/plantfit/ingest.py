@@ -4,11 +4,13 @@ CSV files have a header row, are comma-separated UTF-8 and carry their
 timestamps, ISO-8601 UTC, in a ``timestamp_utc`` column. ``SERIES`` names
 the input series: the config key of the file each is read from, its
 column, and the longest gap forward-filled. Prices live in one file, or
-each in its own file with its own native resolution.
+each in its own file at its own spacing.
 
-Daily values repeat over every period of their day, hourly values over
-every sub-hourly period; price gaps up to one day are forward-filled,
-production and dynamic data must cover the horizon without gaps.
+A row's value repeats over every period it covers: the finest of half an
+hour, an hour and a day that its series' smallest timestamp spacing fits,
+and a day for a series of one row. Price gaps up to one day are
+forward-filled; production and dynamic data must cover the horizon without
+gaps.
 """
 from __future__ import annotations
 
@@ -29,8 +31,8 @@ from .domain import (
 )
 from .uc import SolverOptions, UcGraph, solve_uc
 
-# finest first: a file takes the first resolution its smallest row spacing fits
-RESOLUTION_HOURS = {"half-hourly": 0.5, "hourly": 1.0, "daily": 24.0}
+# finest first: a row covers the first of these its series' smallest spacing fits
+COVER_HOURS = (0.5, 1.0, 24.0)
 
 # longest price gap bridged by forward-fill, in hours
 MAX_PRICE_GAP_HOURS = 24.0
@@ -96,11 +98,10 @@ def make_grid(start, periods: int, dt: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RawSeries:
-    """One loaded (timestamp, value) series at its native resolution."""
+    """One loaded (timestamp, value) series at its own spacing."""
 
     timestamps: np.ndarray  # datetime64[s], strictly increasing
     values: np.ndarray
-    resolution: str  # half-hourly | hourly | daily
 
     def __post_init__(self):
         ts = np.array(self.timestamps, dtype="datetime64[s]")
@@ -109,8 +110,6 @@ class RawSeries:
         vals.setflags(write=False)
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "values", vals)
-        if self.resolution not in RESOLUTION_HOURS:
-            raise DataError(f"unknown resolution: {self.resolution!r}")
         if len(ts) != len(vals):
             raise DataError("timestamps and values length mismatch")
         if len(ts) == 0:
@@ -130,13 +129,12 @@ class SeriesTable:
 
     timestamps: np.ndarray  # datetime64[s], strictly increasing
     values: dict[str, np.ndarray]
-    resolution: str
 
     def __len__(self) -> int:
         return len(self.timestamps)
 
     def __getitem__(self, column: str) -> RawSeries:
-        return RawSeries(self.timestamps, self.values[column], self.resolution)
+        return RawSeries(self.timestamps, self.values[column])
 
 
 def load_series(path, columns) -> SeriesTable:
@@ -146,9 +144,7 @@ def load_series(path, columns) -> SeriesTable:
     A column that is read must appear once in the header. A malformed row is
     rejected with its line: a missing, extra or unparseable field, a
     non-finite value, or a timestamp that does not increase. Blank lines are
-    skipped and a UTF-8 byte-order mark is ignored. The native resolution is
-    the finest one that the smallest spacing between rows fits; a single row
-    reads as daily.
+    skipped and a UTF-8 byte-order mark is ignored.
     """
     path = Path(path)
     columns = tuple(columns)
@@ -199,24 +195,22 @@ def load_series(path, columns) -> SeriesTable:
                         f"0x{exc.object[exc.start]:02x} ({exc.reason})") from None
     if not seconds:
         raise DataError(f"{path}: no data rows")
-    stamps = np.array(seconds, dtype=np.int64)
-    gap_h = np.diff(stamps).min() / 3600.0 if len(stamps) > 1 else math.inf
-    resolution = next((name for name, hours in RESOLUTION_HOURS.items()
-                       if gap_h <= hours + 1e-9), "daily")
-    return SeriesTable(stamps.astype("datetime64[s]"),
-                       dict(zip(columns, (np.array(v) for v in values))), resolution)
+    return SeriesTable(np.array(seconds, dtype="datetime64[s]"),
+                       dict(zip(columns, (np.array(v) for v in values))))
 
 
 def _resample(series: RawSeries, grid: np.ndarray, name: str,
               max_fill_hours: float) -> np.ndarray:
     """Map a raw series onto the grid by step repetition and forward-fill.
 
-    A row at time tau covers [tau, tau + native resolution); grid points
-    past coverage are forward-filled up to ``max_fill_hours`` (zero for
-    series that must cover the horizon exactly).
+    A row at time tau covers [tau, tau + h), h the first of ``COVER_HOURS``
+    that the series' smallest spacing fits, or a day for a single row; grid
+    points past coverage are forward-filled up to ``max_fill_hours`` (zero
+    for series that must cover the horizon exactly).
     """
-    res_s = RESOLUTION_HOURS[series.resolution] * 3600.0
-    ts = series.timestamps.astype("datetime64[s]").astype(np.int64)
+    ts = series.timestamps.astype(np.int64)
+    gap_h = np.diff(ts).min() / 3600.0 if len(ts) > 1 else math.inf
+    res_s = next((h for h in COVER_HOURS if gap_h <= h + 1e-9), COVER_HOURS[-1]) * 3600.0
     gs = grid.astype("datetime64[s]").astype(np.int64)
     idx = np.searchsorted(ts, gs, side="right") - 1
     if np.any(idx < 0):

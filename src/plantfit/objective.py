@@ -50,14 +50,6 @@ def sse(predicted, observed) -> float:
         return float(np.add.accumulate(d * d)[-1]) if len(d) else 0.0
 
 
-def rms(predicted, observed) -> float:
-    """Root-mean-square production error [MW]."""
-    a = _power_of(predicted)
-    if len(a) == 0:
-        raise DataError("empty horizon")
-    return math.sqrt(sse(predicted, observed) / len(a))
-
-
 @dataclass(frozen=True, eq=False)
 class FitnessRecord:
     """One outer-objective evaluation."""

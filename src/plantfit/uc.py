@@ -574,7 +574,7 @@ def validate_schedule(s: Schedule, instance: UcInstance) -> list[Violation]:
             entry_up = (not instance.initial_committed) or (instance.initial_power < run[0] - _TOL)
             entry_dn = instance.initial_committed and instance.initial_power > run[0] + _TOL
         else:
-            entry_up = power[a - 1] <= _TOL
+            entry_up = not committed[a - 1]
             entry_dn = power[a - 1] >= dyn.sel[a - 1] - _TOL and power[a - 1] > run[0] + _TOL
         if b == T - 1:
             exit_up = exit_dn = True

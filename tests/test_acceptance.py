@@ -25,7 +25,6 @@ from plantfit import (
     evaluate_candidate,
     fit,
     landscape_slice,
-    normalize_costs,
     solve_uc,
     synthesize,
     validate_schedule,
@@ -125,14 +124,14 @@ def test_criterion_4_identifiable_recovery(recovery_context, eta_sigma_slice):
     result = fit(recovery_context,
                  de_cfg=DeConfig(population=40, generations=250, seed=1),
                  jobs=8)
-    report = normalize_costs(result.best, CAPACITY)
     eta_ok = abs(result.best.eta - TRUE_PARAMS.eta) <= 0.02
+    sigma_per_cap = result.best.sigma / CAPACITY
     sigma_true_per_cap = TRUE_PARAMS.sigma / CAPACITY
-    sigma_ok = abs(report.sigma_per_cap - sigma_true_per_cap) <= 0.2 * sigma_true_per_cap
+    sigma_ok = abs(sigma_per_cap - sigma_true_per_cap) <= 0.2 * sigma_true_per_cap
     verdict(4, "closed-loop recovery, identifiable instance",
             unique_basin and eta_ok and sigma_ok,
             f"eta {result.best.eta:.4f} (true {TRUE_PARAMS.eta}), "
-            f"sigma/cap {report.sigma_per_cap:.1f} (true {sigma_true_per_cap:.0f}), "
+            f"sigma/cap {sigma_per_cap:.1f} (true {sigma_true_per_cap:.0f}), "
             f"{len(minima)} minimal landscape cell(s)")
 
 

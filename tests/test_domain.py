@@ -1,4 +1,4 @@
-"""Domain types: validation, normalization, bounds."""
+"""Domain types: validation, bounds."""
 import numpy as np
 import pytest
 
@@ -12,7 +12,6 @@ from plantfit import (
     Schedule,
     SearchBounds,
     make_grid,
-    normalize_costs,
     params_to_vector,
     validate_parameters,
     vector_to_params,
@@ -44,35 +43,6 @@ class TestValidateParameters:
         p = plant()
         once = validate_parameters(p)
         assert validate_parameters(once) is once
-
-
-class TestNormalizeCosts:
-    def test_sigma_per_capacity(self):
-        report = normalize_costs(plant(sigma=15000.0), capacity=500.0)
-        assert report.sigma_per_cap == 30.0
-
-    def test_zero_phi(self):
-        assert normalize_costs(plant(phi=0.0), capacity=750.0).phi_per_cap == 0.0
-
-    def test_thousand_mw_unit_scale(self):
-        # 31000 GBP on a 1000 MW unit lands at 31 GBP/MW(cap)
-        report = normalize_costs(plant(sigma=31000.0), capacity=1000.0)
-        assert report.sigma_per_cap == pytest.approx(31.0)
-        assert abs(report.sigma_per_cap - 30.0) < 2.0
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ParameterError):
-            normalize_costs(plant(), capacity=0.0)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            cap = float(rng.uniform(50, 2000))
-            p = plant(sigma=float(rng.uniform(0, 1e5)), phi=float(rng.uniform(0, 1e4)))
-            rep = normalize_costs(p, cap)
-            assert rep.sigma_per_cap * cap == pytest.approx(p.sigma, rel=1e-9)
-            assert rep.phi_per_cap * cap == pytest.approx(p.phi, rel=1e-9)
-            assert rep.eta == p.eta and rep.nu == p.nu
 
 
 class TestSearchBounds:
@@ -139,6 +109,28 @@ class TestSeriesInvariants:
     def test_observed_power_non_negative(self):
         with pytest.raises(DataError):
             ObservedProduction(power=np.array([1.0, -2.0]))
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda grid: ObservedProduction(power=np.zeros((2, 2))),
+         DataError, "series must be one-dimensional"),
+        (lambda grid: SearchBounds(np.zeros(2), np.ones(3)),
+         ParameterError, "bounds lower/upper length mismatch"),
+        (lambda grid: SearchBounds(np.zeros(2), np.ones(2), names=("eta",)),
+         ParameterError, "bounds names length mismatch"),
+        (lambda grid: SearchBounds.for_plant(0.0), ParameterError, "capacity must be positive"),
+        (lambda grid: PlantDynamics(mel=np.ones(2), sel=np.zeros(1), ramp_up=1.0, ramp_dn=1.0),
+         DataError, "mel and sel length mismatch"),
+        (lambda grid: MarketSeries(grid=grid, w=np.zeros(3), f=np.zeros(3), e=np.zeros(3),
+                                   dt=0.0),
+         DataError, "dt must be positive"),
+        (lambda grid: MarketSeries(grid=grid[::-1], w=np.zeros(3), f=np.zeros(3),
+                                   e=np.zeros(3), dt=1.0),
+         DataError, "grid timestamps must be strictly increasing"),
+    ], ids=["2-D series", "bounds of two lengths", "names of another length",
+            "zero capacity", "mel and sel of two lengths", "zero dt", "decreasing grid"])
+    def test_guard_names_its_fault(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build(make_grid("2018-01-01T00:00:00Z", 3, 1.0))
 
     @pytest.mark.parametrize("field", ["w", "f", "e"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -16,7 +16,7 @@ from plantfit import (
     make_grid,
     synthesize,
 )
-from plantfit.ingest import _epoch_seconds, format_timestamp, parse_timestamp
+from plantfit.ingest import _epoch_seconds, _resample, format_timestamp, parse_timestamp
 from plantfit.uc import UcInstance
 from conftest import EPSILON, flat_dynamics, solve, toy_market
 
@@ -110,7 +110,6 @@ class TestLoadSeries:
             f"{i},{t},{10 * i},x" for i, t in enumerate(stamps)])
         table = load_series(path, ["b", "a"])
         assert len(table) == 4
-        assert table.resolution == "half-hourly"
         assert table.timestamps.tolist() == [parse_timestamp(t).tolist() for t in stamps]
         assert table["a"].values.tolist() == [0.0, 1.0, 2.0, 3.0]
         assert table["b"].values.tolist() == [0.0, 10.0, 20.0, 30.0]
@@ -196,7 +195,12 @@ class TestLoadSeries:
         t0 = parse_timestamp("2018-01-01T00:00:00Z")
         path = write(tmp_path / "s.csv", ["timestamp_utc,value"] + [
             f"{format_timestamp(t0 + np.timedelta64(int(h * 3600), 's'))},1" for h in hours])
-        assert read_value(path).resolution == resolution
+        series = read_value(path)
+        covered = int({"half-hourly": 0.5, "hourly": 1.0, "daily": 24.0}[resolution] / 0.5)
+        last = series.timestamps[-1]  # the half-hours the last row covers, and no more
+        assert _resample(series, make_grid(last, covered, 0.5), "s", 0.0).tolist() == [1.0] * covered
+        with pytest.raises(DataError, match="gap in s at"):
+            _resample(series, make_grid(last, covered + 1, 0.5), "s", 0.0)
 
     def test_round_trip(self, tmp_path):
         rows = [
@@ -216,22 +220,44 @@ class TestLoadSeries:
         assert np.array_equal(series.values, series2.values)
 
 
-def raw(start, values, resolution):
-    hours = {"half-hourly": 0.5, "hourly": 1.0, "daily": 24.0}[resolution]
-    ts = make_grid(start, len(values), hours)
-    return RawSeries(ts, np.asarray(values, dtype=float), resolution)
+def empty_file(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_bytes(b"")
+    return path
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda tmp_path: make_grid("2018-01-01T00:00:00Z", 0, 0.5), "grid needs at least one period"),
+    (lambda tmp_path: RawSeries(make_grid("2018-01-01T00:00:00Z", 2, 0.5), [1.0]),
+     "timestamps and values length mismatch"),
+    (lambda tmp_path: RawSeries([], []), "series is empty"),
+    (lambda tmp_path: RawSeries(make_grid("2018-01-01T00:00:00Z", 2, 0.5)[::-1], [1.0, 2.0]),
+     "timestamps must be strictly increasing"),
+    (lambda tmp_path: RawSeries(make_grid("2018-01-01T00:00:00Z", 2, 0.5), [1.0, np.nan]),
+     "series contains non-finite values"),
+    (lambda tmp_path: load_series(empty_file(tmp_path), ["value"]), r"s\.csv: missing header row"),
+], ids=["grid of no period", "values of another length", "empty series",
+        "decreasing timestamps", "NaN value", "empty file"])
+def test_guard_names_its_fault(tmp_path, build, message):
+    with pytest.raises(DataError, match=message):
+        build(tmp_path)
+
+
+def raw(start, values, hours):
+    """A series of ``values`` at a spacing of ``hours``."""
+    return RawSeries(make_grid(start, len(values), hours), np.asarray(values, dtype=float))
 
 
 def full_series_set(T=48, start="2018-01-01T00:00:00Z"):
     return {
-        "electricity": raw(start, 40.0 + np.arange(T) % 7, "half-hourly"),
-        "fuel": raw(start, [20.0], "daily"),
-        "carbon": raw(start, [18.0], "daily"),
-        "production": raw(start, np.zeros(T), "half-hourly"),
-        "mel": raw(start, np.full(T, 400.0), "half-hourly"),
-        "sel": raw(start, np.full(T, 150.0), "half-hourly"),
-        "ramp_up": raw(start, np.full(T, 240.0), "half-hourly"),
-        "ramp_dn": raw(start, np.full(T, 300.0), "half-hourly"),
+        "electricity": raw(start, 40.0 + np.arange(T) % 7, 0.5),
+        "fuel": raw(start, [20.0], 24.0),
+        "carbon": raw(start, [18.0], 24.0),
+        "production": raw(start, np.zeros(T), 0.5),
+        "mel": raw(start, np.full(T, 400.0), 0.5),
+        "sel": raw(start, np.full(T, 150.0), 0.5),
+        "ramp_up": raw(start, np.full(T, 240.0), 0.5),
+        "ramp_dn": raw(start, np.full(T, 300.0), 0.5),
     }
 
 
@@ -245,7 +271,7 @@ class TestAlign:
     def test_hourly_series_doubles_at_half_hour(self):
         series = full_series_set()
         series["electricity"] = raw("2018-01-01T00:00:00Z",
-                                    [30.0, 50.0, 70.0], "hourly")
+                                    [30.0, 50.0, 70.0], 1.0)
         market, _, _ = align(series, 0.5, "2018-01-01T00:00:00Z", "2018-01-01T03:00:00Z")
         assert market.w.tolist() == [30.0, 30.0, 50.0, 50.0, 70.0, 70.0]
 
@@ -254,27 +280,27 @@ class TestAlign:
         power = np.zeros(42)  # six missing settlement periods mid-horizon
         ts = np.concatenate([make_grid("2018-01-01T00:00:00Z", 20, 0.5),
                              make_grid("2018-01-01T13:00:00Z", 22, 0.5)])
-        series["production"] = RawSeries(ts, power, "half-hourly")
+        series["production"] = RawSeries(ts, power)
         with pytest.raises(DataError, match="gap in observed production"):
             align(series, 0.5, "2018-01-01T00:00:00Z", "2018-01-02T00:00:00Z")
 
     def test_price_gap_within_limit_forward_fills(self):
         series = full_series_set()
         # hourly prices stopping 6 hours before the horizon end: filled
-        series["electricity"] = raw("2018-01-01T00:00:00Z", np.full(18, 33.0), "hourly")
+        series["electricity"] = raw("2018-01-01T00:00:00Z", np.full(18, 33.0), 1.0)
         market, _, _ = align(series, 0.5, "2018-01-01T00:00:00Z", "2018-01-02T00:00:00Z")
         assert np.all(market.w == 33.0)
 
     def test_price_gap_beyond_limit_rejected(self):
         series = full_series_set(T=3 * 48)
-        series["fuel"] = raw("2018-01-01T00:00:00Z", [20.0], "daily")
+        series["fuel"] = raw("2018-01-01T00:00:00Z", [20.0], 24.0)
         series["electricity"] = raw("2018-01-01T00:00:00Z",
-                                    40.0 + np.zeros(3 * 48), "half-hourly")
-        series["carbon"] = raw("2018-01-01T00:00:00Z", np.full(3, 18.0), "daily")
-        series["production"] = raw("2018-01-01T00:00:00Z", np.zeros(3 * 48), "half-hourly")
+                                    40.0 + np.zeros(3 * 48), 0.5)
+        series["carbon"] = raw("2018-01-01T00:00:00Z", np.full(3, 18.0), 24.0)
+        series["production"] = raw("2018-01-01T00:00:00Z", np.zeros(3 * 48), 0.5)
         for key in ("mel", "sel", "ramp_up", "ramp_dn"):
             values = {"mel": 400.0, "sel": 150.0, "ramp_up": 240.0, "ramp_dn": 300.0}[key]
-            series[key] = raw("2018-01-01T00:00:00Z", np.full(3 * 48, values), "half-hourly")
+            series[key] = raw("2018-01-01T00:00:00Z", np.full(3 * 48, values), 0.5)
         with pytest.raises(DataError, match="gap in fuel"):
             align(series, 0.5, "2018-01-01T00:00:00Z", "2018-01-04T00:00:00Z")
 
@@ -307,7 +333,7 @@ class TestAlign:
         series = full_series_set()
         ramps = np.full(48, 240.0)
         ramps[10] = 180.0
-        series["ramp_up"] = raw("2018-01-01T00:00:00Z", ramps, "half-hourly")
+        series["ramp_up"] = raw("2018-01-01T00:00:00Z", ramps, 0.5)
         _, dynamics, _ = align(series, 0.5, "2018-01-01T00:00:00Z", "2018-01-02T00:00:00Z")
         assert dynamics.ramp_up == 180.0
 
@@ -317,14 +343,14 @@ class TestAlign:
                                            "2018-01-02T00:00:00Z")
         grid = market.grid
         back = {
-            "electricity": RawSeries(grid, market.w, "half-hourly"),
-            "fuel": RawSeries(grid, market.f, "half-hourly"),
-            "carbon": RawSeries(grid, market.e, "half-hourly"),
-            "production": RawSeries(grid, observed.power, "half-hourly"),
-            "mel": RawSeries(grid, dynamics.mel, "half-hourly"),
-            "sel": RawSeries(grid, dynamics.sel, "half-hourly"),
-            "ramp_up": RawSeries(grid, np.full(48, dynamics.ramp_up), "half-hourly"),
-            "ramp_dn": RawSeries(grid, np.full(48, dynamics.ramp_dn), "half-hourly"),
+            "electricity": RawSeries(grid, market.w),
+            "fuel": RawSeries(grid, market.f),
+            "carbon": RawSeries(grid, market.e),
+            "production": RawSeries(grid, observed.power),
+            "mel": RawSeries(grid, dynamics.mel),
+            "sel": RawSeries(grid, dynamics.sel),
+            "ramp_up": RawSeries(grid, np.full(48, dynamics.ramp_up)),
+            "ramp_dn": RawSeries(grid, np.full(48, dynamics.ramp_dn)),
         }
         market2, dynamics2, observed2 = align(back, 0.5, "2018-01-01T00:00:00Z",
                                               "2018-01-02T00:00:00Z")

@@ -28,7 +28,6 @@ from plantfit import (
     fit,
     landscape_slice,
     params_to_vector,
-    rms,
     sse,
     synthesize,
     vector_to_params,
@@ -45,19 +44,15 @@ class TestErrorMetrics:
     def test_identical_series_scores_zero(self):
         obs = observed_of([10.0, 0.0, 55.5])
         assert sse(obs, obs) == 0.0
-        assert rms(obs, obs) == 0.0
 
     def test_direct_arithmetic(self):
         assert sse(np.array([3.0, 4.0]), observed_of([0.0, 0.0])) == 25.0
-        assert rms(np.array([3.0, 4.0]), observed_of([0.0, 0.0])) == pytest.approx(
-            np.sqrt(12.5))
 
     def test_constant_offset(self):
         obs = observed_of(np.linspace(0, 90, 10))
         assert sse(obs.power + 5.0, obs) == pytest.approx(250.0)
-        assert rms(obs.power + 5.0, obs) == pytest.approx(5.0)
         longer = observed_of(np.linspace(0, 90, 37))
-        assert rms(longer.power + 5.0, longer) == pytest.approx(5.0)
+        assert sse(longer.power + 5.0, longer) == pytest.approx(25.0 * 37)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DataError):
@@ -66,10 +61,6 @@ class TestErrorMetrics:
     def test_overflow_reads_inf_without_a_warning(self):
         assert sse(np.zeros(2), observed_of([1e200, 0.0])) == math.inf
         assert sse(np.zeros(2), observed_of([1e154, 1e154])) == math.inf
-
-    def test_empty_rms_rejected(self):
-        with pytest.raises(DataError):
-            rms(np.array([]), np.array([]))
 
     def test_joint_permutation_invariance(self):
         rng = np.random.default_rng(5)
@@ -213,6 +204,12 @@ class TestFitContext:
         with pytest.raises(DataError):
             FitContext.from_observed(flat_dynamics(4), market,
                                      observed_of(np.zeros(3)), epsilon=0.1)
+
+    def test_dynamics_of_another_length_rejected(self):
+        market = toy_market(np.full(4, 50.0), dt=0.5)
+        with pytest.raises(DataError, match="dynamics and market series length mismatch"):
+            FitContext.from_observed(flat_dynamics(5), market,
+                                     observed_of(np.zeros(4)), epsilon=0.1)
 
     @pytest.mark.parametrize("epsilon", [math.nan, -0.1])
     def test_invalid_epsilon_rejected(self, epsilon):

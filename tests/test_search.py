@@ -163,6 +163,14 @@ class TestCompassSearch:
         with pytest.raises(ParameterError):
             CompassConfig(contraction=1.0)
 
+    @pytest.mark.parametrize("bounds, cfg", [
+        (box(-5, 5, 2), CompassConfig(min_step=(1e-3, 0.0))),
+        (box(0.0, 5e-324, 1), CompassConfig(min_step=(1e-3,))),  # a tenth of it is 0
+    ], ids=["zero minimum step", "first step underflows"])
+    def test_steps_must_be_positive(self, bounds, cfg):
+        with pytest.raises(ParameterError, match="steps must be positive"):
+            compass_search(batched(sphere), bounds.lower.copy(), bounds, cfg)
+
 
 def reference_compass_search(score, start, bounds, cfg):
     """Compass search as one scorer call per iteration: the loop the

@@ -1,5 +1,6 @@
 """Inner unit-commitment solver: worked examples, properties, oracle checks."""
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -18,6 +19,7 @@ from plantfit import (
     SolverOptions,
     UcGraph,
     UcInstance,
+    Violation,
     marginal_values,
     schedule_profit,
     solve_uc,
@@ -37,7 +39,7 @@ from conftest import (
     worked_example,
 )
 from lp_oracle import PathGraph
-from oracle import enumerate_uc_oracle
+from oracle import enumerate_uc_oracle, step_ok
 
 
 def params(eta=0.5, sigma=0.0, phi=0.0, nu=0.0, epsilon=0.0):
@@ -256,6 +258,81 @@ class TestValidateSchedule:
         s = Schedule(power=good.power, committed=good.committed,
                      started=np.zeros(3, dtype=int), profit=0.0)
         assert any(v.kind == "start" for v in validate_schedule(s, inst))
+
+    def test_climb_from_committed_zero_flagged(self):
+        """A climb below SEL starts from off: a period committed at 0 MW is not off."""
+        dyn = PlantDynamics(mel=np.full(2, 100.0), sel=np.array([0.0, 40.0]),
+                            ramp_up=20.0, ramp_dn=20.0)
+        inst = UcInstance(params=params(), dynamics=dyn, market=toy_market([50.0, 50.0]))
+        s = Schedule(power=np.array([0.0, 10.0]), committed=np.array([1, 1]),
+                     started=np.array([1, 0]), profit=0.0)
+        assert validate_schedule(s, inst) == [Violation("sel", 1, 30.0)]
+
+    @pytest.mark.parametrize("power, committed, sel, violation", [
+        ([-5.0, 0.0], [0, 0], [0.0, 0.0], Violation("mel", 0, 5.0)),
+        ([0.0, 0.0], [0, 1], [0.0, 40.0], Violation("sel", 1, 40.0)),
+        ([100.0, 0.0], [1, 0], [0.0, 0.0], Violation("ramp", 1, 80.0)),
+    ], ids=["negative power", "committed at zero below SEL", "ramp down"])
+    def test_rule_names_kind_period_and_magnitude(self, power, committed, sel, violation):
+        dyn = PlantDynamics(mel=np.full(2, 100.0), sel=np.array(sel), ramp_up=100.0,
+                            ramp_dn=20.0)
+        inst = UcInstance(params=params(), dynamics=dyn, market=toy_market([50.0, 50.0]))
+        started = np.diff(committed, prepend=0) == 1
+        s = Schedule(power=np.array(power), committed=np.array(committed), started=started,
+                     profit=0.0)
+        assert validate_schedule(s, inst) == [violation]
+
+    def test_horizon_mismatch_rejected(self):
+        inst, _ = worked_example()
+        s = Schedule(power=np.zeros(2), committed=np.zeros(2), started=np.zeros(2), profit=0.0)
+        with pytest.raises(DataError, match="schedule and instance horizon mismatch"):
+            validate_schedule(s, inst)
+
+
+# (power, committed) choices of the schedules the cross-check enumerates:
+# off, committed at 0 MW, and committed at five levels up to MEL 100 MW
+RULE_CHOICES = [(0.0, 0), (0.0, 1), (10.0, 1), (20.0, 1), (40.0, 1), (70.0, 1), (100.0, 1)]
+
+
+@st.composite
+def rule_instances(draw):
+    """A problem of 2 or 3 periods at MEL 100 MW, SEL 0 or positive per period."""
+    T = draw(st.integers(2, 3))
+    dt = draw(st.sampled_from([0.5, 1.0]))
+    sel = [draw(st.sampled_from([0.0, 15.0, 40.0, 85.0, 100.0])) for _ in range(T)]
+    ramps = st.sampled_from([10.0, 20.0, 30.0, 60.0, 100.0, 200.0])
+    dyn = PlantDynamics(mel=np.full(T, 100.0), sel=np.array(sel), ramp_up=draw(ramps),
+                        ramp_dn=draw(ramps))
+    committed = draw(st.booleans())
+    p0 = draw(st.sampled_from([0.0, 10.0, 40.0, 100.0])) if committed else 0.0
+    return UcInstance(params=params(), dynamics=dyn, market=toy_market(np.zeros(T), dt=dt),
+                      initial_committed=committed, initial_power=p0)
+
+
+def rules_accept(choice, inst) -> bool:
+    """Whether the ``step_ok`` chain of the oracle allows every move of ``choice``."""
+    dyn, dt = inst.dynamics, inst.market.dt
+    prev_p, prev_c, direction = inst.initial_power, int(inst.initial_committed), 0
+    for t, (pw, com) in enumerate(choice):
+        direction = step_ok(t, dyn.sel[t], dyn.ramp_up * dt, dyn.ramp_dn * dt,
+                            prev_p, prev_c, direction, pw, com)
+        if direction is None:
+            return False
+        prev_p, prev_c = pw, com
+    return True
+
+
+class TestValidateScheduleAgainstRules:
+    @settings(max_examples=100, deadline=None)
+    @given(rule_instances())
+    def test_feasible_exactly_when_the_rules_allow(self, inst):
+        """Every schedule over ``RULE_CHOICES``: no violation exactly when the
+        oracle's rules, written against the raw series, allow each move."""
+        for choice in itertools.product(RULE_CHOICES, repeat=inst.market.horizon):
+            power, committed = (np.array(column) for column in zip(*choice))
+            started = np.diff(committed, prepend=int(inst.initial_committed)) == 1
+            s = Schedule(power=power, committed=committed, started=started, profit=0.0)
+            assert (validate_schedule(s, inst) == []) == rules_accept(choice, inst), choice
 
 
 class TestOracle:

@@ -22,7 +22,9 @@ command. A drift of the
 host's speed during a run widens each side's quartiles, but moves both runs
 of a pair alike, so the ratios read the pairs without it. It is
 written again after every pair, so an interrupted run keeps what it
-measured. It records only: no gate, no bound.
+measured. SIGTERM ends a record as Ctrl-C does: the running
+``perfbench/run.py`` is killed and the unpacked trees are removed. It
+records only: no gate, no bound.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ import json
 import os
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -113,6 +116,12 @@ def environment() -> dict:
             "load_average_at_start": [round(x, 2) for x in os.getloadavg()]}
 
 
+def _exit(signum, frame):
+    """Turn SIGTERM into SystemExit, so that ``subprocess.run`` kills its child
+    and every ``finally`` runs."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="commit of the parent side")
@@ -139,6 +148,7 @@ def main(argv=None) -> int:
         "env": environment(),
         "workloads": {},
     }
+    signal.signal(signal.SIGTERM, _exit)
     work = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
         sides = {side: work / side for side in commits}

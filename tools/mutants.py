@@ -54,6 +54,9 @@ MUTANTS = [
      "ramp_ok = (delta <= up_step + _TOL) & (delta >= -(dn_step + _TOL))",
      "ramp_ok = (delta < up_step - _TOL) & (delta > -(dn_step - _TOL))",
      ["tests/test_uc.py::TestSolveUc::test_committed_start_below_sel_keeps_climbing"]),
+    ("a climb below SEL may follow a committed period at 0 MW", UC,
+     "entry_up = not committed[a - 1]", "entry_up = power[a - 1] <= _TOL",
+     ["tests/test_uc.py::TestValidateSchedule::test_climb_from_committed_zero_flagged"]),
     ("DE keeps its member on a tie", SEARCH,
      "keep = trial_scores <= scores", "keep = trial_scores < scores",
      ["tests/test_search.py::TestDeSelection::test_ties_move_the_population"]),
