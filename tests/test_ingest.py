@@ -198,7 +198,8 @@ class TestLoadSeries:
         series = read_value(path)
         covered = int({"half-hourly": 0.5, "hourly": 1.0, "daily": 24.0}[resolution] / 0.5)
         last = series.timestamps[-1]  # the half-hours the last row covers, and no more
-        assert _resample(series, make_grid(last, covered, 0.5), "s", 0.0).tolist() == [1.0] * covered
+        on_grid = _resample(series, make_grid(last, covered, 0.5), "s", 0.0)
+        assert on_grid.tolist() == [1.0] * covered
         with pytest.raises(DataError, match="gap in s at"):
             _resample(series, make_grid(last, covered + 1, 0.5), "s", 0.0)
 
