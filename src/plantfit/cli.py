@@ -67,7 +67,7 @@ def _load_dataset(cfg: dict, dt: float, base: Path
     files: dict[Path, tuple[str, dict[str, str]]] = {}
     for role, key, column, *_ in SERIES:
         kind = "price" if key == "prices" else key
-        if kind == "price" and cfg.get(f"{role}_prices"):  # a price in its own file
+        if kind == "price" and f"{role}_prices" in cfg:  # a price in its own file
             key = f"{role}_prices"
         path = base / str(_require(cfg, key))
         files.setdefault(path, (kind, {}))[1][role] = column
@@ -103,26 +103,17 @@ def _known_keys(section, known, where: str) -> dict:
     return section
 
 
-# an absolute range per parameter, or sigma and phi per MW of capacity, not both
-_BOUND_KEYS = PARAM_NAMES + ("sigma_per_cap", "phi_per_cap")
-
-
 def _bounds_from_plant(plant: dict, capacity: float) -> SearchBounds:
-    overrides = _known_keys(plant.get("bounds", {}), _BOUND_KEYS, "plant bounds")
-    for name in ("sigma", "phi"):
-        if {name, f"{name}_per_cap"} <= overrides.keys():
-            raise ConfigError(f"plant bounds give both {name} and {name}_per_cap; give one")
+    overrides = _known_keys(plant.get("bounds", {}), PARAM_NAMES, "plant bounds")
     kwargs = {}
-    for name in PARAM_NAMES:
-        for key, scale in ((name, 1.0), (f"{name}_per_cap", capacity)):
-            if key in overrides:
-                try:
-                    lo, hi = overrides[key]
-                except (TypeError, ValueError):
-                    raise ConfigError(f"plant bounds for {name} must be a [low, high] "
-                                      f"pair") from None
-                kwargs[name] = tuple(_number(f"plant bounds {key}", value, float) * scale
-                                     for value in (lo, hi))
+    for name in PARAM_NAMES:  # checked in this order, whatever the file's
+        if name in overrides:
+            try:
+                lo, hi = overrides[name]
+            except (TypeError, ValueError):
+                raise ConfigError(f"plant bounds for {name} must be a [low, high] pair") from None
+            kwargs[name] = tuple(_number(f"plant bounds {name}", value, float)
+                                 for value in (lo, hi))
     return SearchBounds.for_plant(capacity, **kwargs)
 
 
@@ -158,18 +149,23 @@ def _section(cfg: dict, name: str) -> dict:
 
 
 def _write_atomic(out_dir: Path, name: str, text: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=name, suffix=".tmp")
+    """Write ``text`` to ``out_dir/name`` through a temp file and a rename; an
+    OSError (``--out`` naming a file, say) becomes a ConfigError naming the path."""
+    tmp = None
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=name, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fd, 0o666 & ~umask)  # the mode open() creates files with, not 0600
             handle.write(text)
         os.replace(tmp, out_dir / name)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {out_dir / name}: {exc}") from None
         raise
 
 
@@ -198,19 +194,11 @@ def _params_json(params: PlantParameters, capacity: float) -> dict:
     }
 
 
-def _cli_params(args, plant: dict, capacity: float) -> PlantParameters:
+def _cli_params(args, plant: dict) -> PlantParameters:
     """The fixed parameters simulate and landscape take from their flags, checked."""
-    def cost(name):
-        absolute, per_cap = getattr(args, name), getattr(args, f"{name}_per_cap")
-        if absolute is not None and per_cap is not None:
-            raise ConfigError(f"give --{name} or --{name}-per-cap, not both")
-        if absolute is not None:
-            return absolute
-        return per_cap * capacity if per_cap is not None else 0.0
-
-    params = PlantParameters(eta=args.eta, sigma=cost("sigma"), phi=cost("phi"), nu=args.nu,
-                             epsilon=plant["epsilon_tco2_per_mwh_fuel"])
-    return validate_parameters(params)
+    return validate_parameters(PlantParameters(
+        eta=args.eta, sigma=args.sigma, phi=args.phi, nu=args.nu,
+        epsilon=plant["epsilon_tco2_per_mwh_fuel"]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,7 +233,7 @@ def _prepare(args) -> Run:
     bounds = _bounds_from_plant(plant, dynamics.capacity)
     params = None
     if hasattr(args, "eta"):  # only simulate and landscape take parameter flags
-        params = _cli_params(args, plant, dynamics.capacity)
+        params = _cli_params(args, plant)
     context = FitContext.from_observed(dynamics, market, observed,
                                        epsilon=plant["epsilon_tco2_per_mwh_fuel"])
     context.graph(opts)  # kept by the context for the command's solves
@@ -375,12 +363,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def param_flags(p):
         p.add_argument("--eta", type=float, required=True, help="thermal efficiency")
-        p.add_argument("--sigma", type=float, default=None, help="start-up cost, GBP")
-        p.add_argument("--sigma-per-cap", type=float, default=None,
-                       help="start-up cost, GBP per MW of capacity")
-        p.add_argument("--phi", type=float, default=None, help="fixed cost, GBP/h")
-        p.add_argument("--phi-per-cap", type=float, default=None,
-                       help="fixed cost, GBP/h per MW of capacity")
+        p.add_argument("--sigma", type=float, default=0.0, help="start-up cost, GBP")
+        p.add_argument("--phi", type=float, default=0.0, help="fixed cost, GBP/h")
         p.add_argument("--nu", type=float, default=0.0, help="variable cost, GBP/MWh")
 
     p_fit = sub.add_parser("fit", parents=[common, out, jobs],

@@ -225,15 +225,17 @@ class TestFit:
 
 class TestSimulate:
     def test_per_capacity_parameters(self, fixture_dir, tmp_path):
+        # costs enter absolute; the result also gives them per MW of capacity (100 MW)
         out = tmp_path / "out"
         code = main(["simulate", "--config", str(fixture_dir / "config.json"),
                      "--out", str(out), "--eta", "0.58",
-                     "--sigma-per-cap", "62", "--phi-per-cap", "11.4",
-                     "--nu", "0.9"])
+                     "--sigma", "6200", "--phi", "1140", "--nu", "0.9"])
         assert code == 0
         result = json.loads((out / "simulate_result.json").read_text())
         assert result["parameters"]["eta"] == 0.58
-        assert result["parameters"]["sigma_gbp"] == pytest.approx(62.0 * 100.0)
+        assert result["parameters"]["sigma_gbp"] == 6200.0
+        assert result["parameters_per_mw_cap"] == {"sigma_gbp_per_mw": 62.0,
+                                                   "phi_gbp_per_h_per_mw": 11.4}
         series = load_series(out / "schedule.csv", ["mw"])["mw"]
         assert len(series) == T
 
@@ -244,15 +246,30 @@ class TestSimulate:
         assert capsys.readouterr().err == ("error: no schedule of finite profit at these "
                                            "parameters\n")
 
-    @pytest.mark.parametrize("cost", ["sigma", "phi"])
-    def test_absolute_and_per_capacity_cost_together_exit_1(self, fixture_dir, tmp_path,
-                                                             capsys, cost):
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_out_naming_a_file_exits_1_with_one_line(self, fixture_dir, tmp_path, capsys,
+                                                     out):
+        (tmp_path / "file").write_text("")
         code = main(["simulate", "--config", str(fixture_dir / "config.json"),
-                     "--out", str(tmp_path / "out"), "--eta", "0.58",
-                     f"--{cost}", "100", f"--{cost}-per-cap", "62"])
+                     "--out", str(tmp_path / out), "--eta", "0.45"])
         assert code == 1
-        assert f"give --{cost} or --{cost}-per-cap, not both" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {tmp_path / out / 'schedule.csv'}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_failed_rename_exits_1_and_leaves_no_temp_file(self, fixture_dir, tmp_path,
+                                                           capsys, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(fixture_dir / "config.json"),
+                     "--out", str(out), "--eta", "0.45"])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: cannot write {out / 'schedule.csv'}: "
+                                           "rename refused\n")
+        assert list(out.iterdir()) == []
 
     def test_unprofitable_prices_stay_off(self, fixture_dir, tmp_path):
         out = tmp_path / "out"
@@ -417,6 +434,8 @@ class TestValidate:
         ({"prices": ""}, "price file not found: "),
         # rounds to a 0 s step, which must not reach the division by the step
         ({"dt": 1e-320}, "dt must be a positive whole number of seconds"),
+        # a price's own file key, once present, is read even when empty
+        ({"fuel_prices": ""}, "price file not found: "),
     ])
     def test_config_naming_unusable_data_exits_2(self, fixture_dir, tmp_path, capsys,
                                                  changes, message):
@@ -460,6 +479,9 @@ class TestValidate:
         ({"compass": {"contraction": 1.5}}, "contraction must be in (0, 1)"),
         ({"seed": -1}, "seed must be non-negative"),
         ({"de": 5}, "config section 'de' must be a JSON object"),
+        ({"de": {"generations": -1}}, "generations must be non-negative"),
+        ({"compass": {"max_iterations": -1}}, "max_iterations must be non-negative"),
+        ({"solver": {"power_levels": 1}}, "power_levels must be at least 2"),
     ])
     def test_config_fit_rejects_fails_validation(self, fixture_dir, tmp_path, capsys,
                                                   changes, message):
@@ -489,11 +511,9 @@ class TestValidate:
     @pytest.mark.parametrize("bounds,message", [
         ({"eta": [0.3]}, "plant bounds for eta must be a [low, high] pair"),
         ({"nu_per_cap": [0, 1]}, "unknown key 'nu_per_cap' in plant bounds"),
-        ({"sigma": [0, 500], "sigma_per_cap": [0, 120]},
-         "plant bounds give both sigma and sigma_per_cap"),
-        ({"phi_per_cap": [0, 20], "phi": [0, 500]},
-         "plant bounds give both phi and phi_per_cap"),
-        ({"phi_per_cap": [True, 3]}, "plant bounds phi_per_cap must be a number, got True"),
+        ({"sigma_per_cap": [0, 120]}, "unknown key 'sigma_per_cap'"),
+        ({"phi": [0, 500], "phi_per_cap": [0, 20]}, "unknown key 'phi_per_cap'"),
+        ({"phi": [True, 3]}, "plant bounds phi must be a number, got True"),
         ({"eta": [0.3, 0.2]},
          "lower bound of eta must be below its upper bound, got [0.3, 0.2]"),
         ({"nu": [0, math.nan]}, "bounds of nu must be finite, got [0.0, nan]"),
@@ -516,6 +536,9 @@ class TestValidate:
                 in capsys.readouterr().err)
 
 
+LANDSCAPE_AXES = ["--axes", "eta,sigma", "--grid1", "0.3:0.6:3", "--grid2", "0:1000:3"]
+
+
 class TestUsage:
     def test_missing_required_flag_exits_1(self, capsys):
         assert main(["fit"]) == 1
@@ -530,6 +553,10 @@ class TestUsage:
         ["simulate", "--seed", "3", "--eta", "0.45"],
         ["fit", "--seed", "3"],
         ["validate", "--dt", "0.5"],
+        ["simulate", "--eta", "0.45", "--sigma-per-cap", "62"],
+        ["simulate", "--eta", "0.45", "--phi-per-cap", "11.4"],
+        ["landscape", "--eta", "0.45", "--sigma-per-cap", "62", *LANDSCAPE_AXES],
+        ["landscape", "--eta", "0.45", "--phi-per-cap", "11.4", *LANDSCAPE_AXES],
     ])
     def test_flag_the_command_does_not_read_exits_1(self, fixture_dir, tmp_path, capsys, argv):
         command, *rest = argv
@@ -596,14 +623,15 @@ class TestConfigKeys:
         # the output directory is --out alone
         assert main(["validate", "--config", with_config(fixture_dir, tmp_path, out=1)]) == 0
 
-    def test_bounds_absolute_or_per_mw_of_capacity(self):
+    def test_bounds_override_the_plant_defaults(self):
         bounds = plantfit.cli._bounds_from_plant(
-            {"bounds": {"eta": [0.3, 0.6], "sigma_per_cap": [0, 120], "phi": [0, 500]}}, 100.0)
+            {"bounds": {"eta": [0.3, 0.6], "phi": [0, 500]}}, 100.0)
         assert bounds.range("eta") == (0.3, 0.6)
-        assert bounds.range("sigma") == (0.0, 12000.0)
+        assert bounds.range("sigma") == (0.0, 20000.0)  # the default, 200 per MW
         assert bounds.range("phi") == (0.0, 500.0)
 
-    @pytest.mark.parametrize("key", ["eta_per_cap", "nu_per_cap", "sigma_per_mw"])
+    @pytest.mark.parametrize("key", ["eta_per_cap", "nu_per_cap", "sigma_per_mw",
+                                     "sigma_per_cap", "phi_per_cap"])
     def test_unknown_bound_key_rejected(self, key):
         with pytest.raises(plantfit.cli.ConfigError, match=key):
             plantfit.cli._bounds_from_plant({"bounds": {key: [0, 1]}}, 100.0)
@@ -611,7 +639,7 @@ class TestConfigKeys:
     @pytest.mark.parametrize("value", [0.5, ["low", 1.0], [0.0, 1.0, 2.0]])
     def test_bound_that_is_not_a_pair_rejected(self, value):
         with pytest.raises(plantfit.cli.ConfigError, match="sigma"):
-            plantfit.cli._bounds_from_plant({"bounds": {"sigma_per_cap": value}}, 100.0)
+            plantfit.cli._bounds_from_plant({"bounds": {"sigma": value}}, 100.0)
 
 
 # values any config, plant or bound key may be given: wrong types, empty, zero,
@@ -624,7 +652,7 @@ FUZZ_KEYS = {
     "de": ("population", "weight", "crossover", "generations", "target"),
     "compass": ("contraction", "max_iterations"),
     "plant": ("plant_id", "epsilon_tco2_per_mwh_fuel", "bounds"),
-    "bounds": ("eta", "sigma", "phi", "nu", "sigma_per_cap", "phi_per_cap"),
+    "bounds": ("eta", "sigma", "phi", "nu"),
 }
 # a population or generation count of 1e308 is a valid request for that much work
 SIZES = {"population", "generations"}
