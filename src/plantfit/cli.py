@@ -106,7 +106,7 @@ def _known_keys(section, known, where: str) -> dict:
 def _bounds_from_plant(plant: dict, capacity: float) -> SearchBounds:
     overrides = _known_keys(plant.get("bounds", {}), PARAM_NAMES, "plant bounds")
     kwargs = {}
-    for name in PARAM_NAMES:  # checked in this order, whatever the file's
+    for name in PARAM_NAMES:  # this order, not the file's, picks the error shown
         if name in overrides:
             try:
                 lo, hi = overrides[name]
@@ -194,13 +194,6 @@ def _params_json(params: PlantParameters, capacity: float) -> dict:
     }
 
 
-def _cli_params(args, plant: dict) -> PlantParameters:
-    """The fixed parameters simulate and landscape take from their flags, checked."""
-    return validate_parameters(PlantParameters(
-        eta=args.eta, sigma=args.sigma, phi=args.phi, nu=args.nu,
-        epsilon=plant["epsilon_tco2_per_mwh_fuel"]))
-
-
 @dataclass(frozen=True, eq=False)
 class Run:
     """What every command reads before it does its own work."""
@@ -233,7 +226,9 @@ def _prepare(args) -> Run:
     bounds = _bounds_from_plant(plant, dynamics.capacity)
     params = None
     if hasattr(args, "eta"):  # only simulate and landscape take parameter flags
-        params = _cli_params(args, plant)
+        params = validate_parameters(PlantParameters(
+            eta=args.eta, sigma=args.sigma, phi=args.phi, nu=args.nu,
+            epsilon=plant["epsilon_tco2_per_mwh_fuel"]))
     context = FitContext.from_observed(dynamics, market, observed,
                                        epsilon=plant["epsilon_tco2_per_mwh_fuel"])
     context.graph(opts)  # kept by the context for the command's solves
