@@ -558,7 +558,9 @@ class TestUsage:
         ["landscape", "--eta", "0.45", "--sigma-per-cap", "62", *LANDSCAPE_AXES],
         ["landscape", "--eta", "0.45", "--phi-per-cap", "11.4", *LANDSCAPE_AXES],
     ])
-    def test_flag_the_command_does_not_read_exits_1(self, fixture_dir, tmp_path, capsys, argv):
+    def test_flag_the_command_does_not_read_exits_1(self, fixture_dir, tmp_path, capsys,
+                                                    monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)  # where a run that took the flag would write out/
         command, *rest = argv
         code = main([command, "--config", str(fixture_dir / "config.json"), *rest])
         assert code == 1
