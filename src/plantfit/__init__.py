@@ -35,7 +35,6 @@ from .ingest import (
     align,
     load_series,
     make_grid,
-    synthesize,
 )
 from .objective import (
     FitContext,
@@ -61,6 +60,7 @@ from .uc import (
     marginal_values,
     schedule_profit,
     solve_uc,
+    synthesize,
     validate_schedule,
 )
 

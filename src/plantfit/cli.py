@@ -46,8 +46,10 @@ def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             cfg = json.load(handle)
-    except (FileNotFoundError, IsADirectoryError):
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
         raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}")
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
@@ -223,6 +225,8 @@ def _prepare(args) -> Run:
     compass_cfg = CompassConfig(**_section(cfg, "compass"))
     market, dynamics, observed = _load_dataset(cfg, dt, base)
     plant = _load_plant(cfg, base)
+    if dynamics.capacity == 0:  # MEL is at least SEL, which is at least 0
+        raise DataError(f"MEL is 0 MW in every period of {base / str(cfg['dynamics'])}")
     bounds = _bounds_from_plant(plant, dynamics.capacity)
     params = None
     if hasattr(args, "eta"):  # only simulate and landscape take parameter flags
@@ -395,7 +399,7 @@ def main(argv=None) -> int:
     except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, FileNotFoundError) as exc:
+    except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

@@ -14,6 +14,9 @@ import numpy as np
 
 PARAM_NAMES = ("eta", "sigma", "phi", "nu")
 
+# slack of SearchBounds.contains at each bound
+_CONTAINS_TOL = 1e-12
+
 
 class ParameterError(ValueError):
     """A parameter, bound, or option violates its constraints."""
@@ -112,9 +115,10 @@ class SearchBounds:
         i = self.names.index(name)
         return float(self.lower[i]), float(self.upper[i])
 
-    def contains(self, vec, tol: float = 1e-12) -> bool:
+    def contains(self, vec) -> bool:
         v = np.asarray(vec, dtype=float)
-        return bool(np.all(v >= self.lower - tol) and np.all(v <= self.upper + tol))
+        return bool(np.all(v >= self.lower - _CONTAINS_TOL)
+                    and np.all(v <= self.upper + _CONTAINS_TOL))
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,14 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import (
-    DataError,
-    MarketSeries,
-    ObservedProduction,
-    PlantDynamics,
-    PlantParameters,
-)
-from .uc import SolverOptions, UcGraph, solve_uc
+from .domain import DataError, MarketSeries, ObservedProduction, PlantDynamics
 
 # finest first: a row covers the first of these its series' smallest spacing fits
 COVER_HOURS = (0.5, 1.0, 24.0)
@@ -144,7 +137,8 @@ def load_series(path, columns) -> SeriesTable:
     A column that is read must appear once in the header. A malformed row is
     rejected with its line: a missing, extra or unparseable field, a
     non-finite value, or a timestamp that does not increase. Blank lines are
-    skipped and a UTF-8 byte-order mark is ignored.
+    skipped and a UTF-8 byte-order mark is ignored. A file that cannot be
+    read is a DataError naming it.
     """
     path = Path(path)
     columns = tuple(columns)
@@ -193,6 +187,8 @@ def load_series(path, columns) -> SeriesTable:
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: cannot decode byte "
                         f"0x{exc.object[exc.start]:02x} ({exc.reason})") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
     if not seconds:
         raise DataError(f"{path}: no data rows")
     return SeriesTable(np.array(seconds, dtype="datetime64[s]"),
@@ -229,14 +225,10 @@ def _resample(series: RawSeries, grid: np.ndarray, name: str,
     return series.values[idx]
 
 
-def align(
-    series: dict[str, RawSeries],
-    dt: float,
-    start,
-    end,
-) -> tuple[MarketSeries, PlantDynamics, ObservedProduction]:
-    """Project raw series onto one uniform grid covering [start, end), and
-    return the ``(market, dynamics, observed)`` on it.
+def align(series: dict[str, RawSeries], dt: float, start: str, end: str
+          ) -> tuple[MarketSeries, PlantDynamics, ObservedProduction]:
+    """Project raw series onto one uniform grid covering [start, end), two
+    ISO-8601 timestamps, and return the ``(market, dynamics, observed)`` on it.
 
     ``series`` must provide every series that ``SERIES`` names. Each is
     forward-filled across gaps of up to its longest gap; production and
@@ -247,8 +239,8 @@ def align(
     missing = [name for name, *_ in SERIES if name not in series]
     if missing:
         raise DataError(f"missing series: {', '.join(missing)}")
-    t0 = parse_timestamp(start) if isinstance(start, str) else np.datetime64(start, "s")
-    t1 = parse_timestamp(end) if isinstance(end, str) else np.datetime64(end, "s")
+    t0 = parse_timestamp(start)
+    t1 = parse_timestamp(end)
     span_s = (t1 - t0).astype("timedelta64[s]").astype(float)
     if span_s <= 0:
         raise DataError("horizon start must precede end")
@@ -267,28 +259,3 @@ def align(
     )
     return market, dynamics, ObservedProduction(power=on_grid["production"])
 
-
-def synthesize(
-    params: PlantParameters,
-    dynamics: PlantDynamics,
-    market: MarketSeries,
-    opts: SolverOptions = SolverOptions(),
-    noise: float = 0.0,
-    seed: int = 0,
-    initial_committed: bool = False,
-    initial_power: float = 0.0,
-) -> ObservedProduction:
-    """Closed-loop test data: the optimal schedule plus optional noise.
-
-    Gaussian noise of the given standard deviation [MW] is added per period
-    and clipped to [0, mel_t]; the caller-supplied seed makes it repeatable.
-    """
-    if noise < 0:
-        raise DataError("noise must be non-negative")
-    graph = UcGraph(dynamics, market.dt, opts, initial_committed, initial_power)
-    schedule = solve_uc(graph, market, params)
-    power = np.asarray(schedule.power, dtype=float)
-    if noise > 0:
-        rng = np.random.default_rng(seed)
-        power = np.clip(power + rng.normal(0.0, noise, len(power)), 0.0, dynamics.mel)
-    return ObservedProduction(power=power)

@@ -20,7 +20,8 @@ A problem is a state graph (``UcGraph``: dynamics, dt, grid options and the
 initial state, checked when it is built, down to a feasible schedule's
 existence, which no parameter changes) and a market over the same horizon.
 ``solve_uc(graph, market, params)`` solves it for one parameter set and walks
-its back-pointers to the schedule, or raises the set's own error.
+its back-pointers to the schedule, or raises the set's own error;
+``synthesize`` gives that schedule's output as observed production.
 ``optimal_sse(graph, market, params, observed)`` scores many parameter sets
 on one problem in one DP sweep, each period advancing a (candidates, states)
 stack at once: each path carries its squared error against observed
@@ -73,6 +74,7 @@ import numpy as np
 from .domain import (
     DataError,
     MarketSeries,
+    ObservedProduction,
     ParameterError,
     PlantDynamics,
     PlantParameters,
@@ -348,6 +350,13 @@ def solve_uc(graph: UcGraph, market: MarketSeries, params: PlantParameters) -> S
     if abs(exact - dp_profit) > 1e-6 * (1.0 + abs(exact)):
         raise SolverError("internal profit accounting mismatch")
     return Schedule(power=power, committed=committed, started=started, profit=exact)
+
+
+def synthesize(params: PlantParameters, dynamics: PlantDynamics, market: MarketSeries,
+               opts: SolverOptions = SolverOptions()) -> ObservedProduction:
+    """Closed-loop data: the noise-free output of the optimal schedule at
+    ``params`` of a plant that starts off."""
+    return ObservedProduction(solve_uc(UcGraph(dynamics, market.dt, opts), market, params).power)
 
 
 def optimal_sse(graph: UcGraph, market: MarketSeries, params, observed) -> list[float]:

@@ -5,6 +5,7 @@ import pytest
 from plantfit import (
     FitContext,
     MarketSeries,
+    ObservedProduction,
     PlantDynamics,
     PlantParameters,
     SolverError,
@@ -230,8 +231,9 @@ def noisy_recovery_context():
     """The recovery fixture with 5 MW additive noise (known initial state)."""
     market = recovery_market(672)
     dynamics = flat_dynamics(672)
-    observed = synthesize(TRUE_PARAMS, dynamics, market, SolverOptions(),
-                          noise=5.0, seed=99)
+    clean = synthesize(TRUE_PARAMS, dynamics, market, SolverOptions()).power
+    noise = np.random.default_rng(99).normal(0.0, 5.0, len(clean))
+    observed = ObservedProduction(np.clip(clean + noise, 0.0, dynamics.mel))
     return FitContext.from_observed(dynamics, market, observed, epsilon=EPSILON,
                                     initial_committed=False, initial_power=0.0)
 

@@ -22,6 +22,7 @@ from plantfit import (
     synthesize,
 )
 import plantfit.cli
+import plantfit.ingest
 from plantfit.cli import main
 from plantfit.ingest import format_timestamp
 from conftest import EPSILON, flat_dynamics, toy_market
@@ -404,6 +405,44 @@ class TestValidate:
             without(tmp_path / "plant.json", "epsilon_tco2_per_mwh_fuel")
         assert main(["validate", "--config", config]) == 1
         assert message in capsys.readouterr().err
+
+    def test_config_path_through_a_file_exits_1_with_one_line(self, fixture_dir, capsys):
+        config = fixture_dir / "config.json" / "x"
+        assert main(["validate", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: config file not found: {config}\n"
+
+    @pytest.mark.parametrize("name,module,code", [
+        ("config.json", plantfit.cli, 1),
+        ("plant.json", plantfit.cli, 1),
+        ("production.csv", plantfit.ingest, 2),
+    ])
+    def test_unreadable_file_exits_with_one_line(self, fixture_dir, tmp_path, capsys,
+                                                 monkeypatch, name, module, code):
+        # root reads a file of mode 000 all the same, so open refuses it here
+        def refuse(path, *args, **kwargs):
+            if Path(path).name == name:
+                raise PermissionError(13, "Permission denied", str(path))
+            return open(path, *args, **kwargs)
+
+        for copied in ("plant.json", "production.csv"):
+            (tmp_path / copied).write_bytes((fixture_dir / copied).read_bytes())
+        config = with_config(fixture_dir, tmp_path, plant=str(tmp_path / "plant.json"),
+                             production=str(tmp_path / "production.csv"))
+        monkeypatch.setattr(module, "open", refuse, raising=False)
+        assert main(["validate", "--config", config]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {tmp_path / name}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_mel_zero_in_every_period_exits_2_with_one_line(self, fixture_dir, tmp_path,
+                                                            capsys):
+        header, *rows = (fixture_dir / "dynamics.csv").read_text().splitlines()
+        dynamics = tmp_path / "dynamics.csv"
+        dynamics.write_text("\n".join([header, *(row.split(",")[0] + ",0.0,0.0,120.0,120.0"
+                                                 for row in rows)]) + "\n")
+        config = with_config(fixture_dir, tmp_path, dynamics=str(dynamics))
+        assert main(["validate", "--config", config]) == 2
+        assert capsys.readouterr().err == f"error: MEL is 0 MW in every period of {dynamics}\n"
 
     @pytest.mark.parametrize("edit,message", [
         pytest.param(lambda rows: rows[:4] + ["yesterday,1.0"] + rows[5:],

@@ -1,4 +1,4 @@
-"""CSV loading, grid alignment, and synthetic data generation."""
+"""CSV loading and grid alignment."""
 import calendar
 from datetime import datetime, timedelta, timezone
 
@@ -6,19 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plantfit import (
-    DataError,
-    PlantParameters,
-    RawSeries,
-    SolverOptions,
-    align,
-    load_series,
-    make_grid,
-    synthesize,
-)
+from plantfit import DataError, RawSeries, align, load_series, make_grid
 from plantfit.ingest import _epoch_seconds, _resample, format_timestamp, parse_timestamp
-from plantfit.uc import UcInstance
-from conftest import EPSILON, flat_dynamics, solve, toy_market
 
 
 
@@ -361,47 +350,3 @@ class TestAlign:
         assert np.array_equal(dynamics2.mel, dynamics.mel)
         assert dynamics2.ramp_up == dynamics.ramp_up
 
-
-class TestSynthesize:
-    def _setup(self, T=96):
-        market = toy_market(35.0 + 25.0 * np.sin(np.arange(T) / 4.0),
-                            dt=0.5, fuel=15.0, carbon=10.0)
-        dynamics = flat_dynamics(T, mel=100.0, sel=40.0, ramp_up=120.0, ramp_dn=120.0)
-        params = PlantParameters(eta=0.45, sigma=500.0, phi=50.0, nu=1.0,
-                                 epsilon=EPSILON)
-        return params, dynamics, market
-
-    def test_noiseless_matches_solver(self):
-        params, dynamics, market = self._setup()
-        observed = synthesize(params, dynamics, market, SolverOptions())
-        schedule = solve(UcInstance(params=params, dynamics=dynamics, market=market))
-        assert np.array_equal(observed.power, schedule.power)
-
-    def test_noise_statistics(self):
-        # the clean schedule spends most of the horizon riding at SEL, far
-        # from both clip edges, so |N(0, 5)| statistics survive the clipping
-        T = 1000
-        w = np.full(T, 29.0)
-        w[:50] = 80.0
-        w[-50:] = 80.0
-        market = toy_market(w, dt=0.5, fuel=15.0)
-        dynamics = flat_dynamics(T, mel=200.0, sel=100.0, ramp_up=600.0, ramp_dn=600.0)
-        params = PlantParameters(eta=0.5, sigma=60000.0, phi=0.0, nu=0.0, epsilon=0.0)
-        clean = synthesize(params, dynamics, market, SolverOptions())
-        assert np.count_nonzero(clean.power == 100.0) > 800  # riding at SEL
-        noisy = synthesize(params, dynamics, market, SolverOptions(), noise=5.0, seed=123)
-        deviation = np.abs(noisy.power - clean.power)
-        assert 3.0 <= deviation.mean() <= 5.0
-        assert np.all(noisy.power >= 0.0)
-        assert np.all(noisy.power <= dynamics.mel)
-
-    def test_seed_reproducible(self):
-        params, dynamics, market = self._setup()
-        a = synthesize(params, dynamics, market, SolverOptions(), noise=3.0, seed=9)
-        b = synthesize(params, dynamics, market, SolverOptions(), noise=3.0, seed=9)
-        assert np.array_equal(a.power, b.power)
-
-    def test_negative_noise_rejected(self):
-        params, dynamics, market = self._setup(T=4)
-        with pytest.raises(DataError):
-            synthesize(params, dynamics, market, SolverOptions(), noise=-1.0)

@@ -24,10 +24,12 @@ from plantfit import (
     schedule_profit,
     solve_uc,
     sse,
+    synthesize,
     validate_schedule,
 )
 from plantfit.uc import _first_feeders, _period_levels, _stop_markers, optimal_sse
 from conftest import (
+    EPSILON,
     TRUE_PARAMS,
     flat_dynamics,
     graph_of,
@@ -71,8 +73,9 @@ class TestMarginalValue:
 
     def test_eta_must_be_positive(self):
         market = toy_market([50.0])
-        with pytest.raises(ParameterError):
-            marginal_values(params(eta=0.0), market)
+        for eta in (0.0, -0.5):
+            with pytest.raises(ParameterError, match="eta must be positive"):
+                marginal_values(params(eta=eta), market)
 
 
 class TestSolveUc:
@@ -171,6 +174,17 @@ class TestSolveUc:
         with pytest.raises(SolverError):
             solve(inst)
 
+
+class TestSynthesize:
+    def test_noiseless_matches_solver(self):
+        T = 96
+        market = toy_market(35.0 + 25.0 * np.sin(np.arange(T) / 4.0),
+                            dt=0.5, fuel=15.0, carbon=10.0)
+        dynamics = flat_dynamics(T, mel=100.0, sel=40.0, ramp_up=120.0, ramp_dn=120.0)
+        p = PlantParameters(eta=0.45, sigma=500.0, phi=50.0, nu=1.0, epsilon=EPSILON)
+        observed = synthesize(p, dynamics, market, SolverOptions())
+        schedule = solve(UcInstance(params=p, dynamics=dynamics, market=market))
+        assert np.array_equal(observed.power, schedule.power)
 
 class TestScheduleProfit:
     def test_all_off_is_zero(self):

@@ -66,6 +66,13 @@ MUTANTS = [
     ("evaluator memo bypassed", OBJECTIVE,
      "if key not in self._scored:", "if True:",
      ["tests/test_objective.py::TestCandidateEvaluator::test_scored_vectors_served_from_memory"]),
+    ("workers not capped at usable CPUs", OBJECTIVE,
+     "self.jobs = min(jobs, _usable_cpus())", "self.jobs = jobs",
+     ["tests/test_objective.py::TestCandidateEvaluator::test_workers_capped_at_usable_cpus"]),
+    ("fit's final-solve check removed", SEARCH,
+     "if final.sse != local.score:", "if False:",
+     ["tests/test_objective.py::TestProgrammingErrorsPropagate::"
+      "test_final_solve_off_the_search_score_raises"]),
 ]
 
 
