@@ -258,4 +258,3 @@ def align(series: dict[str, RawSeries], dt: float, start: str, end: str
         ramp_up=float(on_grid["ramp_up"].min()), ramp_dn=float(on_grid["ramp_dn"].min()),
     )
     return market, dynamics, ObservedProduction(power=on_grid["production"])
-

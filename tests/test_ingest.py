@@ -10,7 +10,6 @@ from plantfit import DataError, RawSeries, align, load_series, make_grid
 from plantfit.ingest import _epoch_seconds, _resample, format_timestamp, parse_timestamp
 
 
-
 def read_value(path):
     return load_series(path, ["value"])["value"]
 
@@ -349,4 +348,3 @@ class TestAlign:
         assert np.array_equal(observed2.power, observed.power)
         assert np.array_equal(dynamics2.mel, dynamics.mel)
         assert dynamics2.ramp_up == dynamics.ramp_up
-

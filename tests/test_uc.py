@@ -186,6 +186,7 @@ class TestSynthesize:
         schedule = solve(UcInstance(params=p, dynamics=dynamics, market=market))
         assert np.array_equal(observed.power, schedule.power)
 
+
 class TestScheduleProfit:
     def test_all_off_is_zero(self):
         inst, _ = worked_example()
