@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -152,20 +151,16 @@ def _section(cfg: dict, name: str) -> dict:
 
 def _write_atomic(out_dir: Path, name: str, text: str) -> None:
     """Write ``text`` to ``out_dir/name`` through a temp file and a rename; an
-    OSError (``--out`` naming a file, say) becomes a ConfigError naming the path."""
-    tmp = None
+    OSError (``--out`` naming a file, say) becomes a ConfigError naming the path.
+    A command writes each file once, so one temp name per process is enough."""
+    tmp = out_dir / f".{name}.{os.getpid()}.tmp"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=name, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)  # the mode open() creates files with, not 0600
-            handle.write(text)
+        tmp.write_text(text, encoding="utf-8", newline="")
         os.replace(tmp, out_dir / name)
     except BaseException as exc:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
+        if tmp.exists():  # False, not NotADirectoryError, for a path through a file
+            tmp.unlink()
         if isinstance(exc, OSError):
             raise ConfigError(f"cannot write {out_dir / name}: {exc}") from None
         raise

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from plantfit import (
     PlantParameters,
     SolverOptions,
+    Violation,
     load_series,
     make_grid,
     synthesize,
@@ -271,6 +272,32 @@ class TestSimulate:
         assert capsys.readouterr().err == (f"error: cannot write {out / 'schedule.csv'}: "
                                            "rename refused\n")
         assert list(out.iterdir()) == []
+
+    def test_rename_fault_propagates_and_leaves_no_temp_file(self, fixture_dir, tmp_path,
+                                                             monkeypatch):
+        # only an OSError is a write error; any other exception is a fault for main's caller
+        def fail(src, dst):
+            raise RuntimeError("rename fault")
+
+        monkeypatch.setattr(os, "replace", fail)
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="rename fault"):
+            main(["simulate", "--config", str(fixture_dir / "config.json"),
+                  "--out", str(out), "--eta", "0.45"])
+        assert list(out.iterdir()) == []
+
+    def test_infeasible_simulated_schedule_exits_3_with_one_line(self, fixture_dir, tmp_path,
+                                                                 capsys, monkeypatch):
+        monkeypatch.setattr(plantfit.cli, "validate_schedule",
+                            lambda schedule, instance: [Violation("ramp", 3, 1.0)])
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(fixture_dir / "config.json"),
+                     "--out", str(out), "--eta", "0.45"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: simulated schedule is infeasible: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
 
     def test_unprofitable_prices_stay_off(self, fixture_dir, tmp_path):
         out = tmp_path / "out"
@@ -856,11 +883,16 @@ class TestLoadDataset:
 
 
 class TestOutputFiles:
-    def test_created_as_open_would_under_the_umask(self, fixture_dir, tmp_path):
+    def test_created_as_open_would_under_the_umask(self, fixture_dir, tmp_path, monkeypatch):
         config = with_config(fixture_dir, tmp_path, de={"population": 8, "generations": 2},
                              compass={"max_iterations": 1})
         params = ["--eta", "0.45", "--sigma", "500", "--phi", "50"]
         previous = os.umask(0o022)
+
+        def flip(mask):
+            raise AssertionError("writing an output changed the process umask")
+
+        monkeypatch.setattr(os, "umask", flip)
         try:
             assert main(["fit", "--config", config, "--out", str(tmp_path / "fit")]) == 0
             assert main(["simulate", "--config", config, "--out", str(tmp_path / "sim"),
@@ -869,6 +901,7 @@ class TestOutputFiles:
                          *params, "--axes", "eta,sigma", "--grid1", "0.3:0.6:2",
                          "--grid2", "0:1000:2"]) == 0
         finally:
+            monkeypatch.undo()
             os.umask(previous)
         written = sorted(tmp_path.glob("*/*"))
         assert [p.name for p in written] == ["fit_result.json", "schedule.csv", "trace.csv",

@@ -27,6 +27,7 @@ from plantfit import (
     synthesize,
     validate_schedule,
 )
+import plantfit.uc
 from plantfit.uc import _first_feeders, _period_levels, _stop_markers, optimal_sse
 from conftest import (
     EPSILON,
@@ -153,6 +154,13 @@ class TestSolveUc:
         inst, opts = worked_example()
         schedule = solve(inst, opts)
         assert schedule.profit == schedule_profit(schedule, inst)
+
+    def test_profit_off_the_dp_raises(self, monkeypatch):
+        # the schedule's profit, derived again from the raw series, must match the DP's
+        real = plantfit.uc._profit
+        monkeypatch.setattr(plantfit.uc, "_profit", lambda *a: real(*a) + 1.0)
+        with pytest.raises(SolverError, match="internal profit accounting mismatch"):
+            solve(*worked_example())
 
     def test_empty_horizon_rejected(self):
         market = MarketSeries(grid=np.array([], dtype="datetime64[s]"),

@@ -27,6 +27,7 @@ from pathlib import Path
 from bench_pairs import git, unpack
 
 UC, SEARCH, OBJECTIVE = "src/plantfit/uc.py", "src/plantfit/search.py", "src/plantfit/objective.py"
+CLI = "src/plantfit/cli.py"
 
 # (name, file, old text, new text, ids of the tests that must fail)
 MUTANTS = [
@@ -73,6 +74,16 @@ MUTANTS = [
      "if final.sse != local.score:", "if False:",
      ["tests/test_objective.py::TestProgrammingErrorsPropagate::"
       "test_final_solve_off_the_search_score_raises"]),
+    ("failed write keeps its temp file", CLI,
+     "tmp.unlink()", "pass",
+     ["tests/test_cli.py::TestSimulate::test_failed_rename_exits_1_and_leaves_no_temp_file"]),
+    ("solve_uc's profit check removed", UC,
+     "if abs(exact - dp_profit) > 1e-6 * (1.0 + abs(exact)):", "if False:",
+     ["tests/test_uc.py::TestSolveUc::test_profit_off_the_dp_raises"]),
+    ("simulate's feasibility check removed", CLI,
+     "if violations:", "if False:",
+     ["tests/test_cli.py::TestSimulate::"
+      "test_infeasible_simulated_schedule_exits_3_with_one_line"]),
 ]
 
 
