@@ -892,16 +892,16 @@ class TestOutputFiles:
         def flip(mask):
             raise AssertionError("writing an output changed the process umask")
 
-        monkeypatch.setattr(os, "umask", flip)
         try:
-            assert main(["fit", "--config", config, "--out", str(tmp_path / "fit")]) == 0
-            assert main(["simulate", "--config", config, "--out", str(tmp_path / "sim"),
-                         *params]) == 0
-            assert main(["landscape", "--config", config, "--out", str(tmp_path / "land"),
-                         *params, "--axes", "eta,sigma", "--grid1", "0.3:0.6:2",
-                         "--grid2", "0:1000:2"]) == 0
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "umask", flip)
+                assert main(["fit", "--config", config, "--out", str(tmp_path / "fit")]) == 0
+                assert main(["simulate", "--config", config, "--out", str(tmp_path / "sim"),
+                             *params]) == 0
+                assert main(["landscape", "--config", config, "--out", str(tmp_path / "land"),
+                             *params, "--axes", "eta,sigma", "--grid1", "0.3:0.6:2",
+                             "--grid2", "0:1000:2"]) == 0
         finally:
-            monkeypatch.undo()
             os.umask(previous)
         written = sorted(tmp_path.glob("*/*"))
         assert [p.name for p in written] == ["fit_result.json", "schedule.csv", "trace.csv",
