@@ -176,8 +176,9 @@ class CandidateEvaluator:
     +inf; any other error propagates. The graph is built before any worker
     starts, so a shared problem's error (no feasible schedule, say) raises
     here. Results come back in submission order and do not depend on
-    the worker count, so a fixed seed gives identical runs. A vector scored
-    before is served from its stored score, not solved again.
+    the worker count, so a fixed seed gives identical runs. Every vector
+    given is scored, a repeated one again: the evaluator keeps no state
+    beyond its pool.
     """
 
     def __init__(self, context: FitContext, opts: SolverOptions, jobs: int = 1):
@@ -188,7 +189,6 @@ class CandidateEvaluator:
         self.jobs = min(jobs, _usable_cpus())
         context.graph(opts)
         self._pool = None
-        self._scored: dict[bytes, float] = {}  # float64 vector bytes -> score
 
     def __enter__(self):
         if self.jobs > 1:
@@ -210,19 +210,9 @@ class CandidateEvaluator:
 
     def scores(self, vecs) -> list[float]:
         vecs = np.array(vecs, dtype=float)
-        keys = [vec.tobytes() for vec in vecs]
-        new = {}  # each vector not scored before, in first-seen order
-        for key, vec in zip(keys, vecs):
-            if key not in self._scored:
-                new.setdefault(key, vec)
-        if new:
-            self._scored.update(zip(new, self._solve(np.array(list(new.values())))))
-        return [self._scored[key] for key in keys]
-
-    def _solve(self, vecs: np.ndarray) -> list[float]:
         if self._pool is None:
             return _score_vectors(vecs, self.context, self.opts)
-        size = -(-len(vecs) // self.jobs)
+        size = max(1, -(-len(vecs) // self.jobs))  # an empty batch maps no part
         parts = self._pool.map(_pool_score, [vecs[i:i + size] for i in range(0, len(vecs), size)])
         return [score for part in parts for score in part]
 

@@ -4,11 +4,12 @@ Differential evolution explores the parameter box globally; compass search
 refines the best member locally. Both treat the objective as a black box:
 a batch scorer, ``score(vecs) -> scores``, called once per DE generation and
 once per batch of compass polls, which may hold the polls of several coming
-contraction levels. A score of +inf marks an infeasible candidate, which
-loses to every finite one. An exception from the scorer propagates, and a
-NaN score raises ``ValueError``. The drivers own all mutable state and are
-bit-reproducible for a fixed seed, so results do not depend on how the
-scorer spreads a batch over workers. DE draws only
+contraction levels; the first also holds compass search's start. A score of
++inf marks an infeasible candidate, which loses to every finite one. An
+exception from the scorer propagates, and a NaN score raises ``ValueError``.
+The drivers own all mutable state and are bit-reproducible for a fixed
+seed, so results do not depend on how the scorer spreads a batch over
+workers. DE draws only
 ``random.Random(seed).random()``, a stream Python keeps the same in every
 version (numpy promises none for its ``Generator`` methods), so a fit never
 imports ``numpy.random``. A search records every point it scores and the
@@ -184,16 +185,16 @@ def compass_search(score, start, bounds: SearchBounds,
 
     Unless the last iteration moved, one scorer call also takes the polls of
     the contractions that may follow, up to ``_LOOKAHEAD_POLLS`` polls; a
-    move drops those left. The result, record included, is that of one call
-    per iteration.
+    move drops those left. The start is scored in the first call, ahead of
+    its polls, or alone when no poll is due. The result, record included,
+    is that of one call for the start and one per iteration.
     """
-    lower, upper = bounds.lower, bounds.upper
     dim = bounds.dim
     x = np.asarray(start, dtype=float).copy()
     if not bounds.contains(x):
         raise ParameterError("start point lies outside the bounds")
 
-    span = upper - lower
+    span = bounds.upper - bounds.lower
     step = 0.1 * span
     min_step = (np.array(cfg.min_step, dtype=float).ravel() if cfg.min_step is not None
                 else 1e-3 * span)
@@ -203,26 +204,19 @@ def compass_search(score, start, bounds: SearchBounds,
     if np.any(step <= 0) or np.any(min_step <= 0):
         raise ParameterError("steps must be positive")
 
-    fx = _scores(score, [x])[0]
+    # the start, scored ahead of the first polls; levels: (polls, scores) to come
+    (_, (fx,)), *levels = _sweep(score, [x[None]], x, step, min_step, bounds, cfg,
+                                 cfg.max_iterations)
     points, values = [x[None]], [np.array([fx])]
     history = [float(fx)]
 
-    levels: list = []  # (polls, scores) of the coming contraction levels
     moved = False
     for i in range(cfg.max_iterations):
         if np.all(step < min_step):
             break
-        if not levels:  # this step's polls, and those of the steps it may contract to
-            batch, ahead = [_polls(x, step, lower, upper)], step * cfg.contraction
-            while not (moved or len(batch) == cfg.max_iterations - i or np.all(ahead < min_step)):
-                polls = _polls(x, ahead, lower, upper)
-                if sum(map(len, batch)) + len(polls) > _LOOKAHEAD_POLLS:
-                    break
-                batch.append(polls)
-                ahead = ahead * cfg.contraction
-            scores = _scores(score, np.concatenate(batch))
-            ends = np.cumsum([len(polls) for polls in batch])
-            levels = list(zip(batch, np.split(scores, ends[:-1])))
+        if not levels:
+            levels = _sweep(score, [], x, step, min_step, bounds, cfg,
+                            1 if moved else cfg.max_iterations - i)
         polls, poll_scores = levels.pop(0)
         points.append(polls)
         values.append(poll_scores)
@@ -240,6 +234,22 @@ def compass_search(score, start, bounds: SearchBounds,
 
     return SearchResult(best=x.copy(), score=float(fx), history=history,
                         points=np.concatenate(points), scores=np.concatenate(values))
+
+
+def _sweep(score, head: list, x, step, min_step, bounds, cfg, levels: int) -> list:
+    """(points, scores) of each array in ``head``, then of the polls around ``x``
+    at ``step`` and at up to ``levels - 1`` of its contractions (none wholly below
+    ``min_step``, past the first at most ``_LOOKAHEAD_POLLS`` polls), in one call."""
+    batch = []
+    while len(batch) < levels and not np.all(step < min_step):
+        polls = _polls(x, step, bounds.lower, bounds.upper)
+        if batch and sum(map(len, batch)) + len(polls) > _LOOKAHEAD_POLLS:
+            break
+        batch.append(polls)
+        step = step * cfg.contraction
+    batch = head + batch
+    scores = _scores(score, np.concatenate(batch))
+    return list(zip(batch, np.split(scores, np.cumsum([len(b) for b in batch])[:-1])))
 
 
 def _polls(x, step, lower, upper) -> np.ndarray:

@@ -197,8 +197,8 @@ class UcGraph:
 
     Building the graph is independent of the candidate cost parameters, so
     one graph serves every parameter set evaluated against the same problem.
-    Periods with equal (MEL, SEL) share one state layout: ``levels`` and
-    ``modes`` hold one array per distinct layout, and ``_layout_at[t]`` is
+    Periods with equal (MEL, SEL) share one state layout: ``levels`` holds
+    one array of power levels per distinct layout, and ``_layout_at[t]`` is
     period t's, so the horizon is ``len(_layout_at)``. For the sweep, layouts
     are padded with unreachable states to a common count, ``states``.
 
@@ -266,7 +266,6 @@ class UcGraph:
             level[k, self._column[:len(levels)]] = levels
             on[k, self._column[:len(levels)]] = modes != _OFF
         self.levels = [levels for levels, _ in layouts[:source]]
-        self.modes = [modes for _, modes in layouts[:source]]
         self.states = n
         self._layout_at = np.array(layout_at, dtype=np.min_scalar_type(source - 1))
         self._level = level  # (layouts, m), zero on padding
@@ -312,7 +311,7 @@ class UcGraph:
     def nbytes(self) -> int:
         """Bytes of the arrays the graph holds."""
         arrays = (self._level, self._on, self._stops, self._positions, self._column,
-                  self._state, self._layout_at, self._arc_of, *self.levels, *self.modes)
+                  self._state, self._layout_at, self._arc_of, *self.levels)
         return sum(a.nbytes for a in arrays)
 
 

@@ -301,26 +301,31 @@ class TestCandidateEvaluator:
         with pytest.raises(ParameterError, match="jobs"):
             fit(ctx, jobs=jobs)
 
-    def test_scored_vectors_served_from_memory(self, monkeypatch):
+    def test_repeated_vector_swept_with_each_copy(self, monkeypatch):
         true, ctx = small_context(T=24)
         calls = _count_batches(monkeypatch)
         vecs = [params_to_vector(true), params_to_vector(dataclasses.replace(true, eta=0.4))]
         with CandidateEvaluator(ctx, SolverOptions()) as ev:
-            first = ev.scores(vecs)
-            assert ev.scores(vecs[::-1]) == first[::-1]
+            scores = ev.scores([vecs[0], vecs[1], vecs[0]])
         assert len(calls) == 1
-        assert len(calls[0][2]) == 2  # the parameter sets, after graph and market
+        assert len(calls[0][2]) == 3  # the parameter sets, after graph and market
+        assert calls[0][2][0] == calls[0][2][2]
+        assert np.array(scores[0]).tobytes() == np.array(scores[2]).tobytes()
+        assert scores[0] == evaluate_candidate(true, ctx).sse
 
-    def test_fit_does_not_solve_the_compass_start_again(self, monkeypatch):
+    def test_fit_sweeps_the_compass_start_with_its_polls(self, monkeypatch):
         true, ctx = small_context(T=24)
         calls = _count_batches(monkeypatch)
         # a negative target keeps DE from stopping early on a perfect score
-        fit(ctx, de_cfg=DeConfig(population=8, generations=3, seed=1, target=-1.0),
-            compass_cfg=CompassConfig(max_iterations=2))
-        # the first population, three generations and one sweep for both
-        # rounds of polls, none of which moves: compass search starts from
-        # DE's best, which DE already scored
+        result = fit(ctx, de_cfg=DeConfig(population=8, generations=3, seed=1, target=-1.0),
+                     compass_cfg=CompassConfig(max_iterations=2))
+        # the first population, three generations and one sweep for the
+        # compass start, DE's best, and both rounds of polls, none of which moves
         assert len(calls) == 1 + 3 + 1
+        assert len(result.compass.history) == 1 + 2
+        assert calls[-1][2] == [vector_to_params(vec, ctx.epsilon)
+                                for vec in result.compass.points]
+        assert np.array_equal(result.compass.points[0], result.de.best)
 
 
 def out_of_reach_context(market):
@@ -349,7 +354,7 @@ class TestWideBatchMemory:
             finally:
                 tracemalloc.stop()
         assert np.isfinite(scores).all()
-        # the sweep's state, plus each candidate's vector, memo key and score
+        # the sweep's state, plus each candidate's vector and score
         assert peak <= 4 * 2**20 + len(vecs) * 2**10
 
 

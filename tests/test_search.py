@@ -122,7 +122,7 @@ class TestScorerContract:
 
         with pytest.raises(ValueError, match="NaN for candidate 2 "):
             differential_evolution(nan_third, box(-5, 5, 2), DeConfig(population=8, seed=2))
-        # the start is scored alone; the first batch of polls has a third
+        # the first call holds the start, then its polls: the third is a poll
         with pytest.raises(ValueError, match="NaN for candidate 2 "):
             compass_search(nan_third, np.ones(2), box(-5, 5, 2))
 
@@ -331,16 +331,19 @@ class TestCompassLookahead:
         for vec, value, (ref_vec, ref_value) in zip(got.points, got.scores, trace):
             assert np.array_equal(vec, ref_vec) and value == ref_value
 
-        # the reference's calls are the start, then one level per iteration
+        # the reference's calls are the start, then one level per iteration;
+        # the first call holds the start, then the polls
         levels = ref_calls[1:]
         moved = [b < a for a, b in zip(history, history[1:])]
-        assert all(levels) and len(calls[0]) == 1
-        assert all(len(batch) <= _LOOKAHEAD_POLLS for batch in calls)
+        assert all(levels) and np.array_equal(calls[0][0], start)
+        assert (len(calls[0]) == 1) == (not levels)  # alone only when no poll is due
+        assert len(calls[0]) - 1 <= _LOOKAHEAD_POLLS
+        assert all(len(batch) <= _LOOKAHEAD_POLLS for batch in calls[1:])
         # each iteration's level is the next slice of the current batch; a new
         # batch starts after a move, holding that level alone, or once used up
-        call, used = 0, 0
+        call, used = 0, 1
         for k, level in enumerate(levels):
-            if k == 0 or moved[k - 1] or used == len(calls[call]):
+            if (k > 0 and moved[k - 1]) or used == len(calls[call]):
                 call, used = call + 1, 0
             if k > 0 and moved[k - 1]:
                 assert len(calls[call]) == len(level)
@@ -350,10 +353,11 @@ class TestCompassLookahead:
             used += len(level)
         assert call == len(calls) - 1
 
-    @pytest.mark.parametrize("iterations,sizes", [(0, [1]), (1, [1, 8]), (4, [1, 32]),
-                                                  (5, [1, 32, 8]), (9, [1, 32, 32, 8])])
+    @pytest.mark.parametrize("iterations,sizes", [(0, [1]), (1, [1 + 8]), (4, [1 + 32]),
+                                                  (5, [1 + 32, 8]), (9, [1 + 32, 32, 8])])
     def test_flat_objective_scores_four_levels_a_call(self, iterations, sizes):
-        # no poll moves; eight polls a level on the 4-D box
+        # no poll moves; eight polls a level on the 4-D box, and the start
+        # ahead of the first call's polls
         score, calls = recorded(lambda x: 1.0)
         cfg = CompassConfig(contraction=0.8, max_iterations=iterations)
         result = compass_search(score, np.full(4, 0.5), box(0, 1, 4), cfg)

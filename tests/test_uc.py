@@ -28,7 +28,7 @@ from plantfit import (
     validate_schedule,
 )
 import plantfit.uc
-from plantfit.uc import _first_feeders, _period_levels, _stop_markers, optimal_sse
+from plantfit.uc import _OFF, _first_feeders, _period_levels, _stop_markers, optimal_sse
 from conftest import (
     EPSILON,
     TRUE_PARAMS,
@@ -889,7 +889,7 @@ class TestGraphSize:
 
     def test_year_of_flat_dynamics_holds_one_layout(self):
         graph = UcGraph(flat_dynamics(17520), 0.5, SolverOptions())
-        assert len(graph.levels) == len(graph.modes) == 1
+        assert len(graph.levels) == 1
         assert graph.nbytes < 64 * 2**10
 
     def test_shared_layout_counted_once(self):
@@ -901,12 +901,13 @@ class TestGraphSize:
         mel = np.tile(np.repeat(np.linspace(300.0, 500.0, 10), 3), 2)
         dynamics = PlantDynamics(mel=mel, sel=np.full(60, 200.0), ramp_up=300.0, ramp_dn=300.0)
         graph = UcGraph(dynamics, 0.5, SolverOptions())
-        assert len(graph.levels) == len(graph.modes) == 10
+        assert len(graph.levels) == 10
         for t, limit in enumerate(mel.tolist()):
             levels, modes = _period_levels(limit, 200.0, 150.0, 150.0, 21, None)
             k = graph._layout_at[t]
             assert graph.levels[k].tobytes() == levels.tobytes()
-            assert graph.modes[k].tobytes() == modes.tobytes()
+            rows = graph._column[:len(modes)]
+            assert np.array_equal(graph._on[k, rows], modes != _OFF)
 
 
 class TestStateBound:

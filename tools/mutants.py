@@ -64,9 +64,10 @@ MUTANTS = [
     ("compass moves on a tie", SEARCH,
      "if value < fx:", "if value <= fx:",
      ["tests/test_search.py::TestCompassSearch::test_one_dimensional_quadratic"]),
-    ("evaluator memo bypassed", OBJECTIVE,
-     "if key not in self._scored:", "if True:",
-     ["tests/test_objective.py::TestCandidateEvaluator::test_scored_vectors_served_from_memory"]),
+    ("compass start scored in its own call", SEARCH,
+     "bounds, cfg,\n                                 cfg.max_iterations)", "bounds, cfg, 0)",
+     ["tests/test_objective.py::TestCandidateEvaluator::"
+      "test_fit_sweeps_the_compass_start_with_its_polls"]),
     ("workers not capped at usable CPUs", OBJECTIVE,
      "self.jobs = min(jobs, _usable_cpus())", "self.jobs = jobs",
      ["tests/test_objective.py::TestCandidateEvaluator::test_workers_capped_at_usable_cpus"]),
